@@ -123,8 +123,10 @@ main(int argc, char **argv)
             return 2;
         }
         // Real process death: no destructors, no stream flushes — the
-        // only survivors are the fsynced journal and the atomically
-        // replaced snapshot.
+        // only survivors are the journal frames already written (the
+        // kernel keeps them; the fsync before each snapshot covers an
+        // OS crash up to that snapshot) and the atomically replaced
+        // snapshot.
         CrashPoints::arm(kCrashIterationBoundary, crashAfter,
                          CrashPoints::Action::Exit);
     }

@@ -1,5 +1,6 @@
 #include "common/atomic_file.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -170,6 +171,7 @@ DurableFile::sync()
 {
     if (::fsync(fd_) != 0)
         throwErrno("fsync", path_);
+    syncedOffset_ = offset_;
 }
 
 void
@@ -180,6 +182,7 @@ DurableFile::truncateTo(std::uint64_t offset)
     if (::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0)
         throwErrno("seek", path_);
     offset_ = offset;
+    syncedOffset_ = std::min(syncedOffset_, offset);
 }
 
 } // namespace qismet

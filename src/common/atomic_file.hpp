@@ -111,12 +111,19 @@ class DurableFile
     /** Current append offset (== file size). */
     std::uint64_t offset() const { return offset_; }
 
+    /**
+     * Offset covered by the last successful sync(): every byte before
+     * it survives an OS crash. 0 until the first sync().
+     */
+    std::uint64_t syncedOffset() const { return syncedOffset_; }
+
     const std::string &path() const { return path_; }
 
   private:
     std::string path_;
     int fd_ = -1;
     std::uint64_t offset_ = 0;
+    std::uint64_t syncedOffset_ = 0;
 };
 
 } // namespace qismet

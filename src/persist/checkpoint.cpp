@@ -13,7 +13,7 @@ CheckpointManager::CheckpointManager(CheckpointConfig config,
     if (config_.dir.empty())
         throw CheckpointError("checkpoint directory must not be empty");
     if (config_.snapshotEveryIters == 0)
-        config_.snapshotEveryIters = 1;
+        throw CheckpointError("checkpoint snapshotEveryIters must be >= 1");
     std::filesystem::create_directories(config_.dir);
 }
 
@@ -115,16 +115,13 @@ void
 CheckpointManager::writeSnapshot(RunSnapshot snapshot)
 {
     CrashPoints::hit(kCrashBeforeSnapshot);
+    // Group commit: the one journal fsync per snapshot, before the
+    // snapshot can point at the frames it covers.
+    journal_->sync();
     snapshot.configDigest = configDigest_;
     snapshot.journalFrames = journal_->frames();
-    snapshot.journalOffset = journal_->offset();
+    snapshot.journalOffset = journal_->syncedOffset();
     saveSnapshotFile(snapshotPath(), snapshot);
-}
-
-std::uint64_t
-CheckpointManager::journalFrames() const
-{
-    return journal_->frames();
 }
 
 } // namespace qismet

@@ -4,7 +4,8 @@
  *
  * A checkpoint directory holds exactly two files:
  *
- *     journal.qjnl    write-ahead record stream (append + fsync)
+ *     journal.qjnl    write-ahead record stream (append; fsync per
+ *                     snapshot)
  *     snapshot.qsnp   latest full snapshot (atomic replace)
  *
  * Protocol (driver side):
@@ -14,10 +15,17 @@
  *      beginResumed() which truncates the journal tail. Otherwise the
  *      driver calls beginFresh().
  *   2. Every executed job / completed iteration is journaled *before*
- *      the driver proceeds (write-ahead + fsync).
+ *      the driver proceeds (write-ahead, no fsync per frame).
  *   3. At iteration boundaries (cadence `snapshotEveryIters`) the
- *      driver captures a RunSnapshot; writeSnapshot() stamps it with
- *      the current journal position and atomically replaces the file.
+ *      driver captures a RunSnapshot; writeSnapshot() fsyncs the
+ *      journal, stamps the snapshot with the now-durable journal
+ *      position and atomically replaces the file. A snapshot therefore
+ *      never points past durable journal bytes.
+ *
+ * Crash model: after process death every written frame is still in the
+ * file (page cache). After an OS crash or power loss only the journal
+ * up to the last snapshot is guaranteed; the frames past it are the
+ * ones recovery discards and re-executes anyway.
  *
  * Failure policy: a missing checkpoint is a fresh start; a *corrupt*
  * one (bad snapshot, structurally corrupt journal, digest mismatch,
@@ -64,6 +72,8 @@ class CheckpointManager
         std::vector<JournalFrame> frames; ///< prefix up to the snapshot
     };
 
+    /** @throws CheckpointError on an empty directory or a zero
+     *  snapshot cadence. */
     CheckpointManager(CheckpointConfig config,
                       std::uint64_t config_digest);
 
@@ -81,10 +91,12 @@ class CheckpointManager
     /** Continue the recovered journal, truncated at the snapshot. */
     void beginResumed(const Recovered &recovered);
 
-    /** Journal one executed job (durable before return). */
+    /** Journal one executed job (written before return; durable at
+     *  the next writeSnapshot). */
     void appendJob(const JournalJobRecord &record);
 
-    /** Journal one completed iteration (durable before return). */
+    /** Journal one completed iteration (written before return; durable
+     *  at the next writeSnapshot). */
     void appendIteration(const JournalIterationRecord &record);
 
     /** True when a snapshot is due at completed-iteration count `k`. */
@@ -94,13 +106,16 @@ class CheckpointManager
     }
 
     /**
-     * Stamp the snapshot with the current journal position and config
-     * digest, then atomically replace the snapshot file.
+     * fsync the journal, stamp the snapshot with the synced journal
+     * position and the config digest, then atomically replace the
+     * snapshot file.
      */
     void writeSnapshot(RunSnapshot snapshot);
 
-    /** Frames durable in the journal so far. */
-    std::uint64_t journalFrames() const;
+    /** The open journal (after beginFresh / beginResumed): frames and
+     *  offset written so far, and the offset durable at the last
+     *  snapshot. */
+    const JournalWriter &journal() const { return *journal_; }
 
     /** Notes accumulated during recovery (torn-tail reports etc.). */
     const std::string &diagnostics() const { return diagnostics_; }

@@ -234,6 +234,14 @@ void
 JournalWriter::appendFrame(JournalFrameType type,
                            const std::string &payload)
 {
+    if (payload.size() > kMaxFrameLen)
+        // scanJournal rejects such a frame even at the tail, so writing
+        // it would leave a journal that can never be resumed.
+        throw JournalError("journal '" + file_.path() + "': frame of " +
+                           std::to_string(payload.size()) +
+                           " bytes exceeds the " +
+                           std::to_string(kMaxFrameLen) +
+                           "-byte frame cap; nothing written");
     Encoder enc;
     enc.writeU8(static_cast<std::uint8_t>(type));
     enc.writeU32(static_cast<std::uint32_t>(payload.size()));
@@ -254,7 +262,6 @@ JournalWriter::appendFrame(JournalFrameType type,
     }
 
     file_.append(frame);
-    file_.sync();
     ++frames_;
 }
 

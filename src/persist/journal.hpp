@@ -10,9 +10,20 @@
  *     frame    := u8 type | u32 payloadLen | payload
  *                 | u64 fnv1a(type byte + payload)
  *
- * Appends go through DurableFile with an fsync per frame, so after a
- * crash the file is a durable prefix of the logical journal plus at
- * most one torn (partial) frame at the tail.
+ * Appends go through DurableFile without an fsync per frame: the
+ * journal is group-committed. JournalWriter::sync() makes every frame
+ * written so far durable, and CheckpointManager calls it right before
+ * each snapshot, which records the synced offset. What a crash leaves:
+ *
+ *  - process death (kill -9, std::_Exit): written frames stay in the
+ *    page cache, so the file is the whole logical journal plus at most
+ *    one torn (partial) frame at the tail.
+ *  - OS crash or power loss: the bytes up to the last sync() are
+ *    durable; frames written since then may be lost, cut short or
+ *    garbled. They all lie past the last snapshot, which recovery
+ *    discards and re-executes anyway. Garbled bytes there fail closed
+ *    in the reader below: a torn tail is dropped, anything else
+ *    throws JournalError rather than misparse.
  *
  * Reader semantics (scanJournal) — fail closed, recover only what is
  * provably a crash artifact:
@@ -117,8 +128,9 @@ struct JournalScanResult
 JournalScanResult scanJournal(const std::string &path);
 
 /**
- * Append-side of the journal. Each append* call writes one frame and
- * fsyncs, making the record durable before the driver proceeds.
+ * Append-side of the journal. Each append* call writes one frame
+ * without an fsync; sync() makes every frame written so far durable
+ * (group commit, one fsync per snapshot; see the file comment).
  */
 class JournalWriter
 {
@@ -132,14 +144,24 @@ class JournalWriter
                   DurableFile::Mode mode, std::uint64_t offset = 0,
                   std::uint64_t frames = 0);
 
+    /**
+     * Append one frame. @throws JournalError, before writing any byte,
+     * when the encoded record is larger than the reader's frame cap.
+     */
     void appendJob(const JournalJobRecord &record);
     void appendIteration(const JournalIterationRecord &record);
+
+    /** fsync the journal: every frame written so far becomes durable. */
+    void sync() { file_.sync(); }
 
     /** Frames written so far (including any seeded on resume). */
     std::uint64_t frames() const { return frames_; }
 
-    /** Current durable end-of-journal offset. */
+    /** Current end-of-journal offset (written, not necessarily synced). */
     std::uint64_t offset() const { return file_.offset(); }
+
+    /** End offset of the durable prefix: the offset at the last sync(). */
+    std::uint64_t syncedOffset() const { return file_.syncedOffset(); }
 
   private:
     void appendFrame(JournalFrameType type, const std::string &payload);

@@ -206,6 +206,14 @@ ServeManifest::ServeManifest(const std::string &path,
 void
 ServeManifest::appendFrame(std::uint8_t type, const std::string &payload)
 {
+    if (payload.size() > kMaxFrameLen)
+        // scanManifest rejects such a frame even at the tail, so writing
+        // it would leave a manifest the scheduler can never recover.
+        throw ManifestError("manifest '" + file_.path() + "': frame of " +
+                            std::to_string(payload.size()) +
+                            " bytes exceeds the " +
+                            std::to_string(kMaxFrameLen) +
+                            "-byte frame cap; nothing written");
     Encoder enc;
     enc.writeU8(type);
     enc.writeU32(static_cast<std::uint32_t>(payload.size()));

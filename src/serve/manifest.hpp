@@ -99,7 +99,11 @@ struct ManifestScan
  */
 ManifestScan scanManifest(const std::string &path);
 
-/** Append side; every record is fsynced before the call returns. */
+/**
+ * Append side; every record is fsynced before the call returns. A
+ * record larger than the reader's frame cap throws ManifestError
+ * before any byte is written.
+ */
 class ServeManifest
 {
   public:

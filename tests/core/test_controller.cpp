@@ -45,6 +45,15 @@ struct Fig9Case
     bool accept;
 };
 
+// Print a case as its name, so gtest lists (and ctest registers) it as
+// Scenarios/Fig9Test.ControllerMatchesPaper/<name> instead of a byte
+// dump that holds the address of `name` and so changes from run to run.
+void
+PrintTo(const Fig9Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class Fig9Test : public ::testing::TestWithParam<Fig9Case>
 {
 };

@@ -142,6 +142,26 @@ TEST_F(AtomicFileTest, DurableFileTruncateToDropsTail)
     EXPECT_EQ(readFile(p), "keep-this!");
 }
 
+TEST_F(AtomicFileTest, DurableFileSyncedOffsetTracksLastSync)
+{
+    const std::string p = path("journal.bin");
+    DurableFile file(p, DurableFile::Mode::Truncate);
+    EXPECT_EQ(file.syncedOffset(), 0u);
+    file.append("synced|");
+    file.sync();
+    EXPECT_EQ(file.syncedOffset(), 7u);
+    file.append("pending");
+    EXPECT_EQ(file.syncedOffset(), 7u); // append alone is not durable
+    // Truncating below the synced prefix shrinks it; truncating inside
+    // the unsynced tail leaves it alone.
+    file.truncateTo(10);
+    EXPECT_EQ(file.syncedOffset(), 7u);
+    file.truncateTo(3);
+    EXPECT_EQ(file.syncedOffset(), 3u);
+    file.sync();
+    EXPECT_EQ(file.syncedOffset(), 3u);
+}
+
 TEST_F(AtomicFileTest, DurableFileTruncateModeEmptiesExistingFile)
 {
     const std::string p = path("journal.bin");

@@ -10,9 +10,10 @@
  *
  * Crashes are simulated through the fault layer's crash points
  * (CrashPointGuard + SimulatedCrash), which die after the journal's
- * write-ahead fsync semantics have done whatever a real SIGKILL would
- * have allowed them to do — including a deliberately torn half-frame
- * for the mid-write case.
+ * write-ahead semantics have done whatever a real SIGKILL would have
+ * allowed them to do — every written frame survives (process death
+ * keeps the page cache), including a deliberately torn half-frame for
+ * the mid-write case.
  */
 
 #include <gtest/gtest.h>

@@ -299,6 +299,38 @@ TEST_F(JournalTest, TornWriteCrashPointLeavesRecoverableJournal)
     }
 }
 
+TEST_F(JournalTest, OversizedFrameIsRejectedBeforeAnyByte)
+{
+    // 140000 parameters encode to ~1.1 MB, past the reader's 1 MiB
+    // frame cap: writing that frame would leave a journal that can
+    // never be resumed, so the writer refuses it.
+    const std::string p = path("journal.qjnl");
+    JournalWriter writer(p, kDigest, DurableFile::Mode::Truncate);
+    writer.appendJob(sampleJob(0));
+    writer.appendJob(sampleJob(1));
+    const std::uint64_t before = writer.offset();
+
+    JournalJobRecord huge = sampleJob(2);
+    huge.point.assign(140000, 0.5);
+    try {
+        writer.appendJob(huge);
+        FAIL() << "oversized frame was accepted";
+    }
+    catch (const JournalError &e) {
+        // The message names the cap.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("1048576"), std::string::npos) << what;
+    }
+    EXPECT_EQ(writer.offset(), before);
+    EXPECT_EQ(writer.frames(), 2u);
+    EXPECT_EQ(fs::file_size(p), before);
+
+    const JournalScanResult scan = scanJournal(p);
+    EXPECT_FALSE(scan.tornTail);
+    ASSERT_EQ(scan.frames.size(), 2u);
+    EXPECT_EQ(scan.cleanOffset, before);
+}
+
 // ---- seeded fuzz ---------------------------------------------------------
 
 TEST_F(JournalTest, BitFlipFuzzNeverMisparses)
@@ -483,6 +515,49 @@ TEST_F(JournalTest, CheckpointRejectsEmptyDirectory)
     EXPECT_THROW(CheckpointManager({}, kDigest), CheckpointError);
 }
 
+TEST_F(JournalTest, CheckpointRejectsZeroSnapshotCadence)
+{
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    cfg.snapshotEveryIters = 0;
+    try {
+        CheckpointManager mgr(cfg, kDigest);
+        FAIL() << "zero snapshot cadence was accepted";
+    }
+    catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("snapshotEveryIters"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(JournalTest, JournalIsSyncedOncePerSnapshot)
+{
+    // Group commit: frames are written without an fsync, and the
+    // snapshot syncs the journal before it records the offset. A
+    // process-death test cannot see a missing fsync, so this pins the
+    // synced offset directly.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    CheckpointManager mgr(cfg, kDigest);
+    mgr.beginFresh();
+    for (std::uint64_t i = 0; i < 3; ++i)
+        mgr.appendJob(sampleJob(i));
+    EXPECT_EQ(mgr.journal().syncedOffset(), kJournalHeaderSize);
+    EXPECT_GT(mgr.journal().offset(), kJournalHeaderSize);
+
+    mgr.writeSnapshot(RunSnapshot{});
+    const RunSnapshot snap = loadSnapshotFile(mgr.snapshotPath());
+    EXPECT_EQ(snap.journalOffset, mgr.journal().syncedOffset());
+    EXPECT_EQ(snap.journalOffset, mgr.journal().offset());
+    EXPECT_EQ(snap.journalFrames, 3u);
+
+    mgr.appendJob(sampleJob(3));
+    mgr.appendJob(sampleJob(4));
+    EXPECT_EQ(mgr.journal().syncedOffset(), snap.journalOffset);
+    EXPECT_GT(mgr.journal().offset(), snap.journalOffset);
+}
+
 TEST_F(JournalTest, FreshAndVirginDirectoriesRecoverToNothing)
 {
     CheckpointConfig cfg;
@@ -561,7 +636,7 @@ TEST_F(JournalTest, RecoveryReplaysPrefixAndTruncatesTail)
         snap.iteration = 1;
         snap.theta = {1.0, 2.0};
         writer.writeSnapshot(snap);
-        snapFrames = writer.journalFrames();
+        snapFrames = writer.journal().frames();
         // Two more frames past the snapshot: discarded on recovery.
         writer.appendJob(sampleJob(3));
         writer.appendJob(sampleJob(4));

@@ -156,6 +156,37 @@ TEST_F(ServeManifestTest, MidFileCorruptionThrows)
     EXPECT_THROW(scanManifest(path_), ManifestError);
 }
 
+TEST_F(ServeManifestTest, OversizedRecordIsRejectedBeforeAnyByte)
+{
+    // A completion whose digest string pushes the frame past the
+    // reader's 1 MiB cap: writing it would leave an unrecoverable
+    // manifest, so the writer refuses it and the file stays scannable.
+    {
+        ServeManifest manifest(path_, 5, DurableFile::Mode::Truncate);
+        manifest.appendSubmit(1, spec(0));
+        manifest.appendSubmit(2, spec(1));
+        const auto before = fs::file_size(path_);
+        ManifestCompletion huge;
+        huge.trajectoryDigest.assign(std::size_t{1} << 20, 'x');
+        try {
+            manifest.appendComplete(1, huge);
+            FAIL() << "oversized record was accepted";
+        }
+        catch (const ManifestError &e) {
+            // The message names the cap.
+            const std::string what = e.what();
+            EXPECT_NE(what.find("1048576"), std::string::npos) << what;
+        }
+        EXPECT_EQ(fs::file_size(path_), before);
+    }
+    const ManifestScan scan = scanManifest(path_);
+    EXPECT_FALSE(scan.tornTail);
+    ASSERT_EQ(scan.submitted.size(), 2u);
+    EXPECT_EQ(scan.submitted[1].first, 2u);
+    EXPECT_TRUE(scan.completed.empty());
+    EXPECT_EQ(scan.cleanOffset, fs::file_size(path_));
+}
+
 TEST_F(ServeManifestTest, BadHeaderThrows)
 {
     writeAll("not a manifest at all, definitely long enough");

@@ -6,10 +6,10 @@
 # (replay equivalence + kill/resume under injected fleet faults +
 # CLI digest identity across worker counts) -> kernel-bench
 # baseline gate -> lint (baseline diff + SARIF artifact) -> TSan sweep
-# of the concurrency-heavy suites. This is the gate every change must
-# pass; it
-# mirrors what the presets do individually, in the order that fails
-# fastest.
+# of the concurrency-heavy suites -> ASan/UBSan sweep of the kernel,
+# expectation, journal/snapshot decoder and recovery suites. This is
+# the gate every change must pass; it mirrors what the presets do
+# individually, in the order that fails fastest.
 #
 # Usage: tools/ci.sh [--with-coverage]
 #
@@ -73,30 +73,40 @@ stage "crash-resume recovery suite"
 ctest --preset recovery
 
 stage "kill-mid-run + resume smoke (real process death)"
-ckpt_dir=$(mktemp -d)
-trap 'rm -rf "$ckpt_dir"' EXIT
+ckpt_root=$(mktemp -d)
+trap 'rm -rf "$ckpt_root"' EXIT
 smoke=./build/examples/checkpoint_resume
 smoke_args=(--app 1 --jobs 120 --faults --seed 23)
 want=$("$smoke" "${smoke_args[@]}" --threads 4 | head -1)
-# The kill leg must die with the crash exit code, not finish.
-set +e
-"$smoke" "${smoke_args[@]}" --threads 4 \
-    --checkpoint-dir "$ckpt_dir" --crash-after-iters 6
-kill_status=$?
-set -e
-if [[ $kill_status -ne 43 ]]; then
-    echo "ci: kill leg exited $kill_status, expected 43" >&2
-    exit 1
-fi
-# Resume on a different thread count; the trajectory digest must match
-# the uninterrupted run bit for bit.
-got=$("$smoke" "${smoke_args[@]}" --threads 2 \
-    --checkpoint-dir "$ckpt_dir" --resume | head -1)
-if [[ "$got" != "$want" ]]; then
-    echo "ci: resumed digest '$got' != straight-run digest '$want'" >&2
-    exit 1
-fi
-echo "resume digest matches straight run: $got"
+# Two legs, both killed after 6 iterations. Cadence 1 dies right after
+# a snapshot synced the journal. Cadence 4 dies two iterations past the
+# last snapshot, inside the group-commit window: the frames behind the
+# crash were written but never fsynced, and recovery must discard them.
+for cadence in 1 4; do
+    ckpt_dir="$ckpt_root/every-$cadence"
+    # The kill leg must die with the crash exit code, not finish.
+    set +e
+    "$smoke" "${smoke_args[@]}" --threads 4 --snapshot-every "$cadence" \
+        --checkpoint-dir "$ckpt_dir" --crash-after-iters 6
+    kill_status=$?
+    set -e
+    if [[ $kill_status -ne 43 ]]; then
+        echo "ci: kill leg (cadence $cadence) exited $kill_status," \
+            "expected 43" >&2
+        exit 1
+    fi
+    # Resume on a different thread count; the trajectory digest must
+    # match the uninterrupted run bit for bit.
+    got=$("$smoke" "${smoke_args[@]}" --threads 2 \
+        --snapshot-every "$cadence" --checkpoint-dir "$ckpt_dir" \
+        --resume | head -1)
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: resumed digest '$got' (cadence $cadence) !=" \
+            "straight-run digest '$want'" >&2
+        exit 1
+    fi
+    echo "resume digest (snapshot every $cadence) matches straight run: $got"
+done
 
 stage "serve-layer soak (multiplexed runs + scheduler kill/resume)"
 # The `soak` label holds the 1000-run multi-tenant soak (every digest
@@ -120,7 +130,7 @@ stage "serve_chaos digest identity across worker counts"
 # driven exactly as an operator would, must print byte-identical
 # per-job tables at 1, 2 and 4 workers under the same chaos schedule.
 chaos_dir=$(mktemp -d)
-trap 'rm -rf "$ckpt_dir" "$chaos_dir"' EXIT
+trap 'rm -rf "$ckpt_root" "$chaos_dir"' EXIT
 chaos_cli=./build/tools/serve_chaos
 chaos_args=(--runs 24 --jobs 8 --seed 2026 --chaos-seed 99 --queue-bound 12)
 "$chaos_cli" "${chaos_args[@]}" --workers 1 --digest-out "$chaos_dir/w1.csv"
@@ -285,20 +295,25 @@ cmake --build build-tsan --target test_serve test_persist test_fault \
     test_serve_chaos_replay -j "$jobs"
 ctest --preset tsan-subsys
 
-stage "kernel + expectation suites under ASan+UBSan and standalone UBSan"
+stage "kernel, expectation, persist and recovery suites under ASan+UBSan and standalone UBSan"
 # The SIMD kernels and the batched-expectation sweep walk amplitude
-# arrays with hand-rolled bit arithmetic and intrinsic loads;
-# ASan/UBSan rerun both batteries against exactly that surface.
+# arrays with hand-rolled bit arithmetic and intrinsic loads; the
+# journal and snapshot decoders parse bytes from disk, and their
+# bit-flip and truncation fuzz suites (persist label) plus the
+# kill-and-resume suite (recovery label) feed them hostile input.
+# ASan/UBSan rerun those batteries against exactly that surface.
 cmake --preset asan >/dev/null
 cmake --build build-asan --target test_sim_kernels test_pauli_expect \
-    -j "$jobs"
+    test_persist test_recovery -j "$jobs"
 ctest --preset simkern-asan
 ctest --preset expect-asan
+ctest --preset persist-asan
 cmake --preset ubsan >/dev/null
 cmake --build build-ubsan --target test_sim_kernels test_pauli_expect \
-    -j "$jobs"
+    test_persist test_recovery -j "$jobs"
 ctest --preset simkern-ubsan
 ctest --preset expect-ubsan
+ctest --preset persist-ubsan
 
 if [[ $with_coverage -eq 1 ]]; then
     stage "coverage build"
