@@ -1,8 +1,9 @@
 /**
  * @file
- * Batched-expectation engine timings: legacy term-by-term vs the
- * single-sweep grouped evaluator (pauli/expectation_plan.hpp), with
- * amps-and-terms/sec throughput counters. The batched:1/simd:1 vs
+ * Batched-expectation engine timings: a term-by-term fold of the
+ * per-string expectation() (the batched:0 rows) vs the single-sweep
+ * grouped evaluator (pauli/expectation_plan.hpp, the batched:1 rows),
+ * with amps-and-terms/sec throughput counters. The batched:1/simd:1 vs
  * batched:0 ratio at 10+ qubits feeds the >=2x CI floor in
  * tools/ci.sh; BENCH_expectation.json tracks absolute wall-clock.
  */
@@ -37,19 +38,20 @@ class SimdScope
     bool saved_;
 };
 
-/** Restore the batched-engine switch when a bench scope exits. */
-class BatchedScope
+/**
+ * The batched:0 rows: one full amplitude walk per term through the
+ * per-string expectation(), folded in term order — the arithmetic the
+ * batched engine reproduces bit for bit.
+ */
+template <typename State>
+double
+termByTerm(const State &x, const PauliSum &h)
 {
-  public:
-    explicit BatchedScope(bool on) : saved_(batchedExpectationEnabled())
-    {
-        setBatchedExpectationEnabled(on);
-    }
-    ~BatchedScope() { setBatchedExpectationEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
+    double e = 0.0;
+    for (const PauliTerm &t : h.terms())
+        e += t.coefficient * expectation(x, t.pauli);
+    return e;
+}
 
 Statevector
 benchState(int n)
@@ -121,13 +123,14 @@ void
 BM_SumExpectation(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    BatchedScope batched(state.range(1) != 0);
+    const bool batched = state.range(1) != 0;
     SimdScope simd(state.range(2) != 0);
     const Statevector st = benchState(n);
     const PauliSum h = benchHamiltonian(n);
 
     for (auto _ : state) {
-        benchmark::DoNotOptimize(expectation(st, h));
+        benchmark::DoNotOptimize(batched ? expectation(st, h)
+                                         : termByTerm(st, h));
     }
     setThroughputCounters(state, n, h.numTerms());
 }
@@ -175,12 +178,13 @@ void
 BM_DensityMatrixSumExpectation(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    BatchedScope batched(state.range(1) != 0);
+    const bool batched = state.range(1) != 0;
     const DensityMatrix rho{benchState(n)};
     const PauliSum h = benchHamiltonian(n);
 
     for (auto _ : state) {
-        benchmark::DoNotOptimize(expectation(rho, h));
+        benchmark::DoNotOptimize(batched ? expectation(rho, h)
+                                         : termByTerm(rho, h));
     }
     setThroughputCounters(state, n, h.numTerms());
 }

@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "apps/applications.hpp"
-#include "common/amp_span.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "hamiltonian/tfim.hpp"
@@ -77,13 +76,12 @@ BM_KernelDense1(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     // RX(0.3): complex entries, unitary — takes the general path.
     const double c = std::cos(0.15), s = std::sin(0.15);
     const Complex m[4] = {Complex(c, 0.0), Complex(0.0, -s),
                           Complex(0.0, -s), Complex(c, 0.0)};
     for (auto _ : state) {
-        kern::applyDense1(span, n / 2, m);
+        kern::applyDense1(amps, n / 2, m);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -98,13 +96,12 @@ BM_KernelDense1Real(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     // RY(0.3): real entries, unitary — takes the real fast path.
     const double c = std::cos(0.15), s = std::sin(0.15);
     const Complex m[4] = {Complex(c, 0.0), Complex(-s, 0.0),
                           Complex(s, 0.0), Complex(c, 0.0)};
     for (auto _ : state) {
-        kern::applyDense1(span, n / 2, m);
+        kern::applyDense1(amps, n / 2, m);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -119,7 +116,6 @@ BM_KernelDense2(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     // RX(0.2) (x) RY(0.4): a dense unitary 4x4.
     const double cx = std::cos(0.1), sx = std::sin(0.1);
     const double cy = std::cos(0.2), sy = std::sin(0.2);
@@ -135,7 +131,7 @@ BM_KernelDense2(benchmark::State &state)
                     m[(i * 2 + k) * 4 + (j * 2 + l)] =
                         rx[i * 2 + j] * ry[k * 2 + l];
     for (auto _ : state) {
-        kern::applyDense2(span, n - 1, n / 2, m);
+        kern::applyDense2(amps, n - 1, n / 2, m);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -150,7 +146,6 @@ BM_KernelDiag(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     // Merged CZ/S/T-style table over the top 3 qubits: unit-modulus
     // phases, one exact-one entry to exercise the skip branch. A
     // high-qubit mask gives the kernel contiguous scale runs (the
@@ -162,7 +157,7 @@ BM_KernelDiag(benchmark::State &state)
     for (int i = 1; i < 8; ++i)
         table[i] = Complex(std::cos(0.3 * i), std::sin(0.3 * i));
     for (auto _ : state) {
-        kern::applyDiag(span, mask, table);
+        kern::applyDiag(amps, mask, table);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -177,9 +172,8 @@ BM_KernelPermSwap(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     for (auto _ : state) {
-        kern::applyPermSwap(span, 0, n - 1);
+        kern::applyPermSwap(amps, 0, n - 1);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -194,9 +188,8 @@ BM_KernelNorm2(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     SimdScope simd(state.range(1) != 0);
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     for (auto _ : state) {
-        benchmark::DoNotOptimize(kern::norm2(span));
+        benchmark::DoNotOptimize(kern::norm2(amps));
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
 }
@@ -214,12 +207,11 @@ BM_KernelDense1Threads(benchmark::State &state)
     ParallelExecutor::setGlobalThreads(
         static_cast<std::size_t>(state.range(1)));
     std::vector<Complex> amps = benchState(n);
-    const AmpSpan span = AmpSpan::interleaved(amps.data(), amps.size());
     const double c = std::cos(0.15), s = std::sin(0.15);
     const Complex m[4] = {Complex(c, 0.0), Complex(0.0, -s),
                           Complex(0.0, -s), Complex(c, 0.0)};
     for (auto _ : state) {
-        kern::applyDense1(span, n / 2, m);
+        kern::applyDense1(amps, n / 2, m);
         benchmark::DoNotOptimize(amps.data());
     }
     setAmpCounters(state, static_cast<double>(amps.size()));
@@ -228,33 +220,6 @@ BM_KernelDense1Threads(benchmark::State &state)
 BENCHMARK(BM_KernelDense1Threads)
     ->ArgsProduct({{12, 14}, {1, 2, 4, 8}})
     ->ArgNames({"qubits", "threads"});
-
-void
-BM_KernelDense1Layout(benchmark::State &state)
-{
-    // Interleaved vs split-complex (SoA) A/B — the data behind the
-    // layout decision recorded in common/amp_span.hpp.
-    const int n = static_cast<int>(state.range(0));
-    const bool split = state.range(1) != 0;
-    std::vector<Complex> amps = benchState(n);
-    SplitAmpBuffer buffer;
-    buffer.pack(amps);
-    const AmpSpan span =
-        split ? buffer.span()
-              : AmpSpan::interleaved(amps.data(), amps.size());
-    const double c = std::cos(0.15), s = std::sin(0.15);
-    const Complex m[4] = {Complex(c, 0.0), Complex(0.0, -s),
-                          Complex(0.0, -s), Complex(c, 0.0)};
-    for (auto _ : state) {
-        kern::applyDense1(span, n / 2, m);
-        benchmark::DoNotOptimize(amps.data());
-        benchmark::DoNotOptimize(&buffer);
-    }
-    setAmpCounters(state, static_cast<double>(amps.size()));
-}
-BENCHMARK(BM_KernelDense1Layout)
-    ->ArgsProduct({{10, 12, 14}, {0, 1}})
-    ->ArgNames({"qubits", "split"});
 
 void
 BM_StatevectorAnsatzRun(benchmark::State &state)

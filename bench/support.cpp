@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/simd.hpp"
 #include "common/table_printer.hpp"
 #include "common/thread_pool.hpp"
 
@@ -40,42 +41,42 @@ runAveraged(const QismetVqe &runner, QismetVqeConfig config, Scheme scheme,
 std::size_t
 configureThreads(int &argc, char **argv)
 {
-    // Consume every occurrence (last wins) so downstream argv parsers —
-    // google-benchmark in bench_perf_kernels rejects unknown flags —
-    // never see the option.
-    for (int i = 1; i < argc;) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        int consumed = 0;
-        if (std::strncmp(arg, "--threads=", 10) == 0) {
-            value = arg + 10;
-            consumed = 1;
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "bench: --threads needs a value\n";
-                std::exit(2);
+    try {
+        // Resolve the environment knobs first, so a bad QISMET_THREADS
+        // or QISMET_SIMD is reported here instead of mid-run.
+        ParallelExecutor::global();
+        simdEnabled();
+        // Consume every occurrence (last wins) so downstream argv
+        // parsers — google-benchmark in bench_perf_kernels rejects
+        // unknown flags — never see the option.
+        for (int i = 1; i < argc;) {
+            const char *arg = argv[i];
+            const char *value = nullptr;
+            int consumed = 0;
+            if (std::strncmp(arg, "--threads=", 10) == 0) {
+                value = arg + 10;
+                consumed = 1;
+            } else if (std::strcmp(arg, "--threads") == 0) {
+                if (i + 1 >= argc) {
+                    std::cerr << "bench: --threads needs a value\n";
+                    std::exit(2);
+                }
+                value = argv[i + 1];
+                consumed = 2;
+            } else {
+                ++i;
+                continue;
             }
-            value = argv[i + 1];
-            consumed = 2;
-        } else {
-            ++i;
-            continue;
-        }
-        try {
-            const long parsed = std::stol(value);
-            if (parsed < 0)
-                throw std::invalid_argument("negative");
             ParallelExecutor::setGlobalThreads(
-                static_cast<std::size_t>(parsed));
-        } catch (const std::exception &) {
-            std::cerr << "bench: bad --threads value '" << value
-                      << "' (want a non-negative integer)\n";
-            std::exit(2);
+                parseThreadCount("--threads", value));
+            for (int j = i; j + consumed <= argc; ++j)
+                argv[j] = argv[j + consumed];
+            argc -= consumed;
+            // Re-examine index i: the shift moved the next argument in.
         }
-        for (int j = i; j + consumed <= argc; ++j)
-            argv[j] = argv[j + consumed];
-        argc -= consumed;
-        // Re-examine index i: the shift moved the next argument into it.
+    } catch (const std::invalid_argument &err) {
+        std::cerr << "bench: " << err.what() << "\n";
+        std::exit(2);
     }
     const std::size_t active = ParallelExecutor::global().threads();
     if (active > 1)

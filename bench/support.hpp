@@ -46,8 +46,10 @@ AveragedOutcome runAveraged(const QismetVqe &runner, QismetVqeConfig config,
  * `--threads=N` or `--threads N` (0 means all hardware threads). With
  * no flag, the QISMET_THREADS environment variable still applies.
  * Consumed arguments are removed from argv/argc so downstream parsers
- * (google-benchmark) never see them. Call first thing in every bench
- * main; returns the active thread count.
+ * (google-benchmark) never see them. A value parseThreadCount rejects,
+ * or a bad QISMET_THREADS / QISMET_SIMD, prints the error and exits 2.
+ * Call first thing in every bench main; returns the active thread
+ * count.
  */
 std::size_t configureThreads(int &argc, char **argv);
 

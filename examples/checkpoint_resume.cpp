@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "apps/applications.hpp"
@@ -47,7 +48,7 @@ usage()
         "  --h2                  H2 molecule VQE instead of an app\n"
         "  --jobs N              total job budget (default 200)\n"
         "  --seed S              run seed (default 23)\n"
-        "  --threads N           worker threads (default: hardware)\n"
+        "  --threads N           worker threads (default 1; 0 = all)\n"
         "  --faults              enable the mixed 6%% fault load\n"
         "  --checkpoint-dir D    journal + snapshots in D\n"
         "  --resume              resume from --checkpoint-dir\n"
@@ -83,9 +84,15 @@ main(int argc, char **argv)
             jobs = static_cast<std::size_t>(std::atol(argv[++i]));
         else if (arg == "--seed" && hasValue)
             seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        else if (arg == "--threads" && hasValue)
-            ParallelExecutor::setGlobalThreads(
-                static_cast<std::size_t>(std::atol(argv[++i])));
+        else if (arg == "--threads" && hasValue) {
+            try {
+                ParallelExecutor::setGlobalThreads(
+                    parseThreadCount("--threads", argv[++i]));
+            } catch (const std::invalid_argument &err) {
+                std::fprintf(stderr, "checkpoint_resume: %s\n", err.what());
+                return 2;
+            }
+        }
         else if (arg == "--faults")
             faults = true;
         else if (arg == "--checkpoint-dir" && hasValue)

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 
 #include "common/thread_pool.hpp"
 
@@ -12,23 +11,7 @@ namespace {
 
 constexpr std::size_t kDefaultThreshold = 1024;
 
-std::size_t
-envThreshold()
-{
-    static const std::size_t value = [] {
-        const char *v = std::getenv("QISMET_PARALLEL_MIN_AMPS");
-        if (v == nullptr)
-            return kDefaultThreshold;
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(v, &end, 10);
-        if (end == v || parsed == 0)
-            return kDefaultThreshold;
-        return static_cast<std::size_t>(parsed);
-    }();
-    return value;
-}
-
-/** 0 = follow the environment/default. */
+/** 0 = the default threshold. */
 std::atomic<std::size_t> g_thresholdOverride{0};
 
 } // namespace
@@ -38,7 +21,7 @@ intraStateParallelThreshold()
 {
     const std::size_t override_ =
         g_thresholdOverride.load(std::memory_order_relaxed);
-    return override_ != 0 ? override_ : envThreshold();
+    return override_ != 0 ? override_ : kDefaultThreshold;
 }
 
 void

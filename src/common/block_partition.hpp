@@ -16,12 +16,14 @@
  *     partials serially in block order after the join — the
  *     "unordered-reduction" lint rule's required shape.
  *
- * Below `intraStateParallelThreshold()` elements (default 1024 — a
- * 10-qubit statevector) everything runs as a single serial sweep in
- * the legacy summation order, so small states (including every golden
- * workload) are byte-identical to the pre-SIMD code. At or above the
- * threshold the blocked shape is used at *every* thread count,
- * including 1, so crossing a thread-count boundary never changes bits.
+ * Below `intraStateParallelThreshold()` elements (1024 — a 10-qubit
+ * statevector) everything runs as a single serial sweep in the legacy
+ * summation order, so small states (including every golden workload)
+ * are byte-identical to the pre-SIMD code. At or above the threshold
+ * the blocked shape is used at *every* thread count, including 1, so
+ * crossing a thread-count boundary never changes bits. The threshold
+ * is a constant, not a runtime knob: moving it moves the summation
+ * grouping of every state it crosses, and with it the result bits.
  *
  * Nested use is safe: ParallelExecutor::parallelFor degrades to inline
  * serial execution inside an already-parallel region (the energy
@@ -44,15 +46,14 @@ inline constexpr std::size_t kIntraStateBlocks = 16;
 
 /**
  * Minimum state size (elements touched by the sweep) at which kernels
- * split across the pool and reductions switch to the blocked shape.
- * Default 1024 (a 10-qubit statevector; QISMET_PARALLEL_MIN_AMPS
- * overrides, read once).
+ * split across the pool and reductions switch to the blocked shape:
+ * 1024 (a 10-qubit statevector) unless a test has overridden it.
  */
 std::size_t intraStateParallelThreshold();
 
 /**
- * Programmatic threshold override (tests probe both sides of the
- * boundary). 0 restores the default/environment value.
+ * Test hook: override the threshold (the batteries probe both sides of
+ * the boundary at small widths). 0 restores the default of 1024.
  */
 void setIntraStateParallelThreshold(std::size_t elements);
 

@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace qismet {
 
@@ -39,17 +40,19 @@ simdAvailable()
 bool
 simdEnabled()
 {
+    // Parsed before the capability check, so a bad value is reported on
+    // every host, with or without AVX2.
+    static const bool envEnabled = [] {
+        const char *v = std::getenv("QISMET_SIMD");
+        return v == nullptr || *v == '\0' ||
+               parseSimdSwitch("QISMET_SIMD", v);
+    }();
     if (!simdAvailable())
         return false;
     const int override_ = g_simdOverride.load(std::memory_order_relaxed);
     if (override_ >= 0)
         return override_ != 0;
-    static const bool envDisabled = [] {
-        const char *v = std::getenv("QISMET_SIMD");
-        return v != nullptr &&
-               (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-    }();
-    return !envDisabled;
+    return envEnabled;
 }
 
 void
@@ -62,6 +65,18 @@ const char *
 simdBackendName()
 {
     return simdEnabled() ? "avx2" : "scalar";
+}
+
+bool
+parseSimdSwitch(std::string_view name, std::string_view value)
+{
+    if (value == "on" || value == "1")
+        return true;
+    if (value == "off" || value == "0")
+        return false;
+    throw std::invalid_argument(std::string(name) + ": bad SIMD switch '" +
+                                std::string(value) +
+                                "' (want off, 0, on or 1)");
 }
 
 } // namespace qismet

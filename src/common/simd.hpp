@@ -13,9 +13,11 @@
  *     entry points are compiled as scalar forwarders.
  *   - run time: the CPU must report AVX2 and FMA
  *     (`__builtin_cpu_supports`), checked once and cached.
- *   - policy: the `QISMET_SIMD` environment variable (`off` or `0`
- *     disables; read once) and the `setSimdEnabled()` programmatic
- *     override (tests, A/B benches), mirroring the fusion switch.
+ *   - policy: the `QISMET_SIMD` environment variable (`off`/`0`
+ *     disables, `on`/`1` keeps the default; anything else is an error,
+ *     an empty value counts as unset; read once) and the
+ *     `setSimdEnabled()` programmatic override (tests, A/B benches).
+ *     Both settings give the same bits, so the choice is about speed.
  *
  * Determinism contract (DESIGN.md "SIMD + intra-state parallelism"):
  * the SIMD kernels are bit-identical to the scalar kernels. The
@@ -38,6 +40,8 @@
 #define QISMET_SIMD_X86 0
 #endif
 
+#include <string_view>
+
 namespace qismet {
 
 /** True when the AVX2 kernel bodies were compiled in at all. */
@@ -52,6 +56,8 @@ bool simdAvailable();
 /**
  * The dispatch decision the kernels consult: simdAvailable() and not
  * disabled by `QISMET_SIMD=off` (or `=0`) or setSimdEnabled(false).
+ * @throws std::invalid_argument on first use if QISMET_SIMD holds
+ *         anything but off/0/on/1 (parseSimdSwitch).
  */
 bool simdEnabled();
 
@@ -64,6 +70,13 @@ void setSimdEnabled(bool on);
 
 /** "avx2" when simdEnabled(), else "scalar" — for bench/CI labels. */
 const char *simdBackendName();
+
+/**
+ * Parse a SIMD switch given through the flag or environment variable
+ * `name`: "on" or "1" is true, "off" or "0" is false.
+ * @throws std::invalid_argument naming `name` and `value` otherwise.
+ */
+bool parseSimdSwitch(std::string_view name, std::string_view value);
 
 } // namespace qismet
 

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstddef>
 #include <cstdlib>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <utility>
 
 namespace qismet {
@@ -196,13 +199,10 @@ ParallelExecutor &
 ParallelExecutor::global()
 {
     static ParallelExecutor executor = [] {
-        std::size_t threads = 1;
-        if (const char *env = std::getenv("QISMET_THREADS")) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed >= 0)
-                threads = static_cast<std::size_t>(parsed);
-        }
-        return ParallelExecutor(threads);
+        const char *env = std::getenv("QISMET_THREADS");
+        if (env == nullptr || *env == '\0')
+            return ParallelExecutor(1);
+        return ParallelExecutor(parseThreadCount("QISMET_THREADS", env));
     }();
     return executor;
 }
@@ -211,6 +211,21 @@ void
 ParallelExecutor::setGlobalThreads(std::size_t threads)
 {
     global().setThreads(threads);
+}
+
+std::size_t
+parseThreadCount(std::string_view name, std::string_view value)
+{
+    // from_chars into an unsigned type takes digits only: no sign, no
+    // whitespace, no prefix. The end check rejects trailing characters.
+    std::size_t threads = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, threads);
+    if (ec != std::errc() || ptr != end)
+        throw std::invalid_argument(
+            std::string(name) + ": bad thread count '" + std::string(value) +
+            "' (want a non-negative integer; 0 = all hardware threads)");
+    return threads;
 }
 
 } // namespace qismet

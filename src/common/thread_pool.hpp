@@ -7,7 +7,7 @@
  * reproduction: the accept/reject controller doubles circuit volume per
  * job (current + reference rerun) and every rejected iteration re-runs
  * the whole job. The engine here fans out the three independent levels
- * of that workload — Pauli-term expectations inside one energy estimate,
+ * of that workload — measurement groups inside one energy estimate,
  * circuit evaluations inside one job, and whole VQA trials in the bench
  * layer — without changing a single numerical result.
  *
@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -141,8 +142,11 @@ class ParallelExecutor
      * The process-wide executor used by the library's internal fan-out
      * points (energy estimator, job executor, bench trials). Starts
      * with 1 thread unless the QISMET_THREADS environment variable is
-     * set; reconfigure via setGlobalThreads (the bench `--threads`
-     * flag does exactly that).
+     * set (parseThreadCount; an empty value counts as unset);
+     * reconfigure via setGlobalThreads (the bench `--threads` flag
+     * does exactly that).
+     * @throws std::invalid_argument on first use if QISMET_THREADS is
+     *         not a thread count.
      */
     static ParallelExecutor &global();
 
@@ -160,6 +164,16 @@ class ParallelExecutor
      */
     mutable std::mutex poolInit_;
 };
+
+/**
+ * Parse a worker-thread count given through the flag or environment
+ * variable `name`: decimal digits only, with nothing before or after
+ * them, in range for std::size_t. 0 means all hardware threads (see
+ * ParallelExecutor::setThreads). QISMET_THREADS and every `--threads`
+ * flag (benches, examples, serve CLIs) parse through here.
+ * @throws std::invalid_argument naming `name` and `value` otherwise.
+ */
+std::size_t parseThreadCount(std::string_view name, std::string_view value);
 
 } // namespace qismet
 

@@ -20,10 +20,12 @@ runConfigDigest(const QismetVqeConfig &config, int num_params)
     enc.writeU64(config.totalJobs);
     enc.writeU64(config.seed);
     enc.writeI64(config.traceVersion);
-    // estimator.compileCircuits and estimator.planCache/planCacheTenant
-    // are deliberately not encoded: compiled circuits and expectation
-    // plans are pure accelerations, bit-identical to their fallbacks,
-    // so they cannot change the trajectory the digest certifies.
+    // estimator.planCache/planCacheTenant are deliberately not encoded:
+    // a plan is a pure function of its Hamiltonian, so a cache hit is
+    // bit-identical to a fresh compile and cannot change the trajectory
+    // the digest certifies. The runtime knobs (QISMET_SIMD,
+    // QISMET_THREADS) are bit-identical at every setting, so they stay
+    // out too.
     enc.writeU32(static_cast<std::uint32_t>(config.estimator.mode));
     enc.writeU64(config.estimator.shots);
     enc.writeBool(config.estimator.mitigateMeasurement);

@@ -81,19 +81,12 @@ expectation(const Statevector &state, const PauliString &pauli)
 double
 expectation(const Statevector &state, const PauliSum &hamiltonian)
 {
-    // Default: compile-and-evaluate through the batched single-sweep
-    // engine (one amplitude walk per xmask group). Callers that
-    // evaluate the same sum repeatedly should hold an ExpectationPlan
-    // (or lease one from an ExpectationPlanCache) instead of paying
-    // the compile step per call; EnergyEstimator does exactly that.
-    if (batchedExpectationEnabled() && hamiltonian.numTerms() > 0) {
-        const ExpectationPlan plan(hamiltonian);
-        return plan.evaluate(state);
-    }
-    double e = 0.0;
-    for (const auto &t : hamiltonian.terms())
-        e += t.coefficient * expectation(state, t.pauli);
-    return e;
+    // Compile and evaluate through the batched single-sweep engine.
+    // Callers that evaluate the same sum repeatedly should hold an
+    // ExpectationPlan (or lease one from an ExpectationPlanCache)
+    // instead of paying the compile step per call; EnergyEstimator
+    // does exactly that.
+    return ExpectationPlan(hamiltonian).evaluate(state);
 }
 
 double
@@ -118,14 +111,7 @@ expectation(const DensityMatrix &rho, const PauliString &pauli)
 double
 expectation(const DensityMatrix &rho, const PauliSum &hamiltonian)
 {
-    if (batchedExpectationEnabled() && hamiltonian.numTerms() > 0) {
-        const ExpectationPlan plan(hamiltonian);
-        return plan.evaluate(rho);
-    }
-    double e = 0.0;
-    for (const auto &t : hamiltonian.terms())
-        e += t.coefficient * expectation(rho, t.pauli);
-    return e;
+    return ExpectationPlan(hamiltonian).evaluate(rho);
 }
 
 double

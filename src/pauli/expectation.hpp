@@ -20,13 +20,11 @@ namespace qismet {
 double expectation(const Statevector &state, const PauliString &pauli);
 
 /**
- * Exact <ψ|H|ψ>. Routes through the batched single-sweep engine
- * (pauli/expectation_plan.hpp) by default — one amplitude walk per
- * xmask group, bit-identical to the term-by-term fallback, which stays
- * reachable via QISMET_NO_BATCHED_EXPECT /
- * setBatchedExpectationEnabled(false). Repeated evaluations of one sum
- * should hold an ExpectationPlan instead of calling this per
- * iteration.
+ * Exact <ψ|H|ψ>, evaluated as ExpectationPlan(H).evaluate(ψ): one
+ * amplitude walk per xmask group, bit-identical to folding
+ * c_t · expectation(ψ, P_t) over the terms in order. An empty sum is
+ * 0.0. Repeated evaluations of one sum should hold an ExpectationPlan
+ * instead of calling this per iteration.
  */
 double expectation(const Statevector &state, const PauliSum &hamiltonian);
 

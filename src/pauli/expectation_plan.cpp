@@ -1,8 +1,7 @@
 #include "pauli/expectation_plan.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -11,29 +10,6 @@
 #include "common/thread_pool.hpp"
 
 namespace qismet {
-
-namespace {
-
-std::atomic<int> g_batchedOverride{-1};
-
-} // namespace
-
-bool
-batchedExpectationEnabled()
-{
-    const int override_ = g_batchedOverride.load(std::memory_order_relaxed);
-    if (override_ >= 0)
-        return override_ != 0;
-    static const bool envDisabled =
-        std::getenv("QISMET_NO_BATCHED_EXPECT") != nullptr;
-    return !envDisabled;
-}
-
-void
-setBatchedExpectationEnabled(bool on)
-{
-    g_batchedOverride.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
     : numQubits_(hamiltonian.numQubits()),
@@ -119,12 +95,8 @@ ExpectationPlan::termExpectations(const Statevector &state,
         throw std::invalid_argument(
             "ExpectationPlan::termExpectations: width mismatch");
 
-    const auto &ampVec = state.amplitudes();
-    // The group sweeps only load through the span (AmpSpan is a view
-    // type without a const variant).
-    const AmpSpan amps = AmpSpan::interleaved(
-        const_cast<Complex *>(ampVec.data()), ampVec.size());
-    const std::size_t dim = ampVec.size();
+    const std::span<const Complex> amps = state.amplitudes();
+    const std::size_t dim = amps.size();
     const bool simd = simdEnabled();
     const std::size_t n = coefficients_.size();
 

@@ -21,9 +21,10 @@
  * intra-state parallel threshold, and a final coefficient fold in
  * original term order. A plan is a pure function of its PauliSum, so
  * cache hits and misses are indistinguishable in every output bit. The
- * legacy path stays available behind QISMET_NO_BATCHED_EXPECT /
- * setBatchedExpectationEnabled(false), mirroring the fusion escape
- * hatch.
+ * term-by-term fold over expectation(state, PauliString) is not a
+ * runtime path; the differential battery
+ * (tests/pauli/test_expectation_batched.cpp) keeps it as the reference
+ * the plan is compared against.
  */
 
 #ifndef QISMET_PAULI_EXPECTATION_PLAN_HPP
@@ -46,16 +47,15 @@
 namespace qismet {
 
 /**
- * The batched-evaluator dispatch switch, consulted at call time by the
- * expectation() entry points and EnergyEstimator: disabled by the
- * QISMET_NO_BATCHED_EXPECT environment variable (read once) or by
- * setBatchedExpectationEnabled(false). Mirrors fusionEnabled().
+ * Always true: the batched engine has no off switch. Kept only for the
+ * host-context line of the end-to-end benchmark (e2ebench/src/main.cpp),
+ * which prints it.
  */
-bool batchedExpectationEnabled();
-
-/** Programmatic override of the batched-expectation switch (tests,
-    A/B benches); wins over the environment. */
-void setBatchedExpectationEnabled(bool on);
+inline bool
+batchedExpectationEnabled()
+{
+    return true;
+}
 
 /** Compiled form of one PauliSum, reusable across iterations. */
 class ExpectationPlan

@@ -1,8 +1,6 @@
 #include "sim/compiled_circuit.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace qismet {
@@ -95,7 +93,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         options.absorb2q == CompileOptions::Absorb2q::Always ||
         (options.absorb2q == CompileOptions::Absorb2q::Auto &&
          numQubits_ >= options.absorb2qAutoWidth);
-    const bool fuse = options.fuse;
 
     /** Fusion work-in-progress node; becomes one CompiledOp unless erased. */
     struct BNode
@@ -159,7 +156,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
 
             // Multiply into the last dense node touching q, whatever the
             // gate (dense and diagonal 1q gates alike).
-            if (fuse && live(t) &&
+            if (live(t) &&
                 (node(t).kind == CompiledOpKind::Dense1 ||
                  node(t).kind == CompiledOpKind::Dense2)) {
                 BNode &n = node(t);
@@ -169,7 +166,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 continue;
             }
             // X·X on the same qubit cancels outright.
-            if (fuse && g.type == GateType::X && live(t) &&
+            if (g.type == GateType::X && live(t) &&
                 node(t).kind == CompiledOpKind::PermX &&
                 node(t).factors.size() == 1) {
                 node(t).erased = true;
@@ -178,7 +175,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 continue;
             }
             // Promote a pending X into a dense 1q product.
-            if (fuse && live(t) && node(t).kind == CompiledOpKind::PermX) {
+            if (live(t) && node(t).kind == CompiledOpKind::PermX) {
                 BNode &n = node(t);
                 n.kind = CompiledOpKind::Dense1;
                 n.factors.push_back(ParamFactor{g, -1});
@@ -186,7 +183,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             }
             // Absorb into a neighbouring CX/SWAP as a dense 4x4 (gated:
             // only profitable once states outgrow cache).
-            if (fuse && absorb2q && live(t) &&
+            if (absorb2q && live(t) &&
                 (node(t).kind == CompiledOpKind::PermCX ||
                  node(t).kind == CompiledOpKind::PermSwap)) {
                 BNode &n = node(t);
@@ -196,7 +193,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             }
             if (diag) {
                 // Hoist into the open run of commuting diagonals.
-                if (fuse && live(lastDiag) && hoistOk(q)) {
+                if (live(lastDiag) && hoistOk(q)) {
                     BNode &n = node(lastDiag);
                     const std::uint64_t bit = std::uint64_t{1} << q;
                     const int width = std::popcount(n.mask | bit);
@@ -226,14 +223,14 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         const int tb = lastTouch[static_cast<std::size_t>(b)];
 
         // Multiply into an open dense 4x4 on the same pair.
-        if (fuse && ta == tb && live(ta) &&
+        if (ta == tb && live(ta) &&
             node(ta).kind == CompiledOpKind::Dense2) {
             node(ta).factors.push_back(ParamFactor{g, -1});
             continue;
         }
 
         if (g.type == GateType::CZ) {
-            if (fuse && live(lastDiag) && hoistOk(a) && hoistOk(b)) {
+            if (live(lastDiag) && hoistOk(a) && hoistOk(b)) {
                 BNode &n = node(lastDiag);
                 const std::uint64_t bits =
                     (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
@@ -259,7 +256,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         const CompiledOpKind permKind = g.type == GateType::CX
                                             ? CompiledOpKind::PermCX
                                             : CompiledOpKind::PermSwap;
-        if (fuse && ta == tb && live(ta) && node(ta).kind == permKind &&
+        if (ta == tb && live(ta) && node(ta).kind == permKind &&
             node(ta).factors.size() == 1 &&
             (permKind == CompiledOpKind::PermSwap ||
              (node(ta).q0 == a && node(ta).q1 == b))) {
@@ -272,12 +269,10 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
 
         // Pull pending dense 1q work on either leg into a dense 4x4
         // together with this entangler (gated like absorb2q above).
-        const bool pullA =
-            fuse && absorb2q && live(ta) &&
-            node(ta).kind == CompiledOpKind::Dense1;
-        const bool pullB =
-            fuse && absorb2q && live(tb) &&
-            node(tb).kind == CompiledOpKind::Dense1;
+        const bool pullA = absorb2q && live(ta) &&
+                           node(ta).kind == CompiledOpKind::Dense1;
+        const bool pullB = absorb2q && live(tb) &&
+                           node(tb).kind == CompiledOpKind::Dense1;
         if (pullA || pullB) {
             BNode n;
             n.kind = CompiledOpKind::Dense2;
@@ -456,29 +451,6 @@ CompiledCircuit::bind(const std::vector<double> &params,
     pool.resize(bindPoolSize_);
     for (const ParamSlot &slot : slots_)
         evalSlot(slot, params, pool.data() + slot.offset);
-}
-
-namespace {
-
-std::atomic<int> g_fusionOverride{-1};
-
-} // namespace
-
-bool
-fusionEnabled()
-{
-    const int override_ = g_fusionOverride.load(std::memory_order_relaxed);
-    if (override_ >= 0)
-        return override_ != 0;
-    static const bool envDisabled =
-        std::getenv("QISMET_NO_FUSION") != nullptr;
-    return !envDisabled;
-}
-
-void
-setFusionEnabled(bool on)
-{
-    g_fusionOverride.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 } // namespace qismet

@@ -28,11 +28,11 @@
  * options); executing a compiled circuit is bit-identical run-to-run
  * and at every thread count. Fusion *does* change the floating-point
  * summation order relative to the unfused gate-by-gate path, so
- * results agree with the legacy path to ~1e-12, not bit-for-bit —
- * golden traces were regenerated once when this layer landed
- * (DESIGN.md §11). The escape hatch `QISMET_NO_FUSION=1` (or
- * `setFusionEnabled(false)`, or `EstimatorConfig::compileCircuits =
- * false`) restores the exact legacy path for A/B comparison.
+ * results agree with the gate-by-gate path to ~1e-12, not bit-for-bit
+ * — golden traces were regenerated once when this layer landed
+ * (DESIGN.md §11). The compiled path is the only one the estimator
+ * runs; `run(Circuit)` picks between it and the gate-by-gate loop by
+ * state size alone (kAutoCompileAmplitudes).
  */
 
 #ifndef QISMET_SIM_COMPILED_CIRCUIT_HPP
@@ -94,9 +94,6 @@ struct FusionStats
 /** Compilation policy knobs. */
 struct CompileOptions
 {
-    /** Master switch: false lowers one op per gate with no merging. */
-    bool fuse = true;
-
     /** Cap on the qubit count of a merged diagonal run (table = 2^n). */
     int maxDiagQubits = 10;
 
@@ -220,22 +217,21 @@ depositBits(std::uint64_t value, std::uint64_t mask)
 }
 
 /**
- * Global compile-on/off switch the simulators consult: true unless the
- * `QISMET_NO_FUSION` environment variable is set (read once) or
- * `setFusionEnabled(false)` was called. With fusion disabled,
- * `Statevector::run(Circuit)` / `DensityMatrix::run(Circuit)` take the
- * original gate-by-gate path bit-for-bit.
+ * Always true: fusion has no off switch. Kept only for the host-context
+ * line of the end-to-end benchmark (e2ebench/src/main.cpp), which
+ * prints it.
  */
-bool fusionEnabled();
-
-/** Programmatic override of the fusion switch (tests, A/B benches). */
-void setFusionEnabled(bool on);
+inline bool
+fusionEnabled()
+{
+    return true;
+}
 
 /**
  * Minimum state size (amplitudes for a statevector, elements for a
  * density matrix) at which `run(Circuit)` auto-compiles before
  * executing. Below it the one-shot compile costs more than the sweep it
- * saves, so the legacy per-gate path runs instead. Irrelevant to
+ * saves, so the per-gate path (applyGate) runs instead. Irrelevant to
  * callers holding a CompiledCircuit, who have already paid the compile.
  */
 inline constexpr std::size_t kAutoCompileAmplitudes = 64;

@@ -351,7 +351,7 @@ DensityMatrix::run(const Circuit &circuit, const std::vector<double> &params)
         throw std::invalid_argument("DensityMatrix::run: width mismatch");
     // Same amortization rule as Statevector::run, against the dim^2
     // elements a density-matrix sweep touches.
-    if (fusionEnabled() && dim_ * dim_ >= kAutoCompileAmplitudes) {
+    if (dim_ * dim_ >= kAutoCompileAmplitudes) {
         run(CompiledCircuit(circuit), params);
         return;
     }

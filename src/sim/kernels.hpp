@@ -30,10 +30,14 @@
  *   - diagonal entries equal to exactly 1+0i are skipped, not
  *     multiplied, as before (multiplying by one can flip a -0.0).
  *
- * Consequently SIMD-on, SIMD-off, split-complex and every thread count
- * produce bit-identical amplitudes, and all of them match the legacy
- * gate-by-gate path bit-for-bit on finite data — pinned by
+ * Consequently SIMD-on, SIMD-off and every thread count produce
+ * bit-identical amplitudes, and all of them match the legacy
+ * gate-by-gate loops bit-for-bit on finite data — pinned by
  * tests/sim/test_kernel_equivalence.cpp and the golden replays.
+ *
+ * Amplitudes are one interleaved `std::complex<double>` array (the
+ * simulators' own storage): the gate kernels take a mutable
+ * `std::span<Complex>`, the reductions a `std::span<const Complex>`.
  *
  * The contiguous-run micro-kernels (`dense1Run`, `dense2Run`, ...) are
  * shared with the density-matrix sweeps, whose row/column structure
@@ -45,8 +49,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
-#include "common/amp_span.hpp"
 #include "common/matrix.hpp"
 #include "common/simd.hpp"
 
@@ -56,38 +60,39 @@ namespace kern {
 /** @name Whole-state kernels (blocked/parallel + SIMD dispatch) @{ */
 
 /** Apply a dense 2x2 (row-major m[4]) to qubit q. */
-void applyDense1(const AmpSpan &amps, int q, const Complex *m);
+void applyDense1(std::span<Complex> amps, int q, const Complex *m);
 
 /** Apply a dense 4x4 (row-major m[16]) to (qm, ql), qm most significant. */
-void applyDense2(const AmpSpan &amps, int qm, int ql, const Complex *m);
+void applyDense2(std::span<Complex> amps, int qm, int ql, const Complex *m);
 
 /**
  * Apply a diagonal phase table over the qubits in `mask` (table entry
  * index = gathered mask bits, ascending qubit order).
  */
-void applyDiag(const AmpSpan &amps, std::uint64_t mask, const Complex *table);
+void applyDiag(std::span<Complex> amps, std::uint64_t mask,
+               const Complex *table);
 
 /** Pauli-X on qubit q (amplitude pair swap). */
-void applyPermX(const AmpSpan &amps, int q);
+void applyPermX(std::span<Complex> amps, int q);
 
 /** CX with control qc, target qt (conditional pair swap). */
-void applyPermCX(const AmpSpan &amps, int qc, int qt);
+void applyPermCX(std::span<Complex> amps, int qc, int qt);
 
 /** SWAP of qubits qa, qb (cross-qubit amplitude exchange). */
-void applyPermSwap(const AmpSpan &amps, int qa, int qb);
+void applyPermSwap(std::span<Complex> amps, int qa, int qb);
 
 /** @} */
 
 /** @name Ordered reductions (scalar arithmetic, fixed-block fold) @{ */
 
 /** Sum of |a_i|^2. */
-double norm2(const AmpSpan &amps);
+double norm2(std::span<const Complex> amps);
 
 /** <a|b> = sum conj(a_i) b_i; spans must have equal size. */
-Complex innerProduct(const AmpSpan &a, const AmpSpan &b);
+Complex innerProduct(std::span<const Complex> a, std::span<const Complex> b);
 
 /** <Z_mask>: parity-signed probability sum. */
-double expectationZMask(const AmpSpan &amps, std::uint64_t mask);
+double expectationZMask(std::span<const Complex> amps, std::uint64_t mask);
 
 /** @} */
 
@@ -131,19 +136,18 @@ inline constexpr std::size_t kPauliGroupSlab = 32;
  * std::complex operation order (two naive complex multiplies, real
  * component kept), and per-term accumulation runs in ascending i, so
  * the result is bit-identical to the term-by-term path. `simd` is the
- * dispatch decision (pass simdEnabled()); the AVX2 core requires the
- * interleaved layout and falls back to scalar otherwise. Only the real
- * parts are accumulated — the legacy path discards the imaginary
- * accumulator after the sweep, so dropping it cannot change bits.
+ * dispatch decision (pass simdEnabled()). Only the real parts are
+ * accumulated — the legacy path discards the imaginary accumulator
+ * after the sweep, so dropping it cannot change bits.
  */
-void pauliGroupSums(const AmpSpan &amps, std::uint64_t xmask,
+void pauliGroupSums(std::span<const Complex> amps, std::uint64_t xmask,
                     const PauliTermSpec *terms, std::size_t num_terms,
                     bool simd, std::size_t u0, std::size_t u1, double *acc);
 
 /** @} */
 
 /**
- * @name Contiguous-run micro-kernels (interleaved layout)
+ * @name Contiguous-run micro-kernels
  *
  * Serial building blocks reused by the density-matrix sweeps. `simd`
  * is the dispatch decision, resolved once per sweep by the caller
@@ -175,7 +179,7 @@ void swapRuns(Complex *a, Complex *b, std::size_t count, bool simd);
 /** @} */
 
 /**
- * @name Unit-range cores (interleaved layout)
+ * @name Unit-range cores
  *
  * One "unit" is an independent work item: an amplitude pair (dense1 /
  * permX), a 4-tuple (dense2 / permCX / permSwap), or one amplitude

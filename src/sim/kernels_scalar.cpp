@@ -463,249 +463,72 @@ permSwapUnits(Complex *a, int qa, int qb, bool simd, std::size_t k0,
 }
 
 /* ------------------------------------------------------------------ */
-/* Layout-generic unit cores (SplitComplex; scalar, same formulas).    */
-/* ------------------------------------------------------------------ */
-
-namespace {
-
-void
-dense1UnitsGeneric(const AmpSpan &amps, int q, const Complex *m, bool real,
-                   std::size_t k0, std::size_t k1)
-{
-    const std::size_t s = std::size_t{1} << q;
-    const Complex u00 = m[0], u01 = m[1], u10 = m[2], u11 = m[3];
-    const double r00 = m[0].real(), r01 = m[1].real();
-    const double r10 = m[2].real(), r11 = m[3].real();
-    for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t i0 = deposit1(k, s);
-        const std::size_t i1 = i0 + s;
-        const Complex a0 = amps.load(i0);
-        const Complex a1 = amps.load(i1);
-        if (real) {
-            amps.store(i0, Complex(r00 * a0.real() + r01 * a1.real(),
-                                   r00 * a0.imag() + r01 * a1.imag()));
-            amps.store(i1, Complex(r10 * a0.real() + r11 * a1.real(),
-                                   r10 * a0.imag() + r11 * a1.imag()));
-        } else {
-            amps.store(i0, u00 * a0 + u01 * a1);
-            amps.store(i1, u10 * a0 + u11 * a1);
-        }
-    }
-}
-
-void
-dense2UnitsGeneric(const AmpSpan &amps, int qm, int ql, const Complex *m,
-                   std::size_t k0, std::size_t k1)
-{
-    const std::size_t bm = std::size_t{1} << qm;
-    const std::size_t bl = std::size_t{1} << ql;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t base = deposit2(k, bm, bl);
-        const std::size_t idx[4] = {base, base | bl, base | bm,
-                                    base | bm | bl};
-        Complex in[4];
-        for (int c = 0; c < 4; ++c)
-            in[c] = amps.load(idx[c]);
-        for (int r = 0; r < 4; ++r) {
-            Complex acc(0.0, 0.0);
-            for (int c = 0; c < 4; ++c)
-                acc += m[r * 4 + c] * in[c];
-            amps.store(idx[r], acc);
-        }
-    }
-}
-
-void
-diagUnitsGeneric(const AmpSpan &amps, std::uint64_t mask,
-                 const Complex *table, std::size_t u0, std::size_t u1)
-{
-    const std::size_t dim = amps.size();
-    const std::uint64_t comp = (dim - 1) & ~mask;
-    const int t = std::popcount(mask);
-    const int freeBits = std::countr_zero(dim) - t;
-    const std::size_t subSize = std::size_t{1} << freeBits;
-    const Complex one(1.0, 0.0);
-    std::size_t u = u0;
-    while (u < u1) {
-        const std::uint64_t li = u >> freeBits;
-        const std::size_t entryBegin = static_cast<std::size_t>(li) * subSize;
-        const std::size_t jEnd = std::min(u1, entryBegin + subSize) -
-                                 entryBegin;
-        const Complex d = table[li];
-        if (d == one) {
-            u = entryBegin + jEnd;
-            continue;
-        }
-        const std::uint64_t fixed = depositBits(li, mask);
-        for (std::size_t j = u - entryBegin; j < jEnd; ++j) {
-            const std::size_t idx = fixed | depositBits(j, comp);
-            amps.store(idx, amps.load(idx) * d);
-        }
-        u = entryBegin + jEnd;
-    }
-}
-
-void
-permXUnitsGeneric(const AmpSpan &amps, int q, std::size_t k0, std::size_t k1)
-{
-    const std::size_t b = std::size_t{1} << q;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t i0 = deposit1(k, b);
-        const Complex tmp = amps.load(i0);
-        amps.store(i0, amps.load(i0 + b));
-        amps.store(i0 + b, tmp);
-    }
-}
-
-void
-permCXUnitsGeneric(const AmpSpan &amps, int qc, int qt, std::size_t k0,
-                   std::size_t k1)
-{
-    const std::size_t bc = std::size_t{1} << qc;
-    const std::size_t bt = std::size_t{1} << qt;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t base = deposit2(k, bc, bt);
-        const Complex tmp = amps.load(base | bc);
-        amps.store(base | bc, amps.load(base | bc | bt));
-        amps.store(base | bc | bt, tmp);
-    }
-}
-
-void
-permSwapUnitsGeneric(const AmpSpan &amps, int qa, int qb, std::size_t k0,
-                     std::size_t k1)
-{
-    const std::size_t ba = std::size_t{1} << qa;
-    const std::size_t bb = std::size_t{1} << qb;
-    for (std::size_t k = k0; k < k1; ++k) {
-        const std::size_t base = deposit2(k, ba, bb);
-        const Complex tmp = amps.load(base | ba);
-        amps.store(base | ba, amps.load(base | bb));
-        amps.store(base | bb, tmp);
-    }
-}
-
-} // namespace
-
-/* ------------------------------------------------------------------ */
 /* Whole-state entry points: blocked partition + SIMD dispatch.        */
 /* ------------------------------------------------------------------ */
 
 void
-applyDense1(const AmpSpan &amps, int q, const Complex *m)
+applyDense1(std::span<Complex> amps, int q, const Complex *m)
 {
-    const std::size_t units = amps.size() >> 1;
     // Real matrix (H, RY, X-basis changes): half the multiplies.
     const bool real = m[0].imag() == 0.0 && m[1].imag() == 0.0 &&
                       m[2].imag() == 0.0 && m[3].imag() == 0.0;
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t k0, std::size_t k1) {
-                               dense1Units(a, q, m, real, simd, k0, k1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size() >> 1, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {
-                           dense1UnitsGeneric(amps, q, m, real, k0, k1);
+                           dense1Units(amps.data(), q, m, real, simd, k0,
+                                       k1);
                        });
 }
 
 void
-applyDense2(const AmpSpan &amps, int qm, int ql, const Complex *m)
+applyDense2(std::span<Complex> amps, int qm, int ql, const Complex *m)
 {
-    const std::size_t units = amps.size() >> 2;
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t k0, std::size_t k1) {
-                               dense2Units(a, qm, ql, m, simd, k0, k1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size() >> 2, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {
-                           dense2UnitsGeneric(amps, qm, ql, m, k0, k1);
+                           dense2Units(amps.data(), qm, ql, m, simd, k0,
+                                       k1);
                        });
 }
 
 void
-applyDiag(const AmpSpan &amps, std::uint64_t mask, const Complex *table)
+applyDiag(std::span<Complex> amps, std::uint64_t mask, const Complex *table)
 {
-    const std::size_t units = amps.size();
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t u0, std::size_t u1) {
-                               diagUnits(a, amps.size(), mask, table, simd,
-                                         u0, u1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size(), amps.size(),
                        [&](std::size_t u0, std::size_t u1) {
-                           diagUnitsGeneric(amps, mask, table, u0, u1);
+                           diagUnits(amps.data(), amps.size(), mask, table,
+                                     simd, u0, u1);
                        });
 }
 
 void
-applyPermX(const AmpSpan &amps, int q)
+applyPermX(std::span<Complex> amps, int q)
 {
-    const std::size_t units = amps.size() >> 1;
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t k0, std::size_t k1) {
-                               permXUnits(a, q, simd, k0, k1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size() >> 1, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {
-                           permXUnitsGeneric(amps, q, k0, k1);
+                           permXUnits(amps.data(), q, simd, k0, k1);
                        });
 }
 
 void
-applyPermCX(const AmpSpan &amps, int qc, int qt)
+applyPermCX(std::span<Complex> amps, int qc, int qt)
 {
-    const std::size_t units = amps.size() >> 2;
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t k0, std::size_t k1) {
-                               permCXUnits(a, qc, qt, simd, k0, k1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size() >> 2, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {
-                           permCXUnitsGeneric(amps, qc, qt, k0, k1);
+                           permCXUnits(amps.data(), qc, qt, simd, k0, k1);
                        });
 }
 
 void
-applyPermSwap(const AmpSpan &amps, int qa, int qb)
+applyPermSwap(std::span<Complex> amps, int qa, int qb)
 {
-    const std::size_t units = amps.size() >> 2;
-    if (amps.layout() == AmpLayout::Interleaved) {
-        Complex *a = amps.complexData();
-        const bool simd = simdEnabled();
-        forEachUnitBlocked(units, amps.size(),
-                           [&](std::size_t k0, std::size_t k1) {
-                               permSwapUnits(a, qa, qb, simd, k0, k1);
-                           });
-        return;
-    }
-    forEachUnitBlocked(units, amps.size(),
+    const bool simd = simdEnabled();
+    forEachUnitBlocked(amps.size() >> 2, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {
-                           permSwapUnitsGeneric(amps, qa, qb, k0, k1);
+                           permSwapUnits(amps.data(), qa, qb, simd, k0, k1);
                        });
 }
 
@@ -715,37 +538,37 @@ applyPermSwap(const AmpSpan &amps, int qa, int qb)
 /* ------------------------------------------------------------------ */
 
 double
-norm2(const AmpSpan &amps)
+norm2(std::span<const Complex> amps)
 {
     return orderedBlockReduce(
         amps.size(), amps.size(), [&](std::size_t b, std::size_t e) {
             double s = 0.0;
             for (std::size_t i = b; i < e; ++i)
-                s += std::norm(amps.load(i));
+                s += std::norm(amps[i]);
             return s;
         });
 }
 
 Complex
-innerProduct(const AmpSpan &a, const AmpSpan &b)
+innerProduct(std::span<const Complex> a, std::span<const Complex> b)
 {
     return orderedBlockReduceComplex(
         a.size(), a.size(), [&](std::size_t lo, std::size_t hi) {
             Complex acc(0.0, 0.0);
             for (std::size_t i = lo; i < hi; ++i)
-                acc += std::conj(a.load(i)) * b.load(i);
+                acc += std::conj(a[i]) * b[i];
             return acc;
         });
 }
 
 double
-expectationZMask(const AmpSpan &amps, std::uint64_t mask)
+expectationZMask(std::span<const Complex> amps, std::uint64_t mask)
 {
     return orderedBlockReduce(
         amps.size(), amps.size(), [&](std::size_t b, std::size_t e) {
             double s = 0.0;
             for (std::size_t i = b; i < e; ++i) {
-                const double p = std::norm(amps.load(i));
+                const double p = std::norm(amps[i]);
                 const int parity = std::popcount(i & mask) & 1;
                 s += parity ? -p : p;
             }
@@ -764,13 +587,13 @@ namespace {
  * per-term sums are bit-identical to the term-by-term path.
  */
 inline void
-pauliGroupSumsScalar(const AmpSpan &amps, std::uint64_t xmask,
+pauliGroupSumsScalar(std::span<const Complex> amps, std::uint64_t xmask,
                      const PauliTermSpec *terms, std::size_t num_terms,
                      std::size_t u0, std::size_t u1, double *acc)
 {
     for (std::size_t i = u0; i < u1; ++i) {
-        const Complex a = amps.load(i);
-        const Complex ax = amps.load(i ^ xmask);
+        const Complex a = amps[i];
+        const Complex ax = amps[i ^ xmask];
         // conj(ax): the sign flip is exact.
         const double cr = ax.real();
         const double ci = -ax.imag();
@@ -789,12 +612,12 @@ pauliGroupSumsScalar(const AmpSpan &amps, std::uint64_t xmask,
 } // namespace
 
 void
-pauliGroupSums(const AmpSpan &amps, std::uint64_t xmask,
+pauliGroupSums(std::span<const Complex> amps, std::uint64_t xmask,
                const PauliTermSpec *terms, std::size_t num_terms,
                bool simd, std::size_t u0, std::size_t u1, double *acc)
 {
 #if QISMET_SIMD_X86
-    if (simd && amps.layout() == AmpLayout::Interleaved) {
+    if (simd) {
         // The AVX2 core caps its per-call term slab (stack phase
         // tables); slabs split the *term* axis only, so each term's
         // ascending-i accumulation order is untouched.
@@ -802,7 +625,7 @@ pauliGroupSums(const AmpSpan &amps, std::uint64_t xmask,
             const std::size_t n =
                 std::min(kPauliGroupSlab, num_terms - t0);
             const std::size_t done =
-                u0 + detail::pauliGroupSumsAvx2(amps.complexData(), xmask,
+                u0 + detail::pauliGroupSumsAvx2(amps.data(), xmask,
                                                 terms + t0, n, u0, u1,
                                                 acc + t0);
             pauliGroupSumsScalar(amps, xmask, terms + t0, n, done, u1,

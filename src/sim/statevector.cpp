@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/amp_span.hpp"
 #include "sim/kernels.hpp"
 
 namespace qismet {
@@ -153,7 +152,7 @@ Statevector::run(const Circuit &circuit, const std::vector<double> &params)
     // touches enough amplitudes; below that the legacy loop wins.
     // Callers that rerun a circuit should hold a CompiledCircuit (the
     // energy estimator does), which always uses the fused kernels.
-    if (fusionEnabled() && amps_.size() >= kAutoCompileAmplitudes) {
+    if (amps_.size() >= kAutoCompileAmplitudes) {
         run(CompiledCircuit(circuit), params);
         return;
     }
@@ -170,77 +169,32 @@ Statevector::run(const CompiledCircuit &circuit,
     invalidateCache();
     if (circuit.parameterized())
         circuit.bind(params, bindPool_);
+    // Each op forwards to the shared kernel layer (sim/kernels.hpp),
+    // which adds the SIMD dispatch and the fixed-block parallel
+    // partition; results are bit-identical at every setting.
     for (const CompiledOp &op : circuit.ops()) {
         const Complex *m = circuit.matrixFor(op, bindPool_);
         switch (op.kind) {
           case CompiledOpKind::Dense1:
-            applyDense1(op.q0, m);
+            kern::applyDense1(amps_, op.q0, m);
             break;
           case CompiledOpKind::Dense2:
-            applyDense2(op.q0, op.q1, m);
+            kern::applyDense2(amps_, op.q0, op.q1, m);
             break;
           case CompiledOpKind::Diag:
-            applyDiag(op.mask, m);
+            kern::applyDiag(amps_, op.mask, m);
             break;
           case CompiledOpKind::PermX:
-            applyPermX(op.q0);
+            kern::applyPermX(amps_, op.q0);
             break;
           case CompiledOpKind::PermCX:
-            applyPermCX(op.q0, op.q1);
+            kern::applyPermCX(amps_, op.q0, op.q1);
             break;
           case CompiledOpKind::PermSwap:
-            applyPermSwap(op.q0, op.q1);
+            kern::applyPermSwap(amps_, op.q0, op.q1);
             break;
         }
     }
-}
-
-// The fused kernels forward to the shared kernel layer (sim/kernels.hpp)
-// which adds the SIMD dispatch and the fixed-block parallel partition.
-// The pre-kernel scalar loops live on, verbatim, as the scalar path in
-// kernels_scalar.cpp — results are bit-identical (the equivalence suite
-// pins this against the legacy gate-by-gate path above).
-
-AmpSpan
-Statevector::span()
-{
-    return AmpSpan::interleaved(amps_.data(), amps_.size());
-}
-
-void
-Statevector::applyDense1(int q, const Complex *m)
-{
-    kern::applyDense1(span(), q, m);
-}
-
-void
-Statevector::applyDense2(int qm, int ql, const Complex *m)
-{
-    kern::applyDense2(span(), qm, ql, m);
-}
-
-void
-Statevector::applyDiag(std::uint64_t mask, const Complex *table)
-{
-    kern::applyDiag(span(), mask, table);
-}
-
-void
-Statevector::applyPermX(int q)
-{
-    kern::applyPermX(span(), q);
-}
-
-void
-Statevector::applyPermCX(int qc, int qt)
-{
-    kern::applyPermCX(span(), qc, qt);
-}
-
-void
-Statevector::applyPermSwap(int qa, int qb)
-{
-    kern::applyPermSwap(span(), qa, qb);
 }
 
 double
@@ -260,21 +214,12 @@ Statevector::probabilities() const
     return p;
 }
 
-AmpSpan
-Statevector::cspan() const
-{
-    // The reduction kernels only load through the span; AmpSpan is a
-    // mutable view so the shared kernels serve both sides.
-    return AmpSpan::interleaved(const_cast<Complex *>(amps_.data()),
-                                amps_.size());
-}
-
 Complex
 Statevector::innerProduct(const Statevector &other) const
 {
     if (other.numQubits_ != numQubits_)
         throw std::invalid_argument("Statevector::innerProduct: width");
-    return kern::innerProduct(cspan(), other.cspan());
+    return kern::innerProduct(amps_, other.amps_);
 }
 
 double
@@ -286,7 +231,7 @@ Statevector::fidelity(const Statevector &other) const
 double
 Statevector::norm() const
 {
-    return std::sqrt(kern::norm2(cspan()));
+    return std::sqrt(kern::norm2(amps_));
 }
 
 void
@@ -336,7 +281,7 @@ Statevector::sample(Rng &rng, std::size_t shots) const
 double
 Statevector::expectationZMask(std::uint64_t mask) const
 {
-    return kern::expectationZMask(cspan(), mask);
+    return kern::expectationZMask(amps_, mask);
 }
 
 } // namespace qismet

@@ -5,7 +5,8 @@
  * Qubit ordering is little-endian (Qiskit convention): qubit q maps to
  * bit q of the basis-state index. Circuits here are at most ~20 qubits
  * (the paper's applications are 6-qubit), so a flat dense amplitude
- * array is the right representation.
+ * array is the right representation. Compiled ops and the reductions
+ * hand that one interleaved array straight to sim/kernels.hpp.
  */
 
 #ifndef QISMET_SIM_STATEVECTOR_HPP
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/amp_span.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "sim/compiled_circuit.hpp"
@@ -53,10 +53,11 @@ class Statevector
     void apply2q(int q1, int q0, const Matrix &u);
 
     /**
-     * Run a whole circuit. With fusion enabled (the default, see
-     * fusionEnabled()) the circuit is compiled and executed through the
-     * fused kernels; otherwise the original gate-by-gate path runs
-     * bit-for-bit.
+     * Run a whole circuit. From kAutoCompileAmplitudes amplitudes up the
+     * circuit is compiled and executed through the fused kernels, which
+     * agree with the gate-by-gate path to ~1e-12; smaller states run
+     * gate by gate (applyGate), where a one-shot compile costs more
+     * than it saves.
      */
     void run(const Circuit &circuit, const std::vector<double> &params = {});
 
@@ -115,21 +116,6 @@ class Statevector
     void checkQubit(int q) const;
     /** Drop caches that depend on the amplitudes (the sampling CDF). */
     void invalidateCache() { cdfValid_ = false; }
-
-    /** Mutable view of the amplitudes for the kernel layer. */
-    AmpSpan span();
-    /** Read-only-use view for the reduction kernels (const methods). */
-    AmpSpan cspan() const;
-
-    // Fused kernels for the compiled op stream. Matrices are row-major
-    // raw pointers into a compiled circuit's const/bind pool. These
-    // forward to sim/kernels.hpp (SIMD dispatch + blocked parallelism).
-    void applyDense1(int q, const Complex *m);
-    void applyDense2(int qm, int ql, const Complex *m);
-    void applyDiag(std::uint64_t mask, const Complex *table);
-    void applyPermX(int q);
-    void applyPermCX(int qc, int qt);
-    void applyPermSwap(int qa, int qb);
 
     int numQubits_;
     std::vector<Complex> amps_;

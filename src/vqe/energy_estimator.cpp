@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "pauli/expectation.hpp"
+#include "pauli/grouping.hpp"
 #include "sim/statevector.hpp"
 
 namespace qismet {
@@ -20,7 +20,7 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
                                  std::optional<StaticNoiseModel> noise,
                                  EstimatorConfig config)
     : hamiltonian_(std::move(hamiltonian)), ansatz_(std::move(ansatz_circuit)),
-      noise_(std::move(noise)), config_(config)
+      noise_(std::move(noise)), config_(config), compiledAnsatz_(ansatz_)
 {
     if (hamiltonian_.numQubits() != ansatz_.numQubits())
         throw std::invalid_argument("EnergyEstimator: width mismatch");
@@ -41,21 +41,15 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
                 ? config_.planCache->acquire(hamiltonian_,
                                              config_.planCacheTenant)
                 : compileExpectationPlan(hamiltonian_);
-    groups_ = plan_->measurementGroups();
-    basisChanges_.reserve(groups_.size());
-    for (const auto &g : groups_)
-        basisChanges_.push_back(
-            basisChangeCircuit(g, hamiltonian_.numQubits()));
 
     // Compile the per-iteration circuits once; thousands of estimate()
     // calls then skip both per-gate matrix derivation and the fusion
     // pass itself.
-    if (config_.compileCircuits) {
-        compiledAnsatz_.emplace(ansatz_);
-        compiledBasisChanges_.reserve(basisChanges_.size());
-        for (const auto &bc : basisChanges_)
-            compiledBasisChanges_.emplace_back(bc);
-    }
+    const auto &groups = plan_->measurementGroups();
+    compiledBasisChanges_.reserve(groups.size());
+    for (const auto &g : groups)
+        compiledBasisChanges_.emplace_back(
+            basisChangeCircuit(g, hamiltonian_.numQubits()));
 
     if (noise_) {
         staticSurvival_ = noise_->survivalFactor(ansatz_);
@@ -67,29 +61,12 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
     }
 }
 
-void
-EnergyEstimator::prepareState(Statevector &state,
-                              const std::vector<double> &theta) const
-{
-    // fusionEnabled() is consulted at call time so the QISMET_NO_FUSION
-    // escape hatch also bypasses circuits compiled at construction.
-    if (compiledAnsatz_ && fusionEnabled())
-        state.run(*compiledAnsatz_, theta);
-    else
-        state.run(ansatz_, theta);
-}
-
 double
 EnergyEstimator::idealEnergy(const std::vector<double> &theta) const
 {
     Statevector state(ansatz_.numQubits());
-    prepareState(state, theta);
-    // Like fusionEnabled() in prepareState, the batched switch is
-    // consulted per call so the QISMET_NO_BATCHED_EXPECT escape hatch
-    // also bypasses plans compiled at construction.
-    if (batchedExpectationEnabled())
-        return plan_->evaluate(state);
-    return expectation(state, hamiltonian_);
+    state.run(compiledAnsatz_, theta);
+    return plan_->evaluate(state);
 }
 
 double
@@ -149,7 +126,7 @@ EnergyEstimator::estimateAnalytic(const std::vector<double> &theta,
                                   double shot_fraction) const
 {
     Statevector state(ansatz_.numQubits());
-    prepareState(state, theta);
+    state.run(compiledAnsatz_, theta);
 
     const double f = effectiveSurvival(tau, transientSensitivity(state));
 
@@ -159,24 +136,13 @@ EnergyEstimator::estimateAnalytic(const std::vector<double> &theta,
     // terms are neglected, which tests show is adequate for our
     // Hamiltonians).
     //
-    // The per-term ideal expectations are pure reads of `state`, so they
-    // fan out over the executor; the reduction below stays serial in
-    // term order, keeping the sum bit-identical for every thread count.
+    // The plan sweeps once per xmask group; the fold below stays serial
+    // in term order (and skips the identity term, whose entry holds
+    // the state's norm²), keeping the sum bit-identical for every
+    // thread count.
     const auto &terms = hamiltonian_.terms();
     std::vector<double> p_ideal(terms.size(), 0.0);
-    if (batchedExpectationEnabled()) {
-        // One sweep per xmask group instead of one per term. Identity
-        // entries come back as the state's norm² rather than the 0.0
-        // the fallback leaves, but the fold below skips identity terms
-        // so every consumed value is bit-identical either way.
-        plan_->termExpectations(state, p_ideal.data());
-    } else {
-        ParallelExecutor::global().parallelFor(
-            terms.size(), [&](std::size_t k) {
-                if (!terms[k].pauli.isIdentity())
-                    p_ideal[k] = expectation(state, terms[k].pauli);
-            });
-    }
+    plan_->termExpectations(state, p_ideal.data());
 
     // Partial-result jobs deliver fewer shots; the shot-noise variance
     // scales inversely with the retained count.
@@ -207,7 +173,7 @@ EnergyEstimator::estimateSampling(const std::vector<double> &theta,
     const double uniform = 1.0 / static_cast<double>(dim);
 
     Statevector prepared(n);
-    prepareState(prepared, theta);
+    prepared.run(compiledAnsatz_, theta);
     const double f =
         effectiveSurvival(tau, transientSensitivity(prepared));
 
@@ -216,20 +182,18 @@ EnergyEstimator::estimateSampling(const std::vector<double> &theta,
     // split from the caller's stream in group order *before* dispatch,
     // and the group energies are folded serially in group order — both
     // are required for thread-count-invariant results.
+    const std::size_t num_groups = compiledBasisChanges_.size();
     std::vector<Rng> groupRngs;
-    groupRngs.reserve(groups_.size());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi)
+    groupRngs.reserve(num_groups);
+    for (std::size_t gi = 0; gi < num_groups; ++gi)
         groupRngs.push_back(rng.split());
 
-    std::vector<double> groupEnergies(groups_.size(), 0.0);
+    std::vector<double> groupEnergies(num_groups, 0.0);
     ParallelExecutor::global().parallelFor(
-        groups_.size(), [&](std::size_t gi) {
+        num_groups, [&](std::size_t gi) {
             // Rotate into the group's measurement basis.
             Statevector state = prepared;
-            if (!compiledBasisChanges_.empty() && fusionEnabled())
-                state.run(compiledBasisChanges_[gi]);
-            else
-                state.run(basisChanges_[gi]);
+            state.run(compiledBasisChanges_[gi]);
 
             // Depolarize the outcome distribution by the survival
             // factor, then sample through the readout channel.
@@ -249,36 +213,19 @@ EnergyEstimator::estimateSampling(const std::vector<double> &theta,
             }
 
             // Every term in the group is diagonal after the basis
-            // change: its value is the average parity over its support.
-            // The batched path reads the plan's pre-flattened
-            // support-mask / coefficient tables; the fallback re-reads
-            // them through the term list. Same values, same order —
-            // the arithmetic is identical bit for bit.
+            // change: its value is the average parity over its support,
+            // read from the plan's pre-flattened support-mask and
+            // coefficient tables.
+            const auto &masks = plan_->samplingMasks(gi);
+            const auto &coeffs = plan_->samplingCoefficients(gi);
             double e_group = 0.0;
-            if (batchedExpectationEnabled()) {
-                const auto &masks = plan_->samplingMasks(gi);
-                const auto &coeffs = plan_->samplingCoefficients(gi);
-                for (std::size_t k = 0; k < masks.size(); ++k) {
-                    double parity_avg = 0.0;
-                    for (std::size_t b = 0; b < dim; ++b) {
-                        const int parity = std::popcount(b & masks[k]) & 1;
-                        parity_avg +=
-                            (parity ? -1.0 : 1.0) * est_probs[b];
-                    }
-                    e_group += coeffs[k] * parity_avg;
+            for (std::size_t k = 0; k < masks.size(); ++k) {
+                double parity_avg = 0.0;
+                for (std::size_t b = 0; b < dim; ++b) {
+                    const int parity = std::popcount(b & masks[k]) & 1;
+                    parity_avg += (parity ? -1.0 : 1.0) * est_probs[b];
                 }
-            } else {
-                for (std::size_t ti : groups_[gi].termIndices) {
-                    const auto &term = hamiltonian_.terms()[ti];
-                    const std::uint64_t mask = term.pauli.supportMask();
-                    double parity_avg = 0.0;
-                    for (std::size_t b = 0; b < dim; ++b) {
-                        const int parity = std::popcount(b & mask) & 1;
-                        parity_avg +=
-                            (parity ? -1.0 : 1.0) * est_probs[b];
-                    }
-                    e_group += term.coefficient * parity_avg;
-                }
+                e_group += coeffs[k] * parity_avg;
             }
             groupEnergies[gi] = e_group;
         });

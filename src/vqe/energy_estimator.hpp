@@ -26,6 +26,11 @@
  * configurations (paper Fig. 6.b) instead of merely rescaling them: a
  * corrupted gradient systematically favors low-excitation states, and
  * that false attractor is exactly how the baseline tuner gets derailed.
+ *
+ * Execution: the constructor compiles the ansatz and one basis-change
+ * circuit per measurement group (sim/compiled_circuit.hpp) and the
+ * simplified Hamiltonian into one ExpectationPlan
+ * (pauli/expectation_plan.hpp). Every estimate runs exactly those.
  */
 
 #ifndef QISMET_VQE_ENERGY_ESTIMATOR_HPP
@@ -43,7 +48,6 @@
 #include "mitigation/measurement_mitigation.hpp"
 #include "noise/noise_model.hpp"
 #include "pauli/expectation_plan.hpp"
-#include "pauli/grouping.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "sim/compiled_circuit.hpp"
 #include "sim/statevector.hpp"
@@ -76,20 +80,14 @@ struct EstimatorConfig
     /** Apply tensored measurement-error mitigation (Sampling mode). */
     bool mitigateMeasurement = true;
     /**
-     * Compile the ansatz and basis-change circuits once in the
-     * constructor and reuse across every iteration/thread (the
-     * compile=off escape hatch alongside QISMET_NO_FUSION).
-     */
-    bool compileCircuits = true;
-    /**
      * Optional cross-run ExpectationPlan cache. When set, the
      * constructor leases the compiled plan from here (keyed by
      * planCacheTenant + the simplified Hamiltonian's fingerprint)
      * instead of compiling its own; the serve layer points this at a
      * per-backend, lease-scoped cache. A plan is a pure function of
      * its sum, so neither field can change any result bit — both are
-     * deliberately excluded from runConfigDigest (like
-     * compileCircuits). Not owned; must outlive the estimator.
+     * deliberately excluded from runConfigDigest. Not owned; must
+     * outlive the estimator.
      */
     ExpectationPlanCache *planCache = nullptr;
     /** Tenant half of the plan-cache key (serve-layer isolation). */
@@ -139,7 +137,10 @@ class EnergyEstimator
     double staticSurvival() const { return staticSurvival_; }
 
     /** Number of measurement groups (circuits per energy evaluation). */
-    std::size_t numGroups() const { return groups_.size(); }
+    std::size_t numGroups() const
+    {
+        return plan_->measurementGroups().size();
+    }
 
     /**
      * The compiled expectation plan (leased from config.planCache when
@@ -160,9 +161,6 @@ class EnergyEstimator
                             Rng &rng, double shot_fraction) const;
     double estimateSampling(const std::vector<double> &theta, double tau,
                             Rng &rng, double shot_fraction) const;
-    /** Prepare |ψ(θ)> through the compiled ansatz when available. */
-    void prepareState(Statevector &state,
-                      const std::vector<double> &theta) const;
 
     PauliSum hamiltonian_;
     Circuit ansatz_;
@@ -170,21 +168,19 @@ class EnergyEstimator
     EstimatorConfig config_;
 
     /**
-     * Compiled once per (tenant, Hamiltonian) — every estimate() reuses
-     * the xmask grouping, phase tables and sampling layout instead of
-     * re-deriving them per iteration. The term-by-term fallback stays
-     * reachable at call time via batchedExpectationEnabled().
-     */
-    std::shared_ptr<const ExpectationPlan> plan_;
-    std::vector<MeasurementGroup> groups_;
-    std::vector<Circuit> basisChanges_;
-    /**
      * Circuits compiled once at construction; every estimate() reuses
      * them instead of re-deriving gate matrices. The basis-change
      * circuits are parameter-free, so concurrent group threads may run
      * the same compiled instance safely.
      */
-    std::optional<CompiledCircuit> compiledAnsatz_;
+    CompiledCircuit compiledAnsatz_;
+    /**
+     * Compiled once per (tenant, Hamiltonian) — every estimate() reuses
+     * the xmask grouping, phase tables and sampling layout instead of
+     * re-deriving them per iteration.
+     */
+    std::shared_ptr<const ExpectationPlan> plan_;
+    /** One per measurement group, in plan_->measurementGroups() order. */
     std::vector<CompiledCircuit> compiledBasisChanges_;
     std::optional<ShotSampler> sampler_;
     std::optional<MeasurementMitigator> mitigator_;

@@ -1,16 +1,19 @@
 /**
  * @file
  * Differential battery for the batched single-sweep expectation
- * engine: batched vs legacy term-by-term must agree **bit for bit**
- * (DESIGN.md §16) — on random states and sums with forced xmask
- * collisions, with SIMD on and off, serial and blocked, at 1/2/4/8
- * threads, for Statevector and DensityMatrix, through the
+ * engine: it must agree **bit for bit** (DESIGN.md §16) with the
+ * reference, a term-by-term fold of the per-string
+ * expectation(state, PauliString) — on random states and sums with
+ * forced xmask collisions, with SIMD on and off, serial and blocked, at
+ * 1/2/4/8 threads, for Statevector and DensityMatrix, through the
  * EnergyEstimator paths, and on cache hits vs misses.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,17 +31,6 @@
 
 namespace qismet {
 namespace {
-
-/** Restore the batched-engine switch on scope exit. */
-class BatchedGuard
-{
-  public:
-    BatchedGuard() : saved_(batchedExpectationEnabled()) {}
-    ~BatchedGuard() { setBatchedExpectationEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
 
 /** Restore the effective SIMD switch on scope exit. */
 class SimdGuard
@@ -126,23 +118,22 @@ collidingSum(int num_qubits, int num_terms, Rng &rng)
     return h;
 }
 
+/**
+ * The reference: Σ_t c_t · expectation(x, P_t), folded term by term in
+ * order through the per-string overload.
+ */
+template <typename State>
 double
-legacyEval(const Statevector &st, const PauliSum &h)
+legacyEval(const State &x, const PauliSum &h)
 {
-    setBatchedExpectationEnabled(false);
-    return expectation(st, h);
-}
-
-double
-batchedEval(const Statevector &st, const PauliSum &h)
-{
-    setBatchedExpectationEnabled(true);
-    return expectation(st, h);
+    double e = 0.0;
+    for (const PauliTerm &t : h.terms())
+        e += t.coefficient * expectation(x, t.pauli);
+    return e;
 }
 
 TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     Rng rng(31337);
@@ -157,7 +148,7 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
             for (bool simd : {false, true}) {
                 setSimdEnabled(simd);
                 const double legacy = legacyEval(st, h);
-                const double fast = batchedEval(st, h);
+                const double fast = expectation(st, h);
                 EXPECT_EQ(bits(legacy), bits(fast))
                     << "n=" << n << " threshold=" << threshold
                     << " simd=" << simd << " legacy=" << legacy
@@ -169,7 +160,6 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
 
 TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     GlobalThreadsGuard threads_guard;
@@ -178,7 +168,6 @@ TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
     const Statevector st = randomState(9, rng);
     const PauliSum h = collidingSum(9, 30, rng);
     setIntraStateParallelThreshold(1); // force the blocked partition
-    setBatchedExpectationEnabled(true);
 
     for (bool simd : {false, true}) {
         setSimdEnabled(simd);
@@ -195,15 +184,12 @@ TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
 
 TEST(BatchedExpectation, DensityMatrixBitIdentical)
 {
-    BatchedGuard batched_guard;
     Rng rng(555);
     for (int n = 2; n <= 6; ++n) {
         const Statevector psi = randomState(n, rng);
         const DensityMatrix rho(psi);
         const PauliSum h = collidingSum(n, 20, rng);
-        setBatchedExpectationEnabled(false);
-        const double legacy = expectation(rho, h);
-        setBatchedExpectationEnabled(true);
+        const double legacy = legacyEval(rho, h);
         const double fast = expectation(rho, h);
         EXPECT_EQ(bits(legacy), bits(fast)) << "n=" << n;
     }
@@ -211,7 +197,6 @@ TEST(BatchedExpectation, DensityMatrixBitIdentical)
 
 TEST(BatchedExpectation, PlanTermExpectationsMatchPerStringLegacy)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     Rng rng(4711);
@@ -239,7 +224,6 @@ TEST(BatchedExpectation, PlanTermExpectationsMatchPerStringLegacy)
 
 TEST(BatchedExpectation, CacheHitBitIdenticalToMiss)
 {
-    BatchedGuard batched_guard;
     Rng rng(808);
     const Statevector st = randomState(7, rng);
     const PauliSum h = collidingSum(7, 22, rng);
@@ -257,8 +241,6 @@ TEST(BatchedExpectation, CacheHitBitIdenticalToMiss)
 
 TEST(BatchedExpectation, WidthMismatchStillThrows)
 {
-    BatchedGuard batched_guard;
-    setBatchedExpectationEnabled(true);
     PauliSum h(3);
     h.add(1.0, "ZZZ");
     Statevector st(2);
@@ -293,44 +275,77 @@ struct EstimatorFixture
 
 TEST(BatchedExpectation, EstimatorIdealAndAnalyticBitIdentical)
 {
-    BatchedGuard batched_guard;
     EstimatorFixture f;
     EstimatorConfig cfg;
     cfg.mode = EstimatorMode::Analytic;
     const EnergyEstimator est(f.hamiltonian, f.ansatz, f.noise, cfg);
     const auto theta = f.theta();
 
-    setBatchedExpectationEnabled(false);
-    const double ideal_legacy = est.idealEnergy(theta);
-    Rng rng_a(42);
-    const double analytic_legacy = est.estimate(theta, 0.3, rng_a);
+    // The state every estimate prepares, and the reference fold over
+    // the estimator's own (simplified) Hamiltonian.
+    Statevector st(f.ansatz.numQubits());
+    st.run(CompiledCircuit(f.ansatz), theta);
+    EXPECT_EQ(bits(legacyEval(st, est.hamiltonian())),
+              bits(est.idealEnergy(theta)));
 
-    setBatchedExpectationEnabled(true);
-    const double ideal_fast = est.idealEnergy(theta);
-    Rng rng_b(42);
-    const double analytic_fast = est.estimate(theta, 0.3, rng_b);
-
-    EXPECT_EQ(bits(ideal_legacy), bits(ideal_fast));
-    EXPECT_EQ(bits(analytic_legacy), bits(analytic_fast));
+    // Analytic mode: the damped per-string fold plus one Gaussian
+    // shot-noise draw, rebuilt here in the estimator's op order.
+    const double tau = 0.3;
+    const double survival = std::clamp(
+        est.staticSurvival() *
+            (1.0 - tau * EnergyEstimator::transientSensitivity(st)),
+        0.0, 1.0);
+    const double shots = static_cast<double>(cfg.shots);
+    double e = est.mixedEnergy();
+    double var = 0.0;
+    for (const PauliTerm &t : est.hamiltonian().terms()) {
+        if (t.pauli.isIdentity())
+            continue;
+        const double p = survival * expectation(st, t.pauli);
+        e += t.coefficient * p;
+        var += t.coefficient * t.coefficient * (1.0 - p * p) / shots;
+    }
+    Rng rng_ref(42);
+    const double analytic_ref = e + rng_ref.normal(0.0, std::sqrt(var));
+    Rng rng(42);
+    EXPECT_EQ(bits(analytic_ref), bits(est.estimate(theta, tau, rng)));
 }
 
 TEST(BatchedExpectation, EstimatorSamplingBitIdentical)
 {
-    BatchedGuard batched_guard;
     EstimatorFixture f;
     EstimatorConfig cfg;
     cfg.mode = EstimatorMode::Sampling;
     cfg.shots = 256;
     const EnergyEstimator est(f.hamiltonian, f.ansatz, f.noise, cfg);
-    const auto theta = f.theta();
 
-    setBatchedExpectationEnabled(false);
+    // The sampling estimate reads each group's support masks and
+    // coefficients from the plan's flattened tables. They must be the
+    // term list's own values, in the group's term order, bit for bit.
+    const auto &terms = est.hamiltonian().terms();
+    const auto &groups = est.plan()->measurementGroups();
+    ASSERT_EQ(groups.size(), est.numGroups());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const auto &masks = est.plan()->samplingMasks(g);
+        const auto &coeffs = est.plan()->samplingCoefficients(g);
+        const auto &members = groups[g].termIndices;
+        ASSERT_EQ(masks.size(), members.size()) << "group " << g;
+        ASSERT_EQ(coeffs.size(), members.size()) << "group " << g;
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            const PauliTerm &t = terms[members[k]];
+            EXPECT_EQ(masks[k], t.pauli.supportMask())
+                << "group " << g << " term " << k;
+            EXPECT_EQ(bits(coeffs[k]), bits(t.coefficient))
+                << "group " << g << " term " << k;
+        }
+    }
+
+    // And the estimate itself is a pure function of (θ, τ, stream).
+    const auto theta = f.theta();
     Rng rng_a(7);
-    const double legacy = est.estimate(theta, 0.2, rng_a);
-    setBatchedExpectationEnabled(true);
+    const double first = est.estimate(theta, 0.2, rng_a);
     Rng rng_b(7);
-    const double fast = est.estimate(theta, 0.2, rng_b);
-    EXPECT_EQ(bits(legacy), bits(fast));
+    EXPECT_EQ(bits(first), bits(est.estimate(theta, 0.2, rng_b)));
 }
 
 TEST(BatchedExpectation, EstimatorsSharingACacheShareThePlan)

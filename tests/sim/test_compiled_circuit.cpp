@@ -12,21 +12,16 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "sim/compiled_circuit.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 
 namespace qismet {
 namespace {
-
-/** Restores the global fusion switch on scope exit. */
-class FusionGuard
-{
-  public:
-    ~FusionGuard() { setFusionEnabled(true); }
-};
 
 std::size_t
 countKind(const CompiledCircuit &cc, CompiledOpKind kind)
@@ -224,38 +219,80 @@ TEST(CompiledCircuit, BindValidatesParameterCount)
     EXPECT_EQ(pool.size(), cc.bindPoolSize());
 }
 
-TEST(CompiledCircuit, FuseOffLowersOneOpPerGate)
+/**
+ * Fixed-angle rotations that fuse into dense 2x2s around a CX ladder and
+ * a CZ: the fused and gate-by-gate executions round differently.
+ */
+Circuit
+mixedCircuit(int n)
 {
-    Circuit c(2);
-    c.h(0).h(0).rz(0, 0.5).cx(0, 1);
-    CompileOptions opts;
-    opts.fuse = false;
-    const CompiledCircuit cc(c, opts);
-    EXPECT_EQ(cc.ops().size(), 4u);
+    Circuit c(n);
+    for (int q = 0; q < n; ++q)
+        c.h(q).rz(q, 0.3 + 0.1 * q).ry(q, -0.7 + 0.05 * q);
+    for (int q = 0; q + 1 < n; ++q)
+        c.cx(q, q + 1);
+    for (int q = 0; q < n; ++q)
+        c.rx(q, 0.9 - 0.1 * q).t(q);
+    c.cz(0, n - 1);
+    return c;
 }
 
-TEST(CompiledCircuit, FusionSwitchControlsRunPath)
+bool
+sameBytes(const std::vector<Complex> &a, const std::vector<Complex> &b)
 {
-    FusionGuard guard;
-    EXPECT_TRUE(fusionEnabled());
-    setFusionEnabled(false);
-    EXPECT_FALSE(fusionEnabled());
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
 
-    // With fusion off, run(Circuit) takes the legacy gate-by-gate path;
-    // with it on, the compiled path. Both must agree numerically.
-    Circuit c(3);
-    c.h(0).cx(0, 1).rz(1, 0.8).ry(2, -0.4).cz(1, 2);
-    Statevector legacy(3);
-    legacy.run(c);
+std::vector<Complex>
+elements(const DensityMatrix &rho)
+{
+    std::vector<Complex> out;
+    for (std::size_t r = 0; r < rho.dim(); ++r)
+        for (std::size_t c = 0; c < rho.dim(); ++c)
+            out.push_back(rho.element(r, c));
+    return out;
+}
 
-    setFusionEnabled(true);
-    Statevector fused(3);
-    fused.run(c);
-    for (std::size_t i = 0; i < fused.dim(); ++i) {
-        EXPECT_NEAR(fused.amplitudes()[i].real(),
-                    legacy.amplitudes()[i].real(), 1e-12);
-        EXPECT_NEAR(fused.amplitudes()[i].imag(),
-                    legacy.amplitudes()[i].imag(), 1e-12);
+TEST(CompiledCircuit, RunCircuitSelectsPathBySize)
+{
+    // run(Circuit) compiles from kAutoCompileAmplitudes amplitudes
+    // (statevector) or elements (density matrix, dim^2) up and runs
+    // gate by gate below. The two paths agree only to ~1e-12, so byte
+    // equality with one of them shows which one ran.
+    static_assert(kAutoCompileAmplitudes == 64);
+
+    for (const int n : {5, 6}) {
+        const Circuit c = mixedCircuit(n);
+        Statevector viaRun(n);
+        viaRun.run(c);
+        Statevector gateByGate(n);
+        for (const Gate &g : c.gates())
+            gateByGate.applyGate(g);
+        Statevector compiled(n);
+        compiled.run(CompiledCircuit(c));
+        ASSERT_FALSE(sameBytes(gateByGate.amplitudes(),
+                               compiled.amplitudes()))
+            << "n=" << n << ": the two paths cannot be told apart";
+        const Statevector &expected = n < 6 ? gateByGate : compiled;
+        EXPECT_TRUE(sameBytes(viaRun.amplitudes(), expected.amplitudes()))
+            << "statevector n=" << n;
+    }
+
+    for (const int n : {2, 3}) {
+        const Circuit c = mixedCircuit(n);
+        DensityMatrix viaRun(n);
+        viaRun.run(c);
+        DensityMatrix gateByGate(n);
+        for (const Gate &g : c.gates())
+            gateByGate.applyGate(g);
+        DensityMatrix compiled(n);
+        compiled.run(CompiledCircuit(c));
+        ASSERT_FALSE(sameBytes(elements(gateByGate), elements(compiled)))
+            << "n=" << n << ": the two paths cannot be told apart";
+        const DensityMatrix &expected = n < 3 ? gateByGate : compiled;
+        EXPECT_TRUE(sameBytes(elements(viaRun), elements(expected)))
+            << "density matrix n=" << n;
     }
 }
 

@@ -7,7 +7,7 @@
  * density-matrix Kraus sweeps, at 2-12 qubits (Kraus capped at 8 for
  * memory).
  *
- * Three comparisons per kernel class, matching the rounding contract in
+ * Two comparisons per kernel class, matching the rounding contract in
  * sim/kernels.hpp:
  *
  *   - **SIMD vs scalar**: byte-identical (memcmp). FP contraction is
@@ -17,7 +17,6 @@
  *     into this file as references; amplitudes must compare equal
  *     (operator==, so a -0.0 vs +0.0 from the real-matrix fast path is
  *     not a failure — the fast path elides `x - 0*y` terms).
- *   - **split vs interleaved layout**: byte-identical after unpacking.
  *
  * The Kraus sweeps are additionally checked against a naive dense
  * embedding (full-matrix K rho K^dagger) — a genuinely different
@@ -36,11 +35,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "common/amp_span.hpp"
 #include "common/block_partition.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
@@ -238,9 +237,9 @@ refPermSwap(std::vector<Complex> &a, int qa, int qb)
 }
 
 /**
- * Run `apply` against one random state three ways — scalar, SIMD (when
- * available) and split-complex layout — plus the legacy reference, and
- * assert the contract. `apply` must mutate through the span only.
+ * Run `apply` against one random state two ways — scalar and SIMD (when
+ * available) — plus the legacy reference, and assert the contract.
+ * `apply` must mutate through the span only.
  */
 template <typename ApplyFn, typename RefFn>
 void
@@ -254,22 +253,15 @@ differentialCase(std::size_t dim, Rng &rng, ApplyFn apply, RefFn ref)
     SimdGuard simdGuard;
     setSimdEnabled(false);
     std::vector<Complex> scalar = init;
-    apply(AmpSpan::interleaved(scalar.data(), scalar.size()));
+    apply(std::span<Complex>(scalar));
     expectValueEqual(scalar, legacy, "scalar-vs-legacy");
 
     if (simdAvailable()) {
         setSimdEnabled(true);
         std::vector<Complex> simd = init;
-        apply(AmpSpan::interleaved(simd.data(), simd.size()));
+        apply(std::span<Complex>(simd));
         expectBitIdentical(simd, scalar, "simd-vs-scalar");
     }
-
-    SplitAmpBuffer split;
-    split.pack(init);
-    apply(split.span());
-    std::vector<Complex> unpacked;
-    split.unpackInto(unpacked);
-    expectBitIdentical(unpacked, scalar, "split-vs-interleaved");
 }
 
 /** (qubits, seed) grid; odd seeds force the blocked partition on. */
@@ -314,7 +306,7 @@ TEST_P(KernelEquivalenceTest, Dense1)
         randomComplexArray(m, 4, rng);
         differentialCase(
             dim(), rng,
-            [&](const AmpSpan &s) { kern::applyDense1(s, q, m); },
+            [&](std::span<Complex> s) { kern::applyDense1(s, q, m); },
             [&](std::vector<Complex> &a) { refDense1(a, q, m); });
 
         Complex mr[4];
@@ -322,7 +314,7 @@ TEST_P(KernelEquivalenceTest, Dense1)
             mr[i] = Complex(rng.uniform(-1.0, 1.0), 0.0);
         differentialCase(
             dim(), rng,
-            [&](const AmpSpan &s) { kern::applyDense1(s, q, mr); },
+            [&](std::span<Complex> s) { kern::applyDense1(s, q, mr); },
             [&](std::vector<Complex> &a) { refDense1(a, q, mr); });
     }
 }
@@ -345,7 +337,7 @@ TEST_P(KernelEquivalenceTest, Dense2)
         randomComplexArray(m, 16, rng);
         differentialCase(
             dim(), rng,
-            [&](const AmpSpan &s) { kern::applyDense2(s, qm, ql, m); },
+            [&](std::span<Complex> s) { kern::applyDense2(s, qm, ql, m); },
             [&](std::vector<Complex> &a) { refDense2(a, qm, ql, m); });
     }
 }
@@ -372,7 +364,7 @@ TEST_P(KernelEquivalenceTest, Diag)
                 : Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
     differentialCase(
         dim(), rng,
-        [&](const AmpSpan &s) { kern::applyDiag(s, mask, table.data()); },
+        [&](std::span<Complex> s) { kern::applyDiag(s, mask, table.data()); },
         [&](std::vector<Complex> &a) { refDiag(a, mask, table.data()); });
 }
 
@@ -389,15 +381,15 @@ TEST_P(KernelEquivalenceTest, Permutations)
 
     differentialCase(
         dim(), rng,
-        [&](const AmpSpan &s) { kern::applyPermX(s, q); },
+        [&](std::span<Complex> s) { kern::applyPermX(s, q); },
         [&](std::vector<Complex> &a) { refPermX(a, q); });
     differentialCase(
         dim(), rng,
-        [&](const AmpSpan &s) { kern::applyPermCX(s, q, p); },
+        [&](std::span<Complex> s) { kern::applyPermCX(s, q, p); },
         [&](std::vector<Complex> &a) { refPermCX(a, q, p); });
     differentialCase(
         dim(), rng,
-        [&](const AmpSpan &s) { kern::applyPermSwap(s, q, p); },
+        [&](std::span<Complex> s) { kern::applyPermSwap(s, q, p); },
         [&](std::vector<Complex> &a) { refPermSwap(a, q, p); });
 }
 
@@ -411,31 +403,18 @@ TEST_P(KernelEquivalenceTest, OrderedReductions)
         if (rng.bernoulli(0.5))
             mask |= std::uint64_t{1} << q;
 
-    const AmpSpan sa = AmpSpan::interleaved(
-        const_cast<Complex *>(a.data()), a.size());
-    const AmpSpan sb = AmpSpan::interleaved(
-        const_cast<Complex *>(b.data()), b.size());
-
     // Reductions are scalar arithmetic on both SIMD settings (the
     // dispatch only affects the elementwise kernels), so the bits must
     // not move when the switch flips.
     SimdGuard simdGuard;
     setSimdEnabled(false);
-    const double n2Off = kern::norm2(sa);
-    const Complex ipOff = kern::innerProduct(sa, sb);
-    const double ezOff = kern::expectationZMask(sa, mask);
+    const double n2Off = kern::norm2(a);
+    const Complex ipOff = kern::innerProduct(a, b);
+    const double ezOff = kern::expectationZMask(a, mask);
     setSimdEnabled(true);
-    EXPECT_EQ(kern::norm2(sa), n2Off);
-    EXPECT_EQ(kern::innerProduct(sa, sb), ipOff);
-    EXPECT_EQ(kern::expectationZMask(sa, mask), ezOff);
-
-    // Split layout loads the same values, so same bits again.
-    SplitAmpBuffer splitA, splitB;
-    splitA.pack(a);
-    splitB.pack(b);
-    EXPECT_EQ(kern::norm2(splitA.span()), n2Off);
-    EXPECT_EQ(kern::innerProduct(splitA.span(), splitB.span()), ipOff);
-    EXPECT_EQ(kern::expectationZMask(splitA.span(), mask), ezOff);
+    EXPECT_EQ(kern::norm2(a), n2Off);
+    EXPECT_EQ(kern::innerProduct(a, b), ipOff);
+    EXPECT_EQ(kern::expectationZMask(a, mask), ezOff);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, KernelEquivalenceTest,

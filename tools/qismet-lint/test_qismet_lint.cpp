@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -731,6 +732,15 @@ struct BadFixtureCase
     const char *rule;
     int expectedFindings;
 };
+
+// Print a case as its fixture path, so gtest lists (and ctest registers)
+// it with `# GetParam() = <file>` instead of a byte dump that holds the
+// addresses of the string literals and so changes from build to build.
+void
+PrintTo(const BadFixtureCase &c, std::ostream *os)
+{
+    *os << c.file;
+}
 
 class BadFixtures : public ::testing::TestWithParam<BadFixtureCase>
 {

@@ -28,6 +28,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -151,9 +152,15 @@ main(int argc, char **argv)
             verifySolo = true;
         else if (arg == "--digest-out" && hasValue)
             digestOut = argv[++i];
-        else if (arg == "--threads" && hasValue)
-            ParallelExecutor::setGlobalThreads(
-                static_cast<std::size_t>(std::atol(argv[++i])));
+        else if (arg == "--threads" && hasValue) {
+            try {
+                ParallelExecutor::setGlobalThreads(
+                    parseThreadCount("--threads", argv[++i]));
+            } catch (const std::invalid_argument &err) {
+                std::fprintf(stderr, "serve_soak: %s\n", err.what());
+                return 2;
+            }
+        }
         else
             return usage();
     }
