@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace qismet {
 
@@ -34,18 +36,22 @@ FaultPolicy::totalBaseRate() const
 void
 FaultPolicy::validate() const
 {
-    const double rates[] = {timeoutRate, errorRate, partialRate,
-                            referenceLossRate};
-    for (double r : rates)
-        if (!(r >= 0.0 && r <= 1.0))
-            throw std::invalid_argument(
-                "FaultPolicy: fault rates must lie in [0, 1]");
-    if (burstCoupling < 0.0)
+    // Negated comparisons throughout, so that NaN fails too.
+    const std::pair<const char *, double> rates[] = {
+        {"timeoutRate", timeoutRate},
+        {"errorRate", errorRate},
+        {"partialRate", partialRate},
+        {"referenceLossRate", referenceLossRate}};
+    for (const auto &[name, rate] : rates)
+        if (!(rate >= 0.0 && rate <= 1.0))
+            throw std::invalid_argument(std::string("FaultPolicy: ") +
+                                        name + " must lie in [0, 1]");
+    if (!(burstCoupling >= 0.0))
         throw std::invalid_argument(
-            "FaultPolicy: negative burst coupling");
-    if (burstScale <= 0.0)
+            "FaultPolicy: burstCoupling must be a number >= 0");
+    if (!(burstScale > 0.0))
         throw std::invalid_argument(
-            "FaultPolicy: burst scale must be positive");
+            "FaultPolicy: burstScale must be a number > 0");
     if (!(minShotFraction > 0.0 && minShotFraction <= 1.0))
         throw std::invalid_argument(
             "FaultPolicy: minShotFraction must lie in (0, 1]");
@@ -70,11 +76,16 @@ RetryPolicy::validate() const
 {
     if (maxRetries < 1)
         throw std::invalid_argument("RetryPolicy: retry budget < 1");
-    if (baseBackoffSeconds < 0.0 || maxBackoffSeconds < 0.0)
-        throw std::invalid_argument("RetryPolicy: negative backoff");
-    if (backoffMultiplier < 1.0)
+    // Negated comparisons, so that NaN fails too.
+    if (!(baseBackoffSeconds >= 0.0))
         throw std::invalid_argument(
-            "RetryPolicy: backoff multiplier must be >= 1");
+            "RetryPolicy: baseBackoffSeconds must be a number >= 0");
+    if (!(maxBackoffSeconds >= 0.0))
+        throw std::invalid_argument(
+            "RetryPolicy: maxBackoffSeconds must be a number >= 0");
+    if (!(backoffMultiplier >= 1.0))
+        throw std::invalid_argument(
+            "RetryPolicy: backoffMultiplier must be a number >= 1");
     if (maxBackoffSeconds < baseBackoffSeconds)
         throw std::invalid_argument(
             "RetryPolicy: backoff ceiling below base");

@@ -41,9 +41,10 @@ ServeJobSpec::validate() const
             throw std::invalid_argument(
                 "ServeJobSpec: crashPlan must be strictly increasing");
     }
-    if (deadlineSimSeconds < 0.0)
+    // Negated, so that NaN fails too.
+    if (!(deadlineSimSeconds >= 0.0))
         throw std::invalid_argument(
-            "ServeJobSpec: negative deadline budget");
+            "ServeJobSpec: deadlineSimSeconds must be a number >= 0");
 }
 
 void

@@ -42,7 +42,7 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
                                              config_.planCacheTenant)
                 : compileExpectationPlan(hamiltonian_);
 
-    // Compile the per-iteration circuits once; thousands of estimate()
+    // Compile the per-iteration circuits once; thousands of prepare()
     // calls then skip both per-gate matrix derivation and the fusion
     // pass itself.
     const auto &groups = plan_->measurementGroups();
@@ -102,48 +102,78 @@ EnergyEstimator::effectiveShots(double shot_fraction) const
     return std::max<std::size_t>(1, static_cast<std::size_t>(scaled));
 }
 
+PreparedPoint
+EnergyEstimator::prepare(const std::vector<double> &theta) const
+{
+    PreparedPoint point;
+    if (config_.mode == EstimatorMode::Ideal) {
+        point.idealEnergy = idealEnergy(theta);
+        return point;
+    }
+
+    Statevector state(ansatz_.numQubits());
+    state.run(compiledAnsatz_, theta);
+    point.sensitivity = transientSensitivity(state);
+
+    if (config_.mode == EstimatorMode::Analytic) {
+        // The plan sweeps once per xmask group and writes each term's
+        // expectation into its own slot (the identity term's slot holds
+        // the state's norm²); finishAnalytic folds them in term order.
+        point.termExpectations.assign(hamiltonian_.terms().size(), 0.0);
+        plan_->termExpectations(state, point.termExpectations.data());
+        return point;
+    }
+
+    // Rotate into each group's measurement basis. The basis changes are
+    // independent of one another and draw no randomness, so they fan
+    // out in parallel, each writing its own slot.
+    point.groupProbabilities.resize(compiledBasisChanges_.size());
+    ParallelExecutor::global().parallelFor(
+        compiledBasisChanges_.size(), [&](std::size_t gi) {
+            Statevector rotated = state;
+            rotated.run(compiledBasisChanges_[gi]);
+            point.groupProbabilities[gi] = rotated.probabilities();
+        });
+    return point;
+}
+
 double
-EnergyEstimator::estimate(const std::vector<double> &theta, double tau,
-                          Rng &rng, double shot_fraction) const
+EnergyEstimator::finish(const PreparedPoint &point, double tau, Rng &rng,
+                        double shot_fraction) const
 {
     if (!(shot_fraction > 0.0 && shot_fraction <= 1.0))
         throw std::invalid_argument(
             "EnergyEstimator: shot fraction must lie in (0, 1]");
     switch (config_.mode) {
       case EstimatorMode::Ideal:
-        return idealEnergy(theta);
+        return point.idealEnergy;
       case EstimatorMode::Analytic:
-        return estimateAnalytic(theta, tau, rng, shot_fraction);
+        return finishAnalytic(point, tau, rng, shot_fraction);
       case EstimatorMode::Sampling:
-        return estimateSampling(theta, tau, rng, shot_fraction);
+        return finishSampling(point, tau, rng, shot_fraction);
     }
-    throw std::logic_error("EnergyEstimator::estimate: bad mode");
+    throw std::logic_error("EnergyEstimator::finish: bad mode");
 }
 
 double
-EnergyEstimator::estimateAnalytic(const std::vector<double> &theta,
-                                  double tau, Rng &rng,
-                                  double shot_fraction) const
+EnergyEstimator::finishAnalytic(const PreparedPoint &point, double tau,
+                                Rng &rng, double shot_fraction) const
 {
-    Statevector state(ansatz_.numQubits());
-    state.run(compiledAnsatz_, theta);
-
-    const double f = effectiveSurvival(tau, transientSensitivity(state));
+    const auto &terms = hamiltonian_.terms();
+    if (point.termExpectations.size() != terms.size())
+        throw std::invalid_argument(
+            "EnergyEstimator::finish: point not prepared by this "
+            "Analytic-mode estimator");
+    const double f = effectiveSurvival(tau, point.sensitivity);
 
     // Damped expectation plus a Gaussian shot-noise term whose variance
     // matches the per-term sampling variance Σ_k c_k² (1 - <P_k>²)/shots
     // (terms measured in the same group share shots; covariances between
     // terms are neglected, which tests show is adequate for our
-    // Hamiltonians).
+    // Hamiltonians). The fold stays serial in term order and skips the
+    // identity term, keeping the sum bit-identical for every thread
+    // count.
     //
-    // The plan sweeps once per xmask group; the fold below stays serial
-    // in term order (and skips the identity term, whose entry holds
-    // the state's norm²), keeping the sum bit-identical for every
-    // thread count.
-    const auto &terms = hamiltonian_.terms();
-    std::vector<double> p_ideal(terms.size(), 0.0);
-    plan_->termExpectations(state, p_ideal.data());
-
     // Partial-result jobs deliver fewer shots; the shot-noise variance
     // scales inversely with the retained count.
     const double shots_eff =
@@ -154,7 +184,7 @@ EnergyEstimator::estimateAnalytic(const std::vector<double> &theta,
         const auto &t = terms[k];
         if (t.pauli.isIdentity())
             continue;
-        const double p_noisy = f * p_ideal[k];
+        const double p_noisy = f * point.termExpectations[k];
         e += t.coefficient * p_noisy;
         var += t.coefficient * t.coefficient * (1.0 - p_noisy * p_noisy) /
                shots_eff;
@@ -163,26 +193,25 @@ EnergyEstimator::estimateAnalytic(const std::vector<double> &theta,
 }
 
 double
-EnergyEstimator::estimateSampling(const std::vector<double> &theta,
-                                  double tau, Rng &rng,
-                                  double shot_fraction) const
+EnergyEstimator::finishSampling(const PreparedPoint &point, double tau,
+                                Rng &rng, double shot_fraction) const
 {
+    const std::size_t num_groups = compiledBasisChanges_.size();
+    if (point.groupProbabilities.size() != num_groups)
+        throw std::invalid_argument(
+            "EnergyEstimator::finish: point not prepared by this "
+            "Sampling-mode estimator");
     const std::size_t shots_eff = effectiveShots(shot_fraction);
     const int n = ansatz_.numQubits();
     const std::size_t dim = std::size_t{1} << n;
     const double uniform = 1.0 / static_cast<double>(dim);
-
-    Statevector prepared(n);
-    prepared.run(compiledAnsatz_, theta);
-    const double f =
-        effectiveSurvival(tau, transientSensitivity(prepared));
+    const double f = effectiveSurvival(tau, point.sensitivity);
 
     // Measurement groups are independent circuits of the same job, so
     // they fan out in parallel. Each group gets its own RNG sub-stream,
     // split from the caller's stream in group order *before* dispatch,
     // and the group energies are folded serially in group order — both
     // are required for thread-count-invariant results.
-    const std::size_t num_groups = compiledBasisChanges_.size();
     std::vector<Rng> groupRngs;
     groupRngs.reserve(num_groups);
     for (std::size_t gi = 0; gi < num_groups; ++gi)
@@ -191,13 +220,9 @@ EnergyEstimator::estimateSampling(const std::vector<double> &theta,
     std::vector<double> groupEnergies(num_groups, 0.0);
     ParallelExecutor::global().parallelFor(
         num_groups, [&](std::size_t gi) {
-            // Rotate into the group's measurement basis.
-            Statevector state = prepared;
-            state.run(compiledBasisChanges_[gi]);
-
             // Depolarize the outcome distribution by the survival
             // factor, then sample through the readout channel.
-            std::vector<double> probs = state.probabilities();
+            std::vector<double> probs = point.groupProbabilities[gi];
             for (auto &p : probs)
                 p = f * p + (1.0 - f) * uniform;
 

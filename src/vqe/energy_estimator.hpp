@@ -31,6 +31,15 @@
  * circuit per measurement group (sim/compiled_circuit.hpp) and the
  * simplified Hamiltonian into one ExpectationPlan
  * (pauli/expectation_plan.hpp). Every estimate runs exactly those.
+ *
+ * An estimate is two halves. prepare(θ) is the noiseless half, a pure
+ * function of θ: the prepared state's κ(θ) plus the per-term
+ * expectations (Analytic), each group's basis-rotated distribution
+ * (Sampling) or the exact energy (Ideal). finish() layers τ, the
+ * survival factor and the shot noise on top. estimate() is
+ * finish(prepare(θ), ...); JobExecutor calls the halves itself so that
+ * a QISMET reference rerun or retry reuses the point its previous job
+ * prepared.
  */
 
 #ifndef QISMET_VQE_ENERGY_ESTIMATOR_HPP
@@ -94,6 +103,26 @@ struct EstimatorConfig
     std::uint64_t planCacheTenant = 0;
 };
 
+/**
+ * The noiseless half of one estimate at θ (DESIGN.md §5 item 3). Which
+ * field is filled depends on the estimator's mode; the others stay
+ * empty. Two estimates at bit-equal θ share it bit for bit.
+ */
+struct PreparedPoint
+{
+    /** κ(θ), the prepared state's transient sensitivity (not Ideal). */
+    double sensitivity = 0.0;
+    /** Ideal: the exact energy <H>(θ). */
+    double idealEnergy = 0.0;
+    /** Analytic: <P_k>(θ) per simplified Hamiltonian term, in order. */
+    std::vector<double> termExpectations;
+    /**
+     * Sampling: each measurement group's outcome distribution after its
+     * basis change and before depolarization, in group order.
+     */
+    std::vector<std::vector<double>> groupProbabilities;
+};
+
 /** Produces machine-style energy estimates for one VQE problem. */
 class EnergyEstimator
 {
@@ -112,16 +141,33 @@ class EnergyEstimator
     double idealEnergy(const std::vector<double> &theta) const;
 
     /**
-     * Machine-style estimate of <H>(θ) under transient intensity tau.
-     * Each call models one execution of the iteration's circuits.
+     * Machine-style estimate of <H>(θ) under transient intensity tau:
+     * finish(prepare(theta), tau, rng, shot_fraction). Each call models
+     * one execution of the iteration's circuits.
+     */
+    double estimate(const std::vector<double> &theta, double tau,
+                    Rng &rng, double shot_fraction = 1.0) const
+    {
+        return finish(prepare(theta), tau, rng, shot_fraction);
+    }
+
+    /** The noiseless half of an estimate at θ. Draws no randomness. */
+    PreparedPoint prepare(const std::vector<double> &theta) const;
+
+    /**
+     * The noisy half of an estimate: the survival factor at τ·κ(θ),
+     * then Gaussian shot noise (Analytic) or depolarization, sampling
+     * and mitigation per group (Sampling). Ideal mode returns the exact
+     * energy and draws nothing.
      *
+     * @param point This estimator's prepare() of θ.
      * @param shot_fraction Fraction of the configured shots actually
      *        retained, in (0, 1] — partial-result jobs deliver fewer
      *        shots, inflating the shot-noise variance accordingly
      *        (Analytic mode) or sampling fewer counts (Sampling mode).
      */
-    double estimate(const std::vector<double> &theta, double tau,
-                    Rng &rng, double shot_fraction = 1.0) const;
+    double finish(const PreparedPoint &point, double tau, Rng &rng,
+                  double shot_fraction = 1.0) const;
 
     /** Expectation in the maximally mixed state (identity coefficient). */
     double mixedEnergy() const { return mixedEnergy_; }
@@ -157,10 +203,10 @@ class EnergyEstimator
   private:
     double effectiveSurvival(double tau, double sensitivity) const;
     std::size_t effectiveShots(double shot_fraction) const;
-    double estimateAnalytic(const std::vector<double> &theta, double tau,
-                            Rng &rng, double shot_fraction) const;
-    double estimateSampling(const std::vector<double> &theta, double tau,
-                            Rng &rng, double shot_fraction) const;
+    double finishAnalytic(const PreparedPoint &point, double tau,
+                          Rng &rng, double shot_fraction) const;
+    double finishSampling(const PreparedPoint &point, double tau,
+                          Rng &rng, double shot_fraction) const;
 
     PauliSum hamiltonian_;
     Circuit ansatz_;
@@ -168,14 +214,14 @@ class EnergyEstimator
     EstimatorConfig config_;
 
     /**
-     * Circuits compiled once at construction; every estimate() reuses
+     * Circuits compiled once at construction; every prepare() reuses
      * them instead of re-deriving gate matrices. The basis-change
      * circuits are parameter-free, so concurrent group threads may run
      * the same compiled instance safely.
      */
     CompiledCircuit compiledAnsatz_;
     /**
-     * Compiled once per (tenant, Hamiltonian) — every estimate() reuses
+     * Compiled once per (tenant, Hamiltonian) — every estimate reuses
      * the xmask grouping, phase tables and sampling layout instead of
      * re-deriving them per iteration.
      */

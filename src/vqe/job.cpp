@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,10 +36,28 @@ JobExecutor::JobExecutor(const EnergyEstimator &estimator,
       intraJobJitter_(intra_job_jitter), relativeJitter_(relative_jitter),
       mitigationCircuits_(mitigation_circuits)
 {
-    if (intra_job_jitter < 0.0 || relative_jitter < 0.0)
-        throw std::invalid_argument("JobExecutor: negative jitter");
+    // Negated so that NaN fails too.
+    if (!(intra_job_jitter >= 0.0))
+        throw std::invalid_argument(
+            "JobExecutor: intra_job_jitter must be a number >= 0");
+    if (!(relative_jitter >= 0.0))
+        throw std::invalid_argument(
+            "JobExecutor: relative_jitter must be a number >= 0");
     if (mitigation_circuits < 0)
         throw std::invalid_argument("JobExecutor: negative mitigation count");
+}
+
+std::shared_ptr<const JobExecutor::CachedPoint>
+JobExecutor::previousPointAt(const std::vector<double> &theta) const
+{
+    // Exact bits, not ==: -0.0 and 0.0 are different points to reuse.
+    for (const auto &cached : previousJob_)
+        if (cached->theta.size() == theta.size() &&
+            (theta.empty() ||
+             std::memcmp(cached->theta.data(), theta.data(),
+                         theta.size() * sizeof(double)) == 0))
+            return cached;
+    return nullptr;
 }
 
 double
@@ -105,12 +125,28 @@ JobExecutor::execute(const JobRequest &request)
     for (std::size_t i = 0; i < n_evals; ++i)
         evalRngs.push_back(jobRng.split());
 
+    // Reuse the previous executed job's points where θ repeats (the
+    // QISMET reference rerun, a retry). Lookups are serial; each miss
+    // is prepared inside the fan-out into its own slot.
+    std::vector<std::shared_ptr<const CachedPoint>> points(n_evals);
+    std::size_t misses = 0;
+    for (std::size_t i = 0; i < n_evals; ++i) {
+        points[i] = previousPointAt(request.evaluations[i]);
+        if (!points[i])
+            ++misses;
+    }
+
     result.energies.assign(n_evals, 0.0);
     ParallelExecutor::global().parallelFor(n_evals, [&](std::size_t i) {
-        result.energies[i] =
-            estimator_.estimate(request.evaluations[i], taus[i],
-                                evalRngs[i], result.shotFraction);
+        if (!points[i])
+            points[i] = std::make_shared<const CachedPoint>(CachedPoint{
+                request.evaluations[i],
+                estimator_.prepare(request.evaluations[i])});
+        result.energies[i] = estimator_.finish(
+            points[i]->point, taus[i], evalRngs[i], result.shotFraction);
     });
+    pointCount_ += misses;
+    previousJob_ = std::move(points);
 
     // Reference loss: the machine ran the whole batch, but the results
     // of everything past the primary evaluation were dropped on the way

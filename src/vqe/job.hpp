@@ -15,6 +15,15 @@
  * dropped reference circuits. Fault decisions are counter-based per job
  * index, so enabling them never perturbs the randomness of the circuits
  * that do run, and schedules are bit-identical at every thread count.
+ *
+ * Each estimate runs in two halves (vqe/energy_estimator.hpp): the
+ * noiseless PreparedPoint, a pure function of θ, and the noisy finish.
+ * The executor keeps the points of the previous executed job and reuses
+ * one wherever the current job asks for a bit-equal θ — a QISMET
+ * reference rerun repeats the previous job's primary point, and a retry
+ * repeats the whole job. Reuse skips only simulator work: the circuits
+ * are still charged, and every job's jitter draws and RNG streams are
+ * unchanged, so results are bit-identical to preparing every point.
  */
 
 #ifndef QISMET_VQE_JOB_HPP
@@ -22,9 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "noise/transient_trace.hpp"
@@ -113,14 +122,30 @@ class JobExecutor
      * (Rng::splitAt), draws the intra-job jitter serially, and hands
      * every circuit its own child stream before the fan-out — so
      * results are bit-identical for every thread count.
+     *
+     * An evaluation whose θ is bit-equal (memcmp) to one of the
+     * previous executed job's reuses that job's PreparedPoint. Lookups
+     * run serially before the fan-out, misses are prepared inside it,
+     * and the kept points are replaced by this job's after it. A job
+     * that timed out or failed ran nothing and leaves them untouched.
      */
     JobResult execute(const JobRequest &request);
 
     /** Jobs executed so far. */
     std::size_t jobsExecuted() const { return jobCount_; }
 
-    /** Total circuit evaluations so far (overhead metric, Sec. 8.3). */
+    /**
+     * Total circuit evaluations so far (overhead metric, Sec. 8.3).
+     * A reused point still counts: the overhead is the machine's.
+     */
     std::size_t circuitsExecuted() const { return circuitCount_; }
+
+    /**
+     * Points this executor prepared (estimator prepare() calls), i.e.
+     * evaluations not served by the previous job's points. Simulator
+     * work only; not part of any result or snapshot.
+     */
+    std::size_t pointsPrepared() const { return pointCount_; }
 
     /** The transient intensity the *next* job will experience. */
     double peekNextIntensity() const;
@@ -157,6 +182,17 @@ class JobExecutor
     const FaultInjector *faultInjector() const { return faultInjector_; }
 
   private:
+    /** One evaluation's θ and the noiseless half prepared for it. */
+    struct CachedPoint
+    {
+        std::vector<double> theta;
+        PreparedPoint point;
+    };
+
+    /** The previous executed job's point at bit-equal θ, if any. */
+    std::shared_ptr<const CachedPoint>
+    previousPointAt(const std::vector<double> &theta) const;
+
     const EnergyEstimator &estimator_;
     TransientTrace trace_;
     Rng rng_;
@@ -166,6 +202,9 @@ class JobExecutor
     const FaultInjector *faultInjector_ = nullptr;
     std::size_t jobCount_ = 0;
     std::size_t circuitCount_ = 0;
+    std::size_t pointCount_ = 0;
+    /** The previous executed job's points, in evaluation order. */
+    std::vector<std::shared_ptr<const CachedPoint>> previousJob_;
 };
 
 } // namespace qismet

@@ -14,8 +14,9 @@ namespace qismet {
 
 BlockingPolicy::BlockingPolicy(double tolerance) : tolerance_(tolerance)
 {
-    if (tolerance < 0.0)
-        throw std::invalid_argument("BlockingPolicy: negative tolerance");
+    if (!(tolerance >= 0.0))
+        throw std::invalid_argument(
+            "BlockingPolicy: tolerance must be a number >= 0");
 }
 
 bool
@@ -54,10 +55,14 @@ VqeDriver::VqeDriver(const EnergyEstimator &estimator, JobExecutor &executor,
         throw std::invalid_argument("VqeDriver: zero job budget");
     if (config_.finalWindow == 0)
         throw std::invalid_argument("VqeDriver: zero final window");
-    if (config_.jobDurationSeconds < 0.0)
-        throw std::invalid_argument("VqeDriver: negative job duration");
-    if (config_.deadlineSimSeconds < 0.0)
-        throw std::invalid_argument("VqeDriver: negative deadline budget");
+    // Negated, so that NaN fails too (a NaN deadline would otherwise
+    // silently mean no deadline).
+    if (!(config_.jobDurationSeconds >= 0.0))
+        throw std::invalid_argument(
+            "VqeDriver: jobDurationSeconds must be a number >= 0");
+    if (!(config_.deadlineSimSeconds >= 0.0))
+        throw std::invalid_argument(
+            "VqeDriver: deadlineSimSeconds must be a number >= 0");
     if (config_.crashAfterIters > 0 && config_.checkpoint == nullptr)
         throw std::invalid_argument(
             "VqeDriver: crashAfterIters without a checkpoint would "

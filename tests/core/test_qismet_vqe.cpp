@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "apps/applications.hpp"
 #include "core/qismet_vqe.hpp"
@@ -27,6 +29,20 @@ TEST(QismetVqe, ConstructionValidation)
     wrong.add(1.0, "ZZZZ");
     EXPECT_THROW(QismetVqe(wrong, app.ansatzCircuit, app.machine, -1.0),
                  std::invalid_argument);
+}
+
+TEST(QismetVqe, NaNJitterThrowsInsteadOfRunning)
+{
+    // Used to return a NaN finalEstimate without an error.
+    const QismetVqe runner = application(1).makeRunner();
+    QismetVqeConfig cfg;
+    cfg.scheme = Scheme::Qismet;
+    cfg.totalJobs = 20;
+    cfg.intraJobJitter = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(runner.run(cfg), std::invalid_argument);
+    cfg.intraJobJitter = 0.01;
+    cfg.intraJobRelativeJitter = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(runner.run(cfg), std::invalid_argument);
 }
 
 TEST(QismetVqe, EnergyScalePositive)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "fault/fault_policy.hpp"
 
@@ -50,6 +53,46 @@ TEST(FaultPolicy, ValidationRejectsBadParameters)
     policy = FaultPolicy{};
     policy.maxFaultProbability = 1.0;
     EXPECT_THROW(policy.validate(), std::invalid_argument);
+}
+
+/**
+ * Expect validate() to throw std::invalid_argument whose message names
+ * `field`.
+ */
+template <typename Policy>
+void
+expectRejectedNaming(const Policy &policy, const std::string &field)
+{
+    try {
+        policy.validate();
+        ADD_FAILURE() << field << " was accepted";
+    }
+    catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+            << "message does not name " << field << ": " << err.what();
+    }
+}
+
+TEST(FaultPolicy, ValidationRejectsNaNNamingTheField)
+{
+    // A NaN fails every ordered comparison, so only negated range
+    // checks catch it.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<const char *, double FaultPolicy::*> fields[] = {
+        {"timeoutRate", &FaultPolicy::timeoutRate},
+        {"errorRate", &FaultPolicy::errorRate},
+        {"partialRate", &FaultPolicy::partialRate},
+        {"referenceLossRate", &FaultPolicy::referenceLossRate},
+        {"burstCoupling", &FaultPolicy::burstCoupling},
+        {"burstScale", &FaultPolicy::burstScale},
+        {"minShotFraction", &FaultPolicy::minShotFraction},
+        {"maxFaultProbability", &FaultPolicy::maxFaultProbability},
+    };
+    for (const auto &[name, member] : fields) {
+        FaultPolicy policy;
+        policy.*member = nan;
+        expectRejectedNaming(policy, name);
+    }
 }
 
 TEST(FaultPolicy, KindNamesAreDistinct)
@@ -111,6 +154,21 @@ TEST(RetryPolicy, ValidationRejectsBadParameters)
 
     EXPECT_THROW(RetryPolicy{}.backoffSecondsFor(-1),
                  std::invalid_argument);
+}
+
+TEST(RetryPolicy, ValidationRejectsNaNNamingTheField)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<const char *, double RetryPolicy::*> fields[] = {
+        {"baseBackoffSeconds", &RetryPolicy::baseBackoffSeconds},
+        {"maxBackoffSeconds", &RetryPolicy::maxBackoffSeconds},
+        {"backoffMultiplier", &RetryPolicy::backoffMultiplier},
+    };
+    for (const auto &[name, member] : fields) {
+        RetryPolicy retry;
+        retry.*member = nan;
+        expectRejectedNaming(retry, name);
+    }
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -239,6 +241,32 @@ TEST_F(ServeManifestTest, DecodeRejectsMalformedSpecs)
     s.kind = WorkloadKind::TfimApp;
     s.appIndex = 7;
     EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
+TEST_F(ServeManifestTest, DecodeRejectsBadDeadlineNamingTheField)
+{
+    // A record on disk is decoded through validate(): a NaN deadline
+    // must not decode into a spec that silently has no deadline.
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::quiet_NaN(),
+                          -1.0,
+                          -std::numeric_limits<double>::infinity()};
+    for (const double deadline : bad) {
+        ServeJobSpec s = spec(1);
+        s.deadlineSimSeconds = deadline;
+        Encoder enc;
+        s.encode(enc);
+        Decoder dec(enc.bytes());
+        try {
+            (void)ServeJobSpec::decode(dec);
+            ADD_FAILURE() << "deadline " << deadline << " decoded";
+        }
+        catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find("deadlineSimSeconds"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 } // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "ansatz/real_amplitudes.hpp"
 #include "hamiltonian/tfim.hpp"
@@ -49,6 +52,38 @@ TEST(JobExecutor, Validation)
                  std::invalid_argument);
     JobExecutor exec(f.estimator, TransientTrace{}, 1);
     EXPECT_THROW(exec.execute(JobRequest{}), std::invalid_argument);
+}
+
+TEST(JobExecutor, ValidationRejectsNaNJitterNamingTheField)
+{
+    // NaN fails every ordered comparison; a NaN jitter used to run and
+    // turn every energy into NaN.
+    Fixture f;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        const char *field;
+        double absolute;
+        double relative;
+    } cases[] = {
+        {"intra_job_jitter", nan, 0.15},
+        {"intra_job_jitter", -0.01, 0.15},
+        {"relative_jitter", 0.01, nan},
+        {"relative_jitter", 0.01, -0.15},
+    };
+    for (const auto &c : cases) {
+        try {
+            JobExecutor exec(f.estimator, TransientTrace{}, 1, c.absolute,
+                             c.relative);
+            ADD_FAILURE() << c.field << " = " << c.absolute << ", "
+                          << c.relative << " was accepted";
+        }
+        catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(c.field),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(JobExecutor, ConsumesTraceSequentially)

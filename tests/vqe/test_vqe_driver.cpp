@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "ansatz/real_amplitudes.hpp"
 #include "hamiltonian/tfim.hpp"
@@ -71,6 +75,47 @@ TEST(VqeDriver, Validation)
     cfg.totalJobs = 0;
     EXPECT_THROW(VqeDriver(f.estimator, exec, opt, policy, cfg),
                  std::invalid_argument);
+}
+
+TEST(VqeDriver, ValidationRejectsNaNNamingTheField)
+{
+    // A NaN deadline used to mean no deadline, and a NaN job duration a
+    // NaN simulated clock.
+    Fixture f;
+    JobExecutor exec(f.estimator, TransientTrace{}, 1);
+    Spsa opt;
+    AlwaysAcceptPolicy policy;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        const char *field;
+        std::function<void(VqeDriverConfig &)> spoil;
+    } cases[] = {
+        {"jobDurationSeconds",
+         [&](VqeDriverConfig &c) { c.jobDurationSeconds = nan; }},
+        {"jobDurationSeconds",
+         [](VqeDriverConfig &c) { c.jobDurationSeconds = -1.0; }},
+        {"deadlineSimSeconds",
+         [&](VqeDriverConfig &c) { c.deadlineSimSeconds = nan; }},
+        {"deadlineSimSeconds",
+         [](VqeDriverConfig &c) { c.deadlineSimSeconds = -1.0; }},
+        {"baseBackoffSeconds",
+         [&](VqeDriverConfig &c) { c.retry.baseBackoffSeconds = nan; }},
+    };
+    for (const auto &c : cases) {
+        VqeDriverConfig cfg;
+        c.spoil(cfg);
+        try {
+            VqeDriver driver(f.estimator, exec, opt, policy, cfg);
+            ADD_FAILURE() << c.field << " was accepted";
+        }
+        catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(c.field),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_THROW(BlockingPolicy{nan}, std::invalid_argument);
 }
 
 TEST(VqeDriver, RespectsJobBudget)

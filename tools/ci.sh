@@ -51,12 +51,14 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # 4 intra-state workers — both must be bit-identical to the default
 # run (the simd-off / tier1-threads presets run the whole tier; CI
 # keeps this bounded by re-running just the kernel/expectation suites
-# and the golden replays).
+# and the golden replays). The 4-worker leg also reruns the prepared-
+# point reuse suite and the whole-trajectory determinism suite, whose
+# job fan-out reads the executor's kept points from pool threads.
 QISMET_SIMD=off ctest --test-dir build \
     -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|PreparedPointReuse|ParallelDeterminism' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
@@ -276,17 +278,19 @@ cmake --build --preset lint
 ctest --preset lint
 echo "ci: SARIF artifact at build/qismet-lint.sarif"
 
-stage "tsan subsystem sweep (serve + persist + fault + simkern + expect + chaos)"
+stage "tsan subsystem sweep (serve + persist + fault + simkern + expect + chaos + vqe)"
 # The concurrency-heavy suites rerun under ThreadSanitizer; any data
 # race is a hard failure. Only the subsystem binaries are built in the
 # tsan tree to keep the stage bounded (~3 min). The chaos suites ride
-# along (fault injection exercises the scheduler's migration paths);
+# along (fault injection exercises the scheduler's migration paths),
+# and so does test_vqe (the job executor keeps the previous job's
+# prepared points and its fan-out reads them from pool threads);
 # the kill/resume shell harness is excluded by name — process-death
 # determinism is the chaos tier's job, not the race hunter's.
 cmake --preset tsan >/dev/null
 cmake --build build-tsan --target test_serve test_persist test_fault \
     test_sim_kernels test_pauli_expect test_serve_chaos \
-    test_serve_chaos_replay -j "$jobs"
+    test_serve_chaos_replay test_vqe -j "$jobs"
 ctest --preset tsan-subsys
 
 stage "kernel, expectation, persist and recovery suites under ASan+UBSan and standalone UBSan"
