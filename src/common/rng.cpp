@@ -21,12 +21,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 std::uint64_t
@@ -49,22 +43,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : state_)
         s = splitmix64(sm);
-}
-
-Xoshiro256::result_type
-Xoshiro256::operator()()
-{
-    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
 }
 
 void
@@ -130,13 +108,6 @@ Rng::restoreState(const RngState &state)
     engine_.setState(state.engine);
     hasSpareNormal_ = state.hasSpareNormal;
     spareNormal_ = state.spareNormal;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits into the mantissa: uniform on [0, 1).
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -216,12 +187,6 @@ Rng::poisson(double mean)
     // large-mean shot counts used in this library.
     const double x = normal(mean, std::sqrt(mean));
     return x < 0.5 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 std::size_t

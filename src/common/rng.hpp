@@ -97,7 +97,10 @@ class Xoshiro256
         return std::numeric_limits<result_type>::max();
     }
 
-    /** Advance the engine and return the next 64 random bits. */
+    /**
+     * Advance the engine and return the next 64 random bits. Defined
+     * inline below: the shot sampler draws several of these per shot.
+     */
     result_type operator()();
 
     /**
@@ -121,8 +124,29 @@ class Xoshiro256
     void setState(const std::array<std::uint64_t, 4> &state);
 
   private:
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
 };
+
+inline Xoshiro256::result_type
+Xoshiro256::operator()()
+{
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+
+    return result;
+}
 
 /**
  * Complete serializable state of an Rng: the engine words plus the
@@ -230,6 +254,19 @@ class Rng
     bool hasSpareNormal_ = false;
     double spareNormal_ = 0.0;
 };
+
+inline double
+Rng::uniform()
+{
+    // 53 random bits into the mantissa: uniform on [0, 1).
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::bernoulli(double p)
+{
+    return uniform() < p;
+}
 
 } // namespace qismet
 

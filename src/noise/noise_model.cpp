@@ -2,22 +2,50 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/metrics.hpp"
 #include "sim/kraus.hpp"
 
 namespace qismet {
 
+namespace {
+
+// The comparisons are negated so that a NaN fails them.
+
+void
+requireProbability(double v, const char *field)
+{
+    if (!(v >= 0.0 && v <= 1.0))
+        throw std::invalid_argument(std::string("StaticNoiseModel: ") +
+                                    field + " = " + std::to_string(v) +
+                                    " is outside [0, 1]");
+}
+
+void
+requirePositive(double v, const char *field)
+{
+    if (!(v > 0.0))
+        throw std::invalid_argument(std::string("StaticNoiseModel: ") +
+                                    field + " = " + std::to_string(v) +
+                                    " must be > 0");
+}
+
+} // namespace
+
 StaticNoiseModel::StaticNoiseModel(StaticNoiseParams params)
     : params_(params)
 {
-    if (params_.p1q < 0.0 || params_.p1q > 1.0 || params_.p2q < 0.0 ||
-        params_.p2q > 1.0)
-        throw std::invalid_argument("StaticNoiseModel: bad gate error");
-    if (params_.t1Us <= 0.0 || params_.t2Us <= 0.0)
-        throw std::invalid_argument("StaticNoiseModel: bad T1/T2");
+    requireProbability(params_.p1q, "p1q");
+    requireProbability(params_.p2q, "p2q");
+    requireProbability(params_.readoutP10, "readoutP10");
+    requireProbability(params_.readoutP01, "readoutP01");
+    requirePositive(params_.t1Us, "t1Us");
+    requirePositive(params_.t2Us, "t2Us");
     if (params_.t2Us > 2.0 * params_.t1Us)
-        throw std::invalid_argument("StaticNoiseModel: T2 > 2*T1");
+        throw std::invalid_argument("StaticNoiseModel: t2Us = " +
+                                    std::to_string(params_.t2Us) +
+                                    " exceeds 2 * t1Us");
 }
 
 std::vector<ReadoutError>

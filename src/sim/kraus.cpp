@@ -60,7 +60,7 @@ namespace {
 void
 checkProbability(double p, const char *what)
 {
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument(std::string(what) +
                                     ": probability outside [0, 1]");
 }

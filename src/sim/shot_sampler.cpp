@@ -2,42 +2,44 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/thread_pool.hpp"
+#include "sim/cdf_search.hpp"
 
 namespace qismet {
+
+namespace {
+
+/** Throw unless both probabilities are in [0, 1]; NaN fails too. */
+void
+checkReadout(const ReadoutError &r, const std::string &where)
+{
+    for (const auto &[p, field] : {std::pair{r.p10, ".p10"},
+                                   std::pair{r.p01, ".p01"}})
+        if (!(p >= 0.0 && p <= 1.0))
+            throw std::invalid_argument(where + field + " = " +
+                                        std::to_string(p) +
+                                        " is outside [0, 1]");
+}
+
+} // namespace
 
 void
 ReadoutError::check() const
 {
-    if (p10 < 0.0 || p10 > 1.0 || p01 < 0.0 || p01 > 1.0)
-        throw std::invalid_argument("ReadoutError: probability outside [0,1]");
+    checkReadout(*this, "ReadoutError");
 }
 
 ShotSampler::ShotSampler(std::vector<ReadoutError> readout)
     : readout_(std::move(readout))
 {
-    for (const auto &r : readout_)
-        r.check();
-}
-
-std::uint64_t
-ShotSampler::applyReadout(std::uint64_t bits, int num_qubits, Rng &rng) const
-{
-    if (readout_.empty())
-        return bits;
-    if (static_cast<int>(readout_.size()) < num_qubits)
-        throw std::invalid_argument(
-            "ShotSampler: readout entries fewer than qubits");
-    for (int q = 0; q < num_qubits; ++q) {
-        const std::uint64_t bit = std::uint64_t{1} << q;
-        const bool is_one = bits & bit;
-        const double flip_p = is_one ? readout_[q].p01 : readout_[q].p10;
-        if (flip_p > 0.0 && rng.bernoulli(flip_p))
-            bits ^= bit;
-    }
-    return bits;
+    for (std::size_t q = 0; q < readout_.size(); ++q)
+        checkReadout(readout_[q],
+                     "ShotSampler: readout[" + std::to_string(q) + "]");
 }
 
 Counts
@@ -51,8 +53,12 @@ ShotSampler::sample(const std::vector<double> &probs, int num_qubits,
     std::vector<double> cdf(probs.size());
     double acc = 0.0;
     for (std::size_t i = 0; i < probs.size(); ++i) {
-        if (probs[i] < -1e-12)
-            throw std::invalid_argument("ShotSampler: negative probability");
+        // Round-off may leave a tiny negative; NaN and inf are refused.
+        if (!(probs[i] >= -1e-12) || std::isinf(probs[i]))
+            throw std::invalid_argument(
+                "ShotSampler: probs[" + std::to_string(i) +
+                "] = " + std::to_string(probs[i]) +
+                " is negative or not finite");
         acc += std::max(0.0, probs[i]);
         cdf[i] = acc;
     }
@@ -64,17 +70,46 @@ ShotSampler::sampleFromCdf(const std::vector<double> &cdf, int num_qubits,
                            std::size_t shots, Rng &rng) const
 {
     const double acc = cdf.back();
-    if (acc <= 0.0)
-        throw std::invalid_argument("ShotSampler: all-zero distribution");
+    if (!(acc > 0.0))
+        throw std::invalid_argument(
+            "ShotSampler: distribution is all zero or NaN");
+    const auto noisy_qubits =
+        readout_.empty() ? 0 : static_cast<std::size_t>(num_qubits);
+    if (readout_.size() < noisy_qubits)
+        throw std::invalid_argument(
+            "ShotSampler: readout entries fewer than qubits");
+
+    // flip_p[2q + b]: probability that qubit q, ideally b, reads !b.
+    std::vector<double> flip_p(2 * noisy_qubits);
+    for (std::size_t q = 0; q < noisy_qubits; ++q) {
+        flip_p[2 * q] = readout_[q].p10;
+        flip_p[2 * q + 1] = readout_[q].p01;
+    }
+
+    // The same draws in the same order as the per-shot loop this
+    // replaced (DESIGN.md §17). The stream is a local copy so its state
+    // stays in registers, and each qubit's flip probability is chosen
+    // by its pre-readout bit, which no other qubit's trial can flip.
+    Rng local = rng;
+    std::vector<std::uint64_t> dense(cdf.size(), 0);
+    for (std::size_t s = 0; s < shots; ++s) {
+        const double u = local.uniform() * acc;
+        const auto ideal =
+            static_cast<std::uint64_t>(detail::cdfLowerBound(cdf, u));
+        std::uint64_t flips = 0;
+        for (std::size_t q = 0; q < noisy_qubits; ++q) {
+            const double p = flip_p[2 * q + ((ideal >> q) & 1)];
+            if (p > 0.0)
+                flips |= static_cast<std::uint64_t>(local.bernoulli(p)) << q;
+        }
+        ++dense[ideal ^ flips];
+    }
+    rng = local;
 
     Counts counts;
-    for (std::size_t s = 0; s < shots; ++s) {
-        const double u = rng.uniform() * acc;
-        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        auto outcome = static_cast<std::uint64_t>(it - cdf.begin());
-        outcome = applyReadout(outcome, num_qubits, rng);
-        ++counts[outcome];
-    }
+    for (std::size_t i = 0; i < dense.size(); ++i)
+        if (dense[i] != 0)
+            counts.emplace_hint(counts.end(), i, dense[i]);
     return counts;
 }
 

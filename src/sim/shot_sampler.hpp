@@ -82,8 +82,6 @@ class ShotSampler
     const std::vector<ReadoutError> &readout() const { return readout_; }
 
   private:
-    std::uint64_t applyReadout(std::uint64_t bits, int num_qubits,
-                               Rng &rng) const;
     Counts sampleFromCdf(const std::vector<double> &cdf, int num_qubits,
                          std::size_t shots, Rng &rng) const;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/cdf_search.hpp"
 #include "sim/kernels.hpp"
 
 namespace qismet {
@@ -263,17 +264,17 @@ Statevector::cumulativeProbabilities() const
 std::vector<std::uint64_t>
 Statevector::sample(Rng &rng, std::size_t shots) const
 {
-    // Inverse-CDF sampling over the cumulative distribution; for the
-    // small dims here a binary search per shot is fast enough. The CDF
-    // itself is cached across calls until the state mutates.
+    // Inverse-CDF sampling over the cumulative distribution, with the
+    // search ShotSampler uses. The CDF itself is cached across calls
+    // until the state mutates.
     const std::vector<double> &cdf = cumulativeProbabilities();
     const double acc = cdf.back();
     std::vector<std::uint64_t> out;
     out.reserve(shots);
     for (std::size_t s = 0; s < shots; ++s) {
         const double u = rng.uniform() * acc;
-        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        out.push_back(static_cast<std::uint64_t>(it - cdf.begin()));
+        out.push_back(
+            static_cast<std::uint64_t>(detail::cdfLowerBound(cdf, u)));
     }
     return out;
 }

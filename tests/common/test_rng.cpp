@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hpp"
@@ -49,6 +51,50 @@ TEST(Xoshiro256, JumpProducesDisjointStream)
         if (seen.count(b()))
             ++collisions;
     EXPECT_EQ(collisions, 0);
+}
+
+// Known answers: the engine, uniform() and bernoulli() are header-inline
+// and every golden trace rests on them, so their outputs are pinned by
+// value, not only by self-agreement. The values were captured from the
+// out-of-line implementation that preceded the inline one.
+TEST(Xoshiro256, KnownAnswerSeedZero)
+{
+    static constexpr std::uint64_t kWant[] = {
+        0x53175D61490B23DFull, 0x61DA6F3DC380D507ull, 0x5C0FDF91EC9A7BFCull,
+        0x02EEBF8C3BBE5E1Aull, 0x7ECA04EBAF4A5EEAull, 0x0543C37757F08D9Aull,
+        0xDB7490C75AB5026Eull, 0xD87343E6464BC959ull};
+    Xoshiro256 g(0);
+    for (std::uint64_t want : kWant)
+        EXPECT_EQ(g(), want);
+}
+
+TEST(Xoshiro256, KnownAnswerSeed42)
+{
+    static constexpr std::uint64_t kWant[] = {
+        0xD0764D4F4476689Full, 0x519E4174576F3791ull, 0xFBE07CFB0C24ED8Cull,
+        0xB37D9F600CD835B8ull, 0xCB231C3874846A73ull, 0x968D9F004E50DE7Dull,
+        0x201718FF221A3556ull, 0x9AE94E070ED8CB46ull};
+    Xoshiro256 g(42);
+    for (std::uint64_t want : kWant)
+        EXPECT_EQ(g(), want);
+}
+
+TEST(Rng, KnownAnswerUniformBernoulliNormal)
+{
+    Rng rng(7);
+    EXPECT_EQ(rng.uniform(), 0x1.c583400555d2p-5);
+    EXPECT_TRUE(rng.bernoulli(0.3));
+    EXPECT_EQ(rng.normal(), 0x1.ac8da7097b412p+0);
+
+    // Four draws in: the uniform, the Bernoulli and one accepted polar
+    // pair, whose second deviate is buffered.
+    const RngState state = rng.saveState();
+    const std::array<std::uint64_t, 4> want = {
+        0xB0E4D618B094D784ull, 0x89F484AAE2B04800ull, 0xDFF249141126F860ull,
+        0x17730E72EA86DD05ull};
+    EXPECT_EQ(state.engine, want);
+    EXPECT_TRUE(state.hasSpareNormal);
+    EXPECT_EQ(state.spareNormal, -0x1.1ebed0f15bbdep-1);
 }
 
 TEST(Rng, UniformInUnitInterval)

@@ -20,7 +20,9 @@
  * the compiled-circuit engine landed (DESIGN.md section 11) — fusion
  * reorders floating-point products, shifting the h2-vqe and
  * tfim-vqe-faults digests; qaoa-maxcut was bit-identical before and
- * after.
+ * after. tfim-vqe-sampling was generated with the per-shot
+ * std::lower_bound sampler, before the shot loop was rewritten
+ * (DESIGN.md section 17), and has never been regenerated.
  */
 
 #include <gtest/gtest.h>
@@ -131,6 +133,31 @@ TEST(GoldenTraces, TfimVqeWithFaults)
                          res.run.finalEstimate};
         },
         "52dbf1dc85157f0e", -2.2793949905318844);
+}
+
+TEST(GoldenTraces, TfimVqeSampling)
+{
+    // Application 1 in Sampling mode: finite shots through the readout
+    // channel, then measurement-error mitigation, the configuration
+    // closest to the paper's hardware runs. The other traces use the
+    // Analytic estimator, so this one pins the shot sampler's draws.
+    const Application app = application(1);
+    const QismetVqe runner = app.makeRunner();
+    checkGolden(
+        "tfim-vqe-sampling",
+        [&] {
+            QismetVqeConfig cfg;
+            cfg.totalJobs = 120;
+            cfg.seed = 29;
+            cfg.scheme = Scheme::Qismet;
+            cfg.estimator.mode = EstimatorMode::Sampling;
+            cfg.estimator.shots = 1024;
+            cfg.estimator.mitigateMeasurement = true;
+            const QismetVqeResult res = runner.run(cfg);
+            return Trace{trajectoryDigest(res.run),
+                         res.run.finalEstimate};
+        },
+        "c1f551937cca9c6b", -3.0883705133866259);
 }
 
 TEST(GoldenTraces, QaoaMaxCut)

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "noise/machine_model.hpp"
 #include "noise/noise_model.hpp"
 
 namespace qismet {
@@ -26,6 +30,62 @@ TEST(StaticNoiseModel, Validation)
     p = {};
     p.t2Us = 3.0 * p.t1Us; // unphysical T2 > 2 T1
     EXPECT_THROW(StaticNoiseModel{p}, std::invalid_argument);
+}
+
+TEST(StaticNoiseModel, RejectsNaNAndOutOfRangeNamingTheField)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        const char *field;
+        double StaticNoiseParams::*member;
+        double bad;
+    } cases[] = {
+        {"p1q", &StaticNoiseParams::p1q, nan},
+        {"p1q", &StaticNoiseParams::p1q, -1e-3},
+        {"p2q", &StaticNoiseParams::p2q, nan},
+        {"p2q", &StaticNoiseParams::p2q, 1.5},
+        {"readoutP10", &StaticNoiseParams::readoutP10, nan},
+        {"readoutP10", &StaticNoiseParams::readoutP10, -0.01},
+        {"readoutP10", &StaticNoiseParams::readoutP10, 1.5},
+        {"readoutP01", &StaticNoiseParams::readoutP01, nan},
+        {"readoutP01", &StaticNoiseParams::readoutP01, -0.01},
+        {"readoutP01", &StaticNoiseParams::readoutP01, 1.5},
+        {"t1Us", &StaticNoiseParams::t1Us, nan},
+        {"t1Us", &StaticNoiseParams::t1Us, 0.0},
+        {"t2Us", &StaticNoiseParams::t2Us, nan},
+        {"t2Us", &StaticNoiseParams::t2Us, -5.0},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.bad));
+        StaticNoiseParams p;
+        p.*c.member = c.bad;
+        try {
+            StaticNoiseModel model(p);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(StaticNoiseModel, MachineWithNaNReadoutFailsAtTheEdge)
+{
+    // A NaN readout error used to pass here and surface only as a NaN
+    // mitigated energy.
+    MachineModel machine = machineModel("guadalupe");
+    machine.staticNoise.readoutP10 =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(machine.staticModel(), std::invalid_argument);
+}
+
+TEST(StaticNoiseModel, ReadoutEdgesAreValid)
+{
+    StaticNoiseParams p;
+    p.readoutP10 = 0.0;
+    p.readoutP01 = 1.0;
+    EXPECT_NO_THROW(StaticNoiseModel{p});
 }
 
 TEST(StaticNoiseModel, ReadoutErrors)

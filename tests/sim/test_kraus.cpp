@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/kraus.hpp"
 
@@ -32,6 +33,9 @@ TEST(Kraus, ProbabilityRangeChecked)
     EXPECT_THROW(KrausChannel::depolarizing1q(-0.1), std::invalid_argument);
     EXPECT_THROW(KrausChannel::depolarizing1q(1.1), std::invalid_argument);
     EXPECT_THROW(KrausChannel::amplitudeDamping(2.0), std::invalid_argument);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(KrausChannel::depolarizing1q(nan), std::invalid_argument);
+    EXPECT_THROW(KrausChannel::amplitudeDamping(nan), std::invalid_argument);
 }
 
 TEST(Kraus, IdentityChannel)

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "sim/shot_sampler.hpp"
 
@@ -15,6 +19,91 @@ TEST(ReadoutError, Validation)
     EXPECT_NO_THROW(ok.check());
     ReadoutError bad{1.5, 0.0};
     EXPECT_THROW(bad.check(), std::invalid_argument);
+}
+
+struct BadReadoutCase
+{
+    const char *name;
+    ReadoutError readout;
+    const char *field; // expected in the message
+};
+
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+
+const BadReadoutCase kBadReadout[] = {
+    {"p10 NaN", {kNaN, 0.02}, "p10"},
+    {"p01 NaN", {0.01, kNaN}, "p01"},
+    {"p10 negative", {-0.01, 0.02}, "p10"},
+    {"p01 negative", {0.01, -1e-9}, "p01"},
+    {"p10 above one", {1.5, 0.02}, "p10"},
+    {"p01 above one", {0.01, 1.5}, "p01"},
+    {"p10 inf", {kInf, 0.02}, "p10"},
+    {"p01 -inf", {0.01, -kInf}, "p01"},
+};
+
+/** Expect `fn` to throw std::invalid_argument naming every needle. */
+template <typename Fn>
+void
+expectInvalidNaming(Fn &&fn, std::initializer_list<std::string> needles)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument &e) {
+        for (const std::string &needle : needles)
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                << "message '" << e.what() << "' lacks '" << needle << "'";
+    }
+}
+
+TEST(ReadoutError, RejectsNaNAndOutOfRangeNamingTheField)
+{
+    for (const BadReadoutCase &c : kBadReadout) {
+        SCOPED_TRACE(c.name);
+        expectInvalidNaming([&] { c.readout.check(); }, {c.field});
+    }
+    // The edges of [0, 1] are valid.
+    EXPECT_NO_THROW((ReadoutError{0.0, 1.0}.check()));
+    EXPECT_NO_THROW((ReadoutError{1.0, 0.0}.check()));
+}
+
+TEST(ShotSampler, ConstructorRejectsBadReadoutNamingTheQubit)
+{
+    for (const BadReadoutCase &c : kBadReadout) {
+        SCOPED_TRACE(c.name);
+        expectInvalidNaming(
+            [&] {
+                ShotSampler({ReadoutError{0.01, 0.02}, c.readout});
+            },
+            {"readout[1]", c.field});
+    }
+}
+
+TEST(ShotSampler, RejectsNaNAndInfiniteProbabilities)
+{
+    const ShotSampler sampler;
+    const struct
+    {
+        const char *name;
+        std::vector<double> probs;
+        const char *entry;
+    } cases[] = {
+        {"NaN", {0.5, kNaN}, "probs[1]"},
+        {"inf", {kInf, 0.5}, "probs[0]"},
+        {"-inf", {0.5, -kInf}, "probs[1]"},
+        {"negative", {-0.5, 1.5}, "probs[0]"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        Rng rng(1);
+        expectInvalidNaming([&] { sampler.sample(c.probs, 1, 10, rng); },
+                            {c.entry});
+    }
+    // A round-off negative is clamped, not refused.
+    Rng rng(1);
+    const Counts counts = sampler.sample({-1e-13, 1.0}, 1, 10, rng);
+    EXPECT_EQ(counts.at(1), 10u);
 }
 
 TEST(ShotSampler, ErrorFreeSamplingMatchesDistribution)

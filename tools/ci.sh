@@ -54,11 +54,13 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # and the golden replays). The 4-worker leg also reruns the prepared-
 # point reuse suite and the whole-trajectory determinism suite, whose
 # job fan-out reads the executor's kept points from pool threads.
+# Both legs rerun the shot loop's exactness battery (ShotSamplerExact);
+# its sampleBatch cases fan out over the global executor.
 QISMET_SIMD=off ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|PreparedPointReuse|ParallelDeterminism' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|PreparedPointReuse|ParallelDeterminism' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
