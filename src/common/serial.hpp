@@ -55,6 +55,24 @@ class Encoder
     std::string out_;
 };
 
+/**
+ * A decoded integer as an enum whose enumerators run from 0 to `last`.
+ * @throws SerialError naming `field` and the value when it is past
+ * `last`: an out-of-range value is corruption, never a state to cast
+ * into.
+ */
+template <typename Enum>
+Enum
+checkedEnum(const char *field, std::uint64_t value, Enum last)
+{
+    if (value > static_cast<std::uint64_t>(last))
+        throw SerialError(std::string(field) + " " +
+                          std::to_string(value) + " is out of range (0.." +
+                          std::to_string(static_cast<std::uint64_t>(last)) +
+                          ")");
+    return static_cast<Enum>(value);
+}
+
 /** Reads fields in the order the Encoder wrote them. */
 class Decoder
 {

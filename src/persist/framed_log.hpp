@@ -1,0 +1,131 @@
+/**
+ * @file
+ * The framed log: the one container behind every durable file — the
+ * run journal (journal.hpp), the run snapshot (snapshot.hpp) and the
+ * serve manifest (serve/manifest.hpp). Each of those supplies a
+ * FramedLogSpec and its payload codecs; this module owns the bytes
+ * around them (DESIGN.md §10):
+ *
+ *     header := magic[4] | u32 version | u64 digest
+ *               | u64 fnv1a(preceding 16 bytes)                 (24 B)
+ *     frame  := u8 type | u32 payloadLen | payload
+ *               | u64 fnv1a(type byte + payload)
+ *
+ * All integers are little-endian. The reader fails closed and recovers
+ * only what is provably a crash artifact: a frame that runs past
+ * end-of-file, a trailing fragment shorter than a minimal frame, or a
+ * checksum-bad frame that ends exactly at EOF is a torn tail, dropped
+ * and reported; any other damage (bad header, unknown frame type, a
+ * length over the spec's cap, a checksum mismatch with data after it)
+ * throws the spec's error. The writer refuses a payload over that cap
+ * before writing a byte, so it never leaves a file its reader rejects.
+ */
+
+#ifndef QISMET_PERSIST_FRAMED_LOG_HPP
+#define QISMET_PERSIST_FRAMED_LOG_HPP
+
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/atomic_file.hpp"
+
+namespace qismet {
+
+/** Serialized size of the fixed header. */
+inline constexpr std::uint64_t kFramedLogHeaderSize = 24;
+
+/** Default frame cap (1 MiB): the largest payload one frame may carry. */
+inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
+
+/** What one kind of framed-log file supplies. */
+struct FramedLogSpec
+{
+    std::string_view noun;  ///< leads every error message ("journal")
+    std::string_view magic; ///< the four header bytes ("QJNL")
+    std::uint32_t version = 0;
+    std::uint8_t frameTypes = 0; ///< valid frame types are 1..frameTypes
+    std::uint32_t maxPayload = kMaxFramePayload; ///< this kind's frame cap
+    /** Wraps a message in the kind's own error type. */
+    std::exception_ptr (*error)(const std::string &message) = nullptr;
+    /** Crash point that tears an append in half, or nullptr. */
+    const char *tornWritePoint = nullptr;
+};
+
+/** FramedLogSpec::error for an error type built from a message. */
+template <typename Error>
+std::exception_ptr
+framedLogError(const std::string &message)
+{
+    return std::make_exception_ptr(Error(message));
+}
+
+/** One checksum-valid frame. */
+struct FramedLogFrame
+{
+    std::uint8_t type = 0;
+    std::string payload;
+    std::uint64_t endOffset = 0; ///< byte offset just past this frame
+};
+
+/** Result of scanning a framed-log file. */
+struct FramedLogScan
+{
+    std::uint64_t digest = 0;
+    std::vector<FramedLogFrame> frames;
+    std::uint64_t cleanOffset = 0; ///< offset after the last valid frame
+    bool tornTail = false;
+    std::uint64_t droppedBytes = 0;
+    std::string tornReason; ///< why the tail was dropped, if it was
+
+    /** Human-readable torn-tail note for the recovery log, or "". */
+    std::string diagnostic() const
+    {
+        return tornTail ? "torn tail: " + tornReason + "; discarded" : "";
+    }
+};
+
+std::string encodeFramedLogHeader(const FramedLogSpec &spec,
+                                  std::uint64_t digest);
+
+/** @throws the spec's error when the payload is over the cap. */
+std::string encodeFrame(const FramedLogSpec &spec, const std::string &path,
+                        std::uint8_t type, std::string_view payload);
+
+/**
+ * Read and validate a whole file. @throws FileError when it cannot be
+ * read, the spec's error when it is corrupt (see the file comment).
+ */
+FramedLogScan scanFramedLog(const FramedLogSpec &spec,
+                            const std::string &path);
+
+/** Append side: frames are written without an fsync until sync(). */
+class FramedLogWriter
+{
+  public:
+    /**
+     * Mode Truncate starts a fresh file with its header; Append cuts an
+     * existing one back to `offset` (recovery drops the torn tail).
+     * Either way the file is fsynced before return.
+     */
+    FramedLogWriter(const FramedLogSpec &spec, const std::string &path,
+                    std::uint64_t digest, DurableFile::Mode mode,
+                    std::uint64_t offset = 0);
+
+    /** Append one frame; see encodeFrame for the cap. */
+    void append(std::uint8_t type, std::string_view payload);
+
+    void sync() { file_.sync(); }
+    std::uint64_t offset() const { return file_.offset(); }
+    std::uint64_t syncedOffset() const { return file_.syncedOffset(); }
+
+  private:
+    const FramedLogSpec &spec_;
+    DurableFile file_;
+};
+
+} // namespace qismet
+
+#endif // QISMET_PERSIST_FRAMED_LOG_HPP

@@ -3,53 +3,26 @@
  * Write-ahead run journal: one framed, checksummed record per executed
  * job and per completed optimizer iteration.
  *
- * File layout (all integers little-endian):
- *
- *     header   := magic "QJNL" | u32 version | u64 configDigest
- *                 | u64 fnv1a(preceding 16 bytes)                 (24 B)
- *     frame    := u8 type | u32 payloadLen | payload
- *                 | u64 fnv1a(type byte + payload)
- *
- * Appends go through DurableFile without an fsync per frame: the
- * journal is group-committed. JournalWriter::sync() makes every frame
- * written so far durable, and CheckpointManager calls it right before
- * each snapshot, which records the synced offset. What a crash leaves:
- *
- *  - process death (kill -9, std::_Exit): written frames stay in the
- *    page cache, so the file is the whole logical journal plus at most
- *    one torn (partial) frame at the tail.
- *  - OS crash or power loss: the bytes up to the last sync() are
- *    durable; frames written since then may be lost, cut short or
- *    garbled. They all lie past the last snapshot, which recovery
- *    discards and re-executes anyway. Garbled bytes there fail closed
- *    in the reader below: a torn tail is dropped, anything else
- *    throws JournalError rather than misparse.
- *
- * Reader semantics (scanJournal) — fail closed, recover only what is
- * provably a crash artifact:
- *
- *  - missing/short/garbled *header*  -> JournalError (no valid prefix
- *    exists; nothing can be trusted).
- *  - frame that runs past end-of-file, or a trailing fragment shorter
- *    than a minimal frame, or a checksum-bad frame that ends exactly
- *    at EOF -> torn tail: the partial record is discarded and reported
- *    in the scan diagnostics.
- *  - anything else (unknown frame type, implausible length, checksum
- *    mismatch with more data after it) cannot be produced by a torn
- *    append -> JournalError. Corruption is never silently skipped.
+ * The journal is a framed log (persist/framed_log.hpp) with magic
+ * "QJNL" and the run's config digest in its header. It is
+ * group-committed: appends carry no fsync, and sync(), which
+ * CheckpointManager calls right before each snapshot, makes every frame
+ * written so far durable. DESIGN.md §10 sets out what a process death
+ * or an OS crash leaves: never more than the frames past the last
+ * snapshot, which recovery discards and re-executes, and a reader that
+ * drops a torn tail and throws JournalError on anything else.
  */
 
 #ifndef QISMET_PERSIST_JOURNAL_HPP
 #define QISMET_PERSIST_JOURNAL_HPP
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.hpp"
 #include "common/serial.hpp"
+#include "persist/framed_log.hpp"
 
 namespace qismet {
 
@@ -123,7 +96,7 @@ struct JournalScanResult
 
 /**
  * Scan a journal file, validating header and every frame checksum.
- * @throws JournalError on structural corruption (see file comment).
+ * @throws JournalError on structural corruption (see framed_log.hpp).
  */
 JournalScanResult scanJournal(const std::string &path);
 
@@ -152,29 +125,21 @@ class JournalWriter
     void appendIteration(const JournalIterationRecord &record);
 
     /** fsync the journal: every frame written so far becomes durable. */
-    void sync() { file_.sync(); }
+    void sync() { log_.sync(); }
 
     /** Frames written so far (including any seeded on resume). */
     std::uint64_t frames() const { return frames_; }
 
     /** Current end-of-journal offset (written, not necessarily synced). */
-    std::uint64_t offset() const { return file_.offset(); }
+    std::uint64_t offset() const { return log_.offset(); }
 
     /** End offset of the durable prefix: the offset at the last sync(). */
-    std::uint64_t syncedOffset() const { return file_.syncedOffset(); }
+    std::uint64_t syncedOffset() const { return log_.syncedOffset(); }
 
   private:
-    void appendFrame(JournalFrameType type, const std::string &payload);
-
-    DurableFile file_;
+    FramedLogWriter log_;
     std::uint64_t frames_ = 0;
 };
-
-/** Serialized size of the fixed journal header. */
-inline constexpr std::uint64_t kJournalHeaderSize = 24;
-
-/** Encode the 24-byte header for the given config digest. */
-std::string encodeJournalHeader(std::uint64_t config_digest);
 
 } // namespace qismet
 

@@ -1,13 +1,24 @@
 #include "persist/snapshot.hpp"
 
-#include "common/atomic_file.hpp"
+#include <limits>
+
 #include "common/serial.hpp"
+#include "persist/framed_log.hpp"
 
 namespace qismet {
 
 namespace {
 
-constexpr char kMagic[4] = {'Q', 'S', 'N', 'P'};
+constexpr FramedLogSpec kSnapshotLog{
+    .noun = "snapshot",
+    .magic = "QSNP",
+    .version = kSnapshotVersion,
+    .frameTypes = 1, // the RunSnapshot
+    // No 1 MiB cap: the policy blob grows with the run, and an atomic
+    // whole-file write leaves no torn tail for a cap to guard.
+    .maxPayload = std::numeric_limits<std::uint32_t>::max(),
+    .error = &framedLogError<SnapshotError>,
+};
 
 void
 encodeRng(Encoder &enc, const RngState &state)
@@ -107,64 +118,39 @@ RunSnapshot::decode(const std::string &payload)
 void
 saveSnapshotFile(const std::string &path, const RunSnapshot &snapshot)
 {
-    const std::string payload = snapshot.encode();
-    Encoder enc;
-    enc.writeU8(static_cast<std::uint8_t>(kMagic[0]));
-    enc.writeU8(static_cast<std::uint8_t>(kMagic[1]));
-    enc.writeU8(static_cast<std::uint8_t>(kMagic[2]));
-    enc.writeU8(static_cast<std::uint8_t>(kMagic[3]));
-    enc.writeU32(kSnapshotVersion);
-    enc.writeU64(payload.size());
-    std::string bytes = enc.take();
-    bytes += payload;
-    Encoder sum;
-    sum.writeU64(fnv1a64(payload));
-    bytes += sum.bytes();
-    atomicWriteFile(path, bytes);
+    atomicWriteFile(path,
+                    encodeFramedLogHeader(kSnapshotLog,
+                                          snapshot.configDigest) +
+                        encodeFrame(kSnapshotLog, path, 1,
+                                    snapshot.encode()));
 }
 
 RunSnapshot
 loadSnapshotFile(const std::string &path)
 {
-    std::string bytes;
+    FramedLogScan scan;
     try {
-        bytes = readFile(path);
+        scan = scanFramedLog(kSnapshotLog, path);
     }
     catch (const FileError &err) {
         throw SnapshotError(std::string("cannot read snapshot: ") +
                             err.what());
     }
-    constexpr std::uint64_t kHeaderSize = 16; // magic + version + len
-    if (bytes.size() < kHeaderSize + 8)
+    // atomicWriteFile publishes the file whole, so a crash cannot tear
+    // it: a torn or missing frame, or a second one, is corruption.
+    if (scan.tornTail)
         throw SnapshotError("snapshot '" + path +
-                            "' is truncated below its header (" +
-                            std::to_string(bytes.size()) + " bytes)");
-    Decoder dec(bytes);
-    char magic[4];
-    for (char &c : magic)
-        c = static_cast<char>(dec.readU8());
-    if (magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-        magic[2] != kMagic[2] || magic[3] != kMagic[3])
-        throw SnapshotError("snapshot '" + path + "' has bad magic");
-    const std::uint32_t version = dec.readU32();
-    if (version != kSnapshotVersion)
+                            "' is corrupt: " + scan.tornReason);
+    if (scan.frames.size() != 1)
+        throw SnapshotError("snapshot '" + path + "' holds " +
+                            std::to_string(scan.frames.size()) +
+                            " frames instead of exactly one");
+    RunSnapshot snapshot = RunSnapshot::decode(scan.frames.front().payload);
+    if (snapshot.configDigest != scan.digest)
         throw SnapshotError("snapshot '" + path +
-                            "' has unsupported version " +
-                            std::to_string(version));
-    const std::uint64_t length = dec.readU64();
-    if (length != bytes.size() - kHeaderSize - 8)
-        throw SnapshotError(
-            "snapshot '" + path + "' payload length " +
-            std::to_string(length) + " does not match file size");
-    const std::string payload =
-        bytes.substr(kHeaderSize, static_cast<std::size_t>(length));
-    Decoder tail(std::string_view(bytes).substr(
-        static_cast<std::size_t>(kHeaderSize + length)));
-    const std::uint64_t stored = tail.readU64();
-    if (stored != fnv1a64(payload))
-        throw SnapshotError("snapshot '" + path +
-                            "' failed its payload checksum");
-    return RunSnapshot::decode(payload);
+                            "' header digest disagrees with its payload's "
+                            "config digest");
+    return snapshot;
 }
 
 } // namespace qismet

@@ -19,8 +19,10 @@
  * counter-based splitAt of an immutable root — the property that makes
  * resumed runs provably bit-identical at any thread count).
  *
- * On disk: magic "QSNP" | u32 version | u64 payloadLen | payload
- * | u64 fnv1a(payload), written atomically (temp -> fsync -> rename).
+ * On disk the snapshot is a framed log (persist/framed_log.hpp,
+ * DESIGN.md §10) with magic "QSNP", the config digest in its header and
+ * exactly one frame holding the encoded RunSnapshot, written atomically
+ * (temp -> fsync -> rename). A torn or extra frame is corruption.
  */
 
 #ifndef QISMET_PERSIST_SNAPSHOT_HPP
@@ -42,8 +44,9 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Snapshot format version; bump on any field change. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/** Snapshot format version; bump on any field change. Version 1 was a
+ *  bespoke container; version 2 is a one-frame framed log. */
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Serializable state of one run at an optimizer-iteration boundary. */
 struct RunSnapshot
@@ -96,7 +99,9 @@ void saveSnapshotFile(const std::string &path,
 
 /**
  * Load and validate a snapshot file.
- * @throws SnapshotError when missing, truncated or checksum-bad.
+ * @throws SnapshotError when missing, truncated, checksum-bad, of
+ *         another version, holding other than exactly one frame, or
+ *         when the header's digest is not the payload's.
  */
 RunSnapshot loadSnapshotFile(const std::string &path);
 

@@ -72,15 +72,16 @@ ServeJobSpec::decode(Decoder &dec)
     ServeJobSpec spec;
     spec.tenantId = dec.readU64();
     spec.priority = static_cast<int>(dec.readI64());
-    spec.kind = static_cast<WorkloadKind>(dec.readU8());
+    spec.kind = checkedEnum("kind", dec.readU8(), WorkloadKind::QaoaRing);
     spec.appIndex = static_cast<int>(dec.readI64());
     spec.seed = dec.readU64();
     spec.totalJobs = static_cast<std::size_t>(dec.readU64());
-    spec.scheme = static_cast<Scheme>(dec.readU32());
+    spec.scheme = checkedEnum("scheme", dec.readU32(), Scheme::Kalman);
     spec.withFaults = dec.readBool();
     spec.snapshotEveryIters = static_cast<std::size_t>(dec.readU64());
+    // No reserve: a hostile count must end in SerialError when the
+    // bytes run out, not in a huge allocation.
     const std::uint64_t n = dec.readU64();
-    spec.crashPlan.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i)
         spec.crashPlan.push_back(dec.readU64());
     spec.deadlineSimSeconds = dec.readF64();

@@ -7,19 +7,14 @@
  * its fleet health state and its fleet clock, and resume every
  * in-flight run from its per-run checkpoint.
  *
- * File layout mirrors the run journal (persist/journal.hpp):
- *
- *     header := magic "QSVM" | u32 version | u64 fleetDigest
- *               | u64 fnv1a(preceding 16 bytes)
- *     frame  := u8 type | u32 payloadLen | payload
- *               | u64 fnv1a(type byte + payload)
- *
- * and the reader applies the same fail-closed torn-tail policy: a
- * partial trailing frame is provably a crash artifact and is dropped;
- * any mid-file corruption throws. The manifest stores *facts about
- * jobs* (spec, outcome digest) — never scheduling state like tenant
- * passes or leases, which are recomputed live so recovery can never
- * disagree with the scheduler's own arithmetic.
+ * The manifest is a framed log (persist/framed_log.hpp, DESIGN.md §10)
+ * with magic "QSVM" and the fleet digest in its header, so it shares
+ * the run journal's fail-closed torn-tail policy: a partial trailing
+ * frame is provably a crash artifact and is dropped; any mid-file
+ * corruption, and any enum byte out of range, throws. The manifest
+ * stores *facts about jobs* (spec, outcome digest) — never scheduling
+ * state like tenant passes or leases, which are recomputed live so
+ * recovery can never disagree with the scheduler's own arithmetic.
  */
 
 #ifndef QISMET_SERVE_MANIFEST_HPP
@@ -31,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.hpp"
+#include "persist/framed_log.hpp"
 #include "serve/backend_pool.hpp"
 #include "serve/job_spec.hpp"
 
@@ -125,7 +120,7 @@ class ServeManifest
   private:
     void appendFrame(std::uint8_t type, const std::string &payload);
 
-    DurableFile file_;
+    FramedLogWriter log_;
 };
 
 } // namespace qismet

@@ -154,7 +154,9 @@ VqeDriver::run(const std::vector<double> &initial_theta)
                         rec.transientIntensity = jr.transientIntensity;
                         rec.eMeasured = jr.eMeasured;
                         rec.accepted = jr.accepted;
-                        rec.status = static_cast<JobStatus>(jr.status);
+                        rec.status =
+                            checkedEnum("status", jr.status,
+                                        JobStatus::ReferenceLost);
                         rec.carriedForward = jr.carriedForward;
                         result.history.push_back(rec);
                     }

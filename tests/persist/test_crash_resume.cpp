@@ -35,6 +35,7 @@
 #include "hamiltonian/h2_molecule.hpp"
 #include "noise/machine_model.hpp"
 #include "persist/checkpoint.hpp"
+#include "persist/framed_log.hpp"
 
 #include "common/scratch_dir.hpp"
 
@@ -373,6 +374,52 @@ TEST(CrashResume, ResumingACompletedRunReplaysItExactly)
               trajectoryDigest(straight.run));
     EXPECT_EQ(trajectoryDigest(replay.run),
               trajectoryDigest(straight.run));
+    fs::remove_all(cfg.checkpointDir);
+}
+
+TEST(CrashResume, OutOfRangeJobStatusIsRejected)
+{
+    GlobalThreadsGuard threadsGuard;
+    ParallelExecutor::setGlobalThreads(1);
+
+    const H2Scenario scenario;
+    QismetVqeConfig cfg = scenario.config();
+    cfg.checkpointDir = freshDir("bad_status");
+    cfg.resume = true;
+    ASSERT_TRUE(runUntilCrash(scenario.runner, cfg,
+                              {kCrashIterationBoundary, 4}));
+
+    // Re-encode the first journal frame by hand with status byte 5 (one
+    // past JobStatus::ReferenceLost) and a valid checksum.
+    const std::string journal = cfg.checkpointDir + "/journal.qjnl";
+    const JournalFrame first = scanJournal(journal).frames.front();
+    ASSERT_EQ(first.type, JournalFrameType::Job);
+    Decoder dec(first.payload);
+    JournalJobRecord rec = JournalJobRecord::decode(dec);
+    rec.status = 5;
+    Encoder payload;
+    rec.encode(payload);
+    const auto type = static_cast<std::uint8_t>(JournalFrameType::Job);
+    Encoder frame;
+    frame.writeU8(type);
+    frame.writeU32(static_cast<std::uint32_t>(payload.bytes().size()));
+    Encoder sum;
+    sum.writeU64(fnv1a64(payload.bytes(), fnv1a64(&type, 1)));
+    const std::string bytes = frame.take() + payload.bytes() + sum.bytes();
+    std::string file = readFile(journal);
+    file.replace(kFramedLogHeaderSize, bytes.size(), bytes);
+    atomicWriteFile(journal, file);
+
+    // A silent cast would resume it as status "?" and change the digest.
+    try {
+        (void)scenario.runner.run(cfg);
+        FAIL() << "a journaled job status of 5 was replayed";
+    }
+    catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("status 5"),
+                  std::string::npos)
+            << e.what();
+    }
     fs::remove_all(cfg.checkpointDir);
 }
 

@@ -1,28 +1,36 @@
 /**
  * @file
  * Corruption-handling tests for the durability layer: the journal
- * scanner, the snapshot loader and CheckpointManager recovery must fail
- * closed on every malformed input — bit-flipped frames, truncated
- * tails, bad version headers, zero-length files — with a diagnostic,
- * never a crash and never a silent misparse.
+ * scanner, the snapshot loader, the serve manifest scanner and
+ * CheckpointManager recovery must fail closed on every malformed input
+ * — bit-flipped frames, truncated tails, bad version headers,
+ * zero-length files — with a diagnostic, never a crash and never a
+ * silent misparse.
  *
- * The fuzz cases are seeded and deterministic. Their invariant: a scan
- * of a tampered journal either throws JournalError, or returns frames
- * that are an exact prefix of the original frame sequence (torn-tail
+ * All three files are framed logs (persist/framed_log.hpp), so the
+ * fuzz, version-skew and known-answer batteries run over each of them.
+ * The fuzz cases are seeded and deterministic. Their invariant: a read
+ * of a tampered file either throws the format's own error, or accepts
+ * an exact prefix of the original record sequence (torn-tail
  * recovery). Returning altered or reordered content is the one
  * forbidden outcome — a 64-bit FNV-1a collision is the only way past
  * it.
  */
 
 #include "persist/checkpoint.hpp"
+#include "persist/framed_log.hpp"
 #include "persist/journal.hpp"
 #include "persist/snapshot.hpp"
+#include "serve/manifest.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -100,6 +108,227 @@ std::string writeSampleJournal(const std::string &path,
     return readFile(path);
 }
 
+RunSnapshot sampleSnapshot()
+{
+    RunSnapshot snap;
+    snap.configDigest = kDigest;
+    snap.journalFrames = 9;
+    snap.journalOffset = 4321;
+    snap.iteration = 17;
+    snap.evalIndex = 35;
+    snap.theta = {0.25, -1.5, 3.75};
+    snap.prevPoint = {0.2, -1.4, 3.8};
+    snap.havePrev = true;
+    snap.ePrev = -1.0625;
+    snap.haveIterPrev = true;
+    snap.eIterPrev = -1.03125;
+    snap.jobsUsed = 40;
+    snap.retriesUsed = 5;
+    snap.rejections = 2;
+    snap.faultsSeen = 3;
+    snap.faultRetries = 1;
+    snap.evalsCarriedForward = 1;
+    snap.simTimeSeconds = 41.5;
+    snap.backoffSeconds = 1.5;
+    Rng rng(5);
+    (void)rng.normal(); // populate the spare-normal cache
+    snap.optimizerRng = rng.saveState();
+    snap.executorJobs = 40;
+    snap.executorCircuits = 1234;
+    snap.policyState = std::string("policy\x01\x02", 8);
+    snap.optimizerState = std::string("optim\x00\x03", 7);
+    return snap;
+}
+
+ServeJobSpec sampleSpec(std::uint64_t tenant)
+{
+    ServeJobSpec spec;
+    spec.tenantId = tenant;
+    spec.totalJobs = 8;
+    spec.crashPlan = {3};
+    return spec;
+}
+
+/** Write a manifest holding frames of every type; return its bytes. */
+std::string writeSampleManifest(const std::string &path)
+{
+    ServeManifest manifest(path, kDigest, DurableFile::Mode::Truncate);
+    manifest.appendSubmit(1, sampleSpec(0));
+    manifest.appendSubmit(2, sampleSpec(1));
+    manifest.appendSubmit(3, sampleSpec(2));
+    manifest.appendSubmit(4, sampleSpec(0));
+    manifest.appendCancel(2);
+    ManifestCompletion done;
+    done.trajectoryDigest = "0123456789abcdef";
+    done.finalEstimate = -1.125;
+    done.jobsUsed = 8;
+    done.tick = 5;
+    done.deadlineExpired = true;
+    done.retriesUsed = 2;
+    done.faultRetries = 1;
+    done.backoffSeconds = 0.75;
+    done.simTimeSeconds = 12.5;
+    manifest.appendComplete(1, done);
+    manifest.appendShed(3);
+    manifest.appendFailed(4);
+    HealthTransition health;
+    health.backendId = 1;
+    health.tick = 6;
+    health.health = BackendHealth::Quarantined;
+    health.breaker = BreakerState::Open;
+    health.cooldownTicks = 4;
+    health.breakerOpenedTick = 6;
+    health.consecutiveFaults = 3;
+    manifest.appendHealth(health);
+    return readFile(path);
+}
+
+/** What a format's reader made of one file. */
+struct ReadOutcome
+{
+    bool failedClosed = false; ///< threw the format's own error type
+    std::string error;         ///< that error's message
+    std::size_t records = 0;   ///< records decoded
+    std::uint64_t cleanOffset = 0;
+    bool tornTail = false;
+};
+
+/** Run `read`, catching only the format's own error type. */
+template <typename Error, typename Read>
+ReadOutcome readAs(const Read &read)
+{
+    try {
+        return read();
+    }
+    catch (const Error &e) {
+        return {true, e.what()};
+    }
+}
+
+/** Load the snapshot at `path`, catching only SnapshotError. */
+ReadOutcome readSnapshot(const std::string &path)
+{
+    return readAs<SnapshotError>([&path] {
+        (void)loadSnapshotFile(path);
+        return ReadOutcome{};
+    });
+}
+
+/** One on-disk format, with a sample file written by its typed layer. */
+struct Format
+{
+    std::string name;
+    std::uint32_t version = 0;
+    std::string path;
+    std::string bytes; ///< the sample file as written
+    std::function<ReadOutcome()> read;
+};
+
+/** The journal, the manifest and the snapshot, each written to `dir`. */
+std::vector<Format> sampleFormats(const fs::path &dir)
+{
+    const std::string journal = (dir / "journal.qjnl").string();
+    const std::string manifest = (dir / "manifest.qsvm").string();
+    const std::string snapshot = (dir / "snapshot.qsnp").string();
+    saveSnapshotFile(snapshot, sampleSnapshot());
+    return {
+        {"journal", kJournalVersion, journal, writeSampleJournal(journal),
+         [journal] {
+             return readAs<JournalError>([&] {
+                 const JournalScanResult s = scanJournal(journal);
+                 return ReadOutcome{false, "", s.frames.size(),
+                                    s.cleanOffset, s.tornTail};
+             });
+         }},
+        {"manifest", kManifestVersion, manifest,
+         writeSampleManifest(manifest),
+         [manifest] {
+             return readAs<ManifestError>([&] {
+                 const ManifestScan s = scanManifest(manifest);
+                 return ReadOutcome{
+                     false, "",
+                     s.submitted.size() + s.cancelled.size() +
+                         s.completed.size() + s.shed.size() +
+                         s.failed.size() + s.health.size(),
+                     s.cleanOffset, s.tornTail};
+             });
+         }},
+        {"snapshot", kSnapshotVersion, snapshot, readFile(snapshot),
+         [snapshot] {
+             return readAs<SnapshotError>([&] {
+                 (void)loadSnapshotFile(snapshot);
+                 return ReadOutcome{false, "", 1, fs::file_size(snapshot),
+                                    false};
+             });
+         }},
+    };
+}
+
+/** End offsets of the header and then of each frame, walked by hand
+ *  from the length fields. */
+std::vector<std::uint64_t> frameEnds(const std::string &bytes)
+{
+    std::vector<std::uint64_t> ends{kFramedLogHeaderSize};
+    while (ends.back() < bytes.size()) {
+        Decoder len(std::string_view(bytes).substr(ends.back() + 1, 4));
+        ends.push_back(ends.back() + 13 + len.readU32());
+    }
+    return ends;
+}
+
+/**
+ * The exact-prefix half of the fuzz invariant, for a file the reader
+ * accepted: it decoded k records, its clean offset is where the
+ * sample's k-th frame ends, and every byte before that offset is the
+ * sample's. The reader is deterministic, so equal bytes decode to
+ * equal records.
+ */
+void expectExactPrefix(const Format &format, const std::string &mutated,
+                       const ReadOutcome &got, int trial)
+{
+    const std::vector<std::uint64_t> ends = frameEnds(format.bytes);
+    ASSERT_LT(got.records, ends.size())
+        << format.name << " trial " << trial;
+    EXPECT_EQ(got.cleanOffset, ends[got.records])
+        << format.name << " trial " << trial;
+    EXPECT_EQ(std::string_view(mutated).substr(0, got.cleanOffset),
+              std::string_view(format.bytes).substr(0, got.cleanOffset))
+        << format.name << " trial " << trial;
+}
+
+std::string u32le(std::uint32_t value)
+{
+    Encoder enc;
+    enc.writeU32(value);
+    return enc.take();
+}
+
+std::string u64le(std::uint64_t value)
+{
+    Encoder enc;
+    enc.writeU64(value);
+    return enc.take();
+}
+
+/** `bytes` with its header's version set to `version` and the header
+ *  checksum patched to match. */
+std::string withVersion(std::string bytes, std::uint32_t version)
+{
+    bytes.replace(4, 4, u32le(version));
+    bytes.replace(16, 8,
+                  u64le(fnv1a64(std::string_view(bytes).substr(0, 16))));
+    return bytes;
+}
+
+/** A snapshot in the version-1 layout: "QSNP" | u32 1 | u64 payloadLen
+ *  | payload | u64 fnv1a(payload). */
+std::string version1Snapshot(const RunSnapshot &snapshot)
+{
+    const std::string payload = snapshot.encode();
+    return "QSNP" + u32le(1) + u64le(payload.size()) + payload +
+           u64le(fnv1a64(payload));
+}
+
 // ---- round trip ----------------------------------------------------------
 
 TEST_F(JournalTest, RoundTripsJobAndIterationFrames)
@@ -167,7 +396,8 @@ TEST_F(JournalTest, MissingFileIsAnError)
 TEST_F(JournalTest, ShortHeaderIsAnError)
 {
     const std::string p = path("journal.qjnl");
-    const std::string full = encodeJournalHeader(kDigest);
+    const std::string full =
+        writeSampleJournal(p).substr(0, kFramedLogHeaderSize);
     for (std::size_t cut = 1; cut < full.size(); ++cut) {
         atomicWriteFile(p, std::string_view(full).substr(0, cut));
         EXPECT_THROW((void)scanJournal(p), JournalError) << "cut=" << cut;
@@ -185,25 +415,45 @@ TEST_F(JournalTest, BadMagicIsAnError)
 
 TEST_F(JournalTest, UnsupportedVersionIsAnError)
 {
-    const std::string p = path("journal.qjnl");
-    std::string bytes = writeSampleJournal(p);
-    bytes[4] = static_cast<char>(kJournalVersion + 1);
-    // Recompute nothing: even with a valid checksum over the altered
-    // header the version gate must reject first, so patch the stored
-    // checksum to match the tampered prefix.
-    const std::uint64_t sum =
-        fnv1a64(std::string_view(bytes).substr(0, 16));
-    for (std::size_t i = 0; i < 8; ++i)
-        bytes[16 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
-    atomicWriteFile(p, bytes);
-    EXPECT_THROW((void)scanJournal(p), JournalError);
+    // Table-driven over the three formats: each sample file with its
+    // version bumped and its header checksum patched to match, so the
+    // version gate is what must reject it, and the message must name
+    // the version found and the one expected.
+    struct Row
+    {
+        const Format *format;
+        std::string bytes;
+        std::uint32_t found;
+    };
+    const std::vector<Format> formats = sampleFormats(dir_);
+    std::vector<Row> rows;
+    for (const Format &format : formats)
+        rows.push_back({&format, withVersion(format.bytes,
+                                             format.version + 1),
+                        format.version + 1});
+    // A snapshot in the version-1 layout: the digest is what the
+    // version-1 writer produced for sampleSnapshot().
+    const std::string v1 = version1Snapshot(sampleSnapshot());
+    EXPECT_EQ(fnv1a64(v1), 0xa2bbc18c05afe7e7ull);
+    rows.push_back({&formats.back(), v1, 1});
+
+    for (const Row &row : rows) {
+        atomicWriteFile(row.format->path, row.bytes);
+        const ReadOutcome got = row.format->read();
+        ASSERT_TRUE(got.failedClosed) << row.format->name;
+        const std::string want =
+            "unsupported version " + std::to_string(row.found) +
+            " (expected " + std::to_string(row.format->version) + ")";
+        EXPECT_NE(got.error.find(want), std::string::npos)
+            << row.format->name << ": " << got.error;
+    }
 }
 
 TEST_F(JournalTest, InvalidFrameTypeIsAnError)
 {
     const std::string p = path("journal.qjnl");
     std::string bytes = writeSampleJournal(p);
-    bytes[kJournalHeaderSize] = '\x7e'; // neither Job nor Iteration
+    bytes[kFramedLogHeaderSize] = '\x7e'; // neither Job nor Iteration
     atomicWriteFile(p, bytes);
     EXPECT_THROW((void)scanJournal(p), JournalError);
 }
@@ -214,7 +464,7 @@ TEST_F(JournalTest, ImplausibleFrameLengthIsAnError)
     std::string bytes = writeSampleJournal(p);
     // Frame length field: 4 bytes starting after the type byte.
     for (std::size_t i = 1; i <= 4; ++i)
-        bytes[kJournalHeaderSize + i] = '\xff';
+        bytes[kFramedLogHeaderSize + i] = '\xff';
     atomicWriteFile(p, bytes);
     EXPECT_THROW((void)scanJournal(p), JournalError);
 }
@@ -226,8 +476,8 @@ TEST_F(JournalTest, ChecksumBadFrameWithDataAfterIsAnError)
     const JournalScanResult scan = scanJournal(p);
     // Flip a payload byte of the FIRST frame: valid frames follow, so
     // this cannot be a torn append and must be rejected outright.
-    bytes[kJournalHeaderSize + 6] =
-        static_cast<char>(bytes[kJournalHeaderSize + 6] ^ 0x01);
+    bytes[kFramedLogHeaderSize + 6] =
+        static_cast<char>(bytes[kFramedLogHeaderSize + 6] ^ 0x01);
     atomicWriteFile(p, bytes);
     ASSERT_GT(scan.frames.size(), 1u);
     EXPECT_THROW((void)scanJournal(p), JournalError);
@@ -243,7 +493,7 @@ TEST_F(JournalTest, EveryTruncationYieldsCleanPrefixOrHeaderError)
 
     for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
         atomicWriteFile(p, std::string_view(bytes).substr(0, cut));
-        if (cut < kJournalHeaderSize) {
+        if (cut < kFramedLogHeaderSize) {
             EXPECT_THROW((void)scanJournal(p), JournalError)
                 << "cut=" << cut;
             continue;
@@ -260,7 +510,7 @@ TEST_F(JournalTest, EveryTruncationYieldsCleanPrefixOrHeaderError)
             EXPECT_EQ(scan.frames[i].payload,
                       original.frames[i].payload);
         const bool atBoundary =
-            cut == kJournalHeaderSize ||
+            cut == kFramedLogHeaderSize ||
             (whole > 0 && original.frames[whole - 1].endOffset == cut);
         EXPECT_EQ(scan.tornTail, !atBoundary) << "cut=" << cut;
         if (scan.tornTail) {
@@ -268,7 +518,7 @@ TEST_F(JournalTest, EveryTruncationYieldsCleanPrefixOrHeaderError)
             EXPECT_GT(scan.droppedBytes, 0u);
         }
         EXPECT_EQ(scan.cleanOffset,
-                  whole == 0 ? kJournalHeaderSize
+                  whole == 0 ? kFramedLogHeaderSize
                              : original.frames[whole - 1].endOffset);
     }
 }
@@ -331,114 +581,84 @@ TEST_F(JournalTest, OversizedFrameIsRejectedBeforeAnyByte)
     EXPECT_EQ(scan.cleanOffset, before);
 }
 
-// ---- seeded fuzz ---------------------------------------------------------
+// ---- seeded fuzz, over all three formats ---------------------------------
 
 TEST_F(JournalTest, BitFlipFuzzNeverMisparses)
 {
-    const std::string p = path("journal.qjnl");
-    const std::string bytes = writeSampleJournal(p);
-    const JournalScanResult original = scanJournal(p);
-
-    Rng rng(20260807);
-    for (int trial = 0; trial < 400; ++trial) {
-        std::string mutated = bytes;
-        const std::uint64_t flips = 1 + rng.uniformInt(4);
-        for (std::uint64_t f = 0; f < flips; ++f) {
-            const std::uint64_t at = rng.uniformInt(mutated.size());
-            mutated[at] = static_cast<char>(
-                mutated[at] ^ (1u << rng.uniformInt(8)));
-        }
-        if (mutated == bytes)
-            continue;
-        atomicWriteFile(p, mutated);
-        try {
-            const JournalScanResult scan = scanJournal(p);
-            // Accepted: then it must be a prefix of the true content.
-            ASSERT_LE(scan.frames.size(), original.frames.size())
-                << "trial " << trial;
-            for (std::size_t i = 0; i < scan.frames.size(); ++i) {
-                ASSERT_EQ(scan.frames[i].type, original.frames[i].type)
-                    << "trial " << trial << " frame " << i;
-                ASSERT_EQ(scan.frames[i].payload,
-                          original.frames[i].payload)
-                    << "trial " << trial << " frame " << i;
+    for (const Format &format : sampleFormats(dir_)) {
+        const std::size_t frames = frameEnds(format.bytes).size() - 1;
+        Rng rng(20260807);
+        for (int trial = 0; trial < 400; ++trial) {
+            std::string mutated = format.bytes;
+            const std::uint64_t flips = 1 + rng.uniformInt(4);
+            for (std::uint64_t f = 0; f < flips; ++f) {
+                const std::uint64_t at = rng.uniformInt(mutated.size());
+                mutated[at] = static_cast<char>(
+                    mutated[at] ^ (1u << rng.uniformInt(8)));
             }
+            if (mutated == format.bytes)
+                continue;
+            atomicWriteFile(format.path, mutated);
+            const ReadOutcome got = format.read();
+            if (got.failedClosed)
+                continue; // always acceptable
+            expectExactPrefix(format, mutated, got, trial);
             // Losing frames without noticing is forbidden: a shorter
             // parse must be flagged as torn.
-            if (scan.frames.size() < original.frames.size()) {
-                EXPECT_TRUE(scan.tornTail) << "trial " << trial;
+            if (got.records < frames) {
+                EXPECT_TRUE(got.tornTail)
+                    << format.name << " trial " << trial;
             }
-        }
-        catch (const JournalError &) {
-            // Fail closed: always acceptable.
         }
     }
 }
 
 TEST_F(JournalTest, TruncateAndFlipFuzzNeverMisparses)
 {
-    const std::string p = path("journal.qjnl");
-    const std::string bytes = writeSampleJournal(p);
-    const JournalScanResult original = scanJournal(p);
-
-    Rng rng(777);
-    for (int trial = 0; trial < 200; ++trial) {
-        const std::uint64_t cut =
-            kJournalHeaderSize +
-            rng.uniformInt(bytes.size() - kJournalHeaderSize);
-        std::string mutated = bytes.substr(0, cut);
-        if (!mutated.empty() && rng.bernoulli(0.5)) {
-            const std::uint64_t at = rng.uniformInt(mutated.size());
-            mutated[at] = static_cast<char>(
-                mutated[at] ^ (1u << rng.uniformInt(8)));
-        }
-        atomicWriteFile(p, mutated);
-        try {
-            const JournalScanResult scan = scanJournal(p);
-            ASSERT_LE(scan.frames.size(), original.frames.size());
-            for (std::size_t i = 0; i < scan.frames.size(); ++i)
-                ASSERT_EQ(scan.frames[i].payload,
-                          original.frames[i].payload)
-                    << "trial " << trial << " frame " << i;
-        }
-        catch (const JournalError &) {
+    for (const Format &format : sampleFormats(dir_)) {
+        Rng rng(777);
+        for (int trial = 0; trial < 200; ++trial) {
+            const std::uint64_t cut =
+                kFramedLogHeaderSize +
+                rng.uniformInt(format.bytes.size() - kFramedLogHeaderSize);
+            std::string mutated = format.bytes.substr(0, cut);
+            if (!mutated.empty() && rng.bernoulli(0.5)) {
+                const std::uint64_t at = rng.uniformInt(mutated.size());
+                mutated[at] = static_cast<char>(
+                    mutated[at] ^ (1u << rng.uniformInt(8)));
+            }
+            atomicWriteFile(format.path, mutated);
+            const ReadOutcome got = format.read();
+            if (!got.failedClosed)
+                expectExactPrefix(format, mutated, got, trial);
         }
     }
 }
 
-// ---- snapshot files ------------------------------------------------------
+// ---- pinned bytes, over all three formats --------------------------------
 
-RunSnapshot sampleSnapshot()
+TEST_F(JournalTest, OnDiskBytesMatchKnownAnswers)
 {
-    RunSnapshot snap;
-    snap.configDigest = kDigest;
-    snap.journalFrames = 9;
-    snap.journalOffset = 4321;
-    snap.iteration = 17;
-    snap.evalIndex = 35;
-    snap.theta = {0.25, -1.5, 3.75};
-    snap.prevPoint = {0.2, -1.4, 3.8};
-    snap.havePrev = true;
-    snap.ePrev = -1.0625;
-    snap.haveIterPrev = true;
-    snap.eIterPrev = -1.03125;
-    snap.jobsUsed = 40;
-    snap.retriesUsed = 5;
-    snap.rejections = 2;
-    snap.faultsSeen = 3;
-    snap.faultRetries = 1;
-    snap.evalsCarriedForward = 1;
-    snap.simTimeSeconds = 41.5;
-    snap.backoffSeconds = 1.5;
-    Rng rng(5);
-    (void)rng.normal(); // populate the spare-normal cache
-    snap.optimizerRng = rng.saveState();
-    snap.executorJobs = 40;
-    snap.executorCircuits = 1234;
-    snap.policyState = std::string("policy\x01\x02", 8);
-    snap.optimizerState = std::string("optim\x00\x03", 7);
-    return snap;
+    // Size and FNV-1a of each sample file: a layout change fails here
+    // until it bumps its format's version and re-pins the constant. The
+    // journal and manifest constants were captured before the three
+    // formats shared one codec, which writes them byte for byte as
+    // before; the snapshot's is its version-2 layout.
+    const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
+        pinned = {
+            {"journal", {792, 0xf6adcd0928e0100dull}},
+            {"manifest", {672, 0x747734119288224aull}},
+            {"snapshot", {311, 0xce9bc1a5fb0f8471ull}},
+        };
+    for (const Format &format : sampleFormats(dir_)) {
+        EXPECT_EQ(format.bytes.size(), pinned.at(format.name).first)
+            << format.name;
+        EXPECT_EQ(fnv1a64(format.bytes), pinned.at(format.name).second)
+            << format.name;
+    }
 }
+
+// ---- snapshot files ------------------------------------------------------
 
 TEST_F(JournalTest, SnapshotRoundTripsBitExactly)
 {
@@ -484,13 +704,22 @@ TEST_F(JournalTest, SnapshotEveryBitFlipFailsClosed)
     const std::string bytes = readFile(p);
 
     // Every byte of the file is covered by a structural check or the
-    // payload checksum, so every single-bit flip must be rejected.
+    // payload checksum, so every single-bit flip must be rejected. The
+    // error names the file and, past the header, the frame's offset.
+    const std::string frameAt =
+        "at offset " + std::to_string(kFramedLogHeaderSize);
     for (std::size_t at = 0; at < bytes.size(); ++at) {
         std::string mutated = bytes;
         mutated[at] = static_cast<char>(mutated[at] ^ 0x10);
         atomicWriteFile(p, mutated);
-        EXPECT_THROW((void)loadSnapshotFile(p), SnapshotError)
-            << "byte " << at;
+        const ReadOutcome got = readSnapshot(p);
+        ASSERT_TRUE(got.failedClosed) << "byte " << at;
+        EXPECT_NE(got.error.find("'" + p + "'"), std::string::npos)
+            << got.error;
+        if (at >= kFramedLogHeaderSize) {
+            EXPECT_NE(got.error.find(frameAt), std::string::npos)
+                << "byte " << at << ": " << got.error;
+        }
     }
 }
 
@@ -506,6 +735,76 @@ TEST_F(JournalTest, SnapshotTruncationsFailClosed)
     }
     EXPECT_THROW((void)loadSnapshotFile(path("absent.qsnp")),
                  SnapshotError);
+}
+
+TEST_F(JournalTest, SnapshotWithASecondOrTornFrameFailsClosed)
+{
+    // atomicWriteFile publishes a snapshot whole, so anything past its
+    // one frame is corruption, even bytes a log would drop as torn.
+    const std::string p = path("snapshot.qsnp");
+    saveSnapshotFile(p, sampleSnapshot());
+    const std::string bytes = readFile(p);
+    const std::string frame = bytes.substr(kFramedLogHeaderSize);
+    const std::vector<std::pair<std::string, std::string>> tails = {
+        {frame, "holds 2 frames"},
+        {frame.substr(0, frame.size() / 2),
+         "at offset " + std::to_string(bytes.size())},
+    };
+    for (const auto &[tail, want] : tails) {
+        atomicWriteFile(p, bytes + tail);
+        const ReadOutcome got = readSnapshot(p);
+        ASSERT_TRUE(got.failedClosed) << "tail of " << tail.size();
+        EXPECT_NE(got.error.find(want), std::string::npos) << got.error;
+    }
+}
+
+TEST_F(JournalTest, SnapshotHeaderDigestMustMatchItsPayload)
+{
+    // The config digest is written twice, in the header and in the
+    // payload; a checksum-valid header naming another run is refused.
+    const std::string p = path("snapshot.qsnp");
+    saveSnapshotFile(p, sampleSnapshot());
+    std::string bytes = readFile(p);
+    bytes.replace(8, 8, u64le(kDigest + 1));
+    bytes.replace(16, 8,
+                  u64le(fnv1a64(std::string_view(bytes).substr(0, 16))));
+    atomicWriteFile(p, bytes);
+    const ReadOutcome got = readSnapshot(p);
+    ASSERT_TRUE(got.failedClosed);
+    EXPECT_NE(got.error.find("header digest"), std::string::npos)
+        << got.error;
+}
+
+TEST_F(JournalTest, SnapshotLargerThanTheLogFrameCapRoundTrips)
+{
+    // The transient estimator's history grows by one double per judged
+    // evaluation and rides in the policy blob, so a long run's snapshot
+    // passes the 1 MiB cap that bounds journal and manifest frames.
+    RunSnapshot big = sampleSnapshot();
+    Encoder history;
+    history.writeVecF64(std::vector<double>(140000, 0.125));
+    big.policyState = history.take();
+    ASSERT_GT(big.encode().size(), kMaxFramePayload);
+
+    const std::string p = path("snapshot.qsnp");
+    saveSnapshotFile(p, big);
+    EXPECT_EQ(loadSnapshotFile(p).policyState, big.policyState);
+
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    cfg.resume = false;
+    {
+        CheckpointManager writer(cfg, kDigest);
+        writer.beginFresh();
+        writer.appendJob(sampleJob(0));
+        writer.writeSnapshot(big);
+    }
+    cfg.resume = true;
+    CheckpointManager resumer(cfg, kDigest);
+    const auto recovered = resumer.recover();
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(recovered->snapshot.policyState, big.policyState);
+    EXPECT_EQ(recovered->frames.size(), 1u);
 }
 
 // ---- CheckpointManager recovery ------------------------------------------
@@ -543,8 +842,8 @@ TEST_F(JournalTest, JournalIsSyncedOncePerSnapshot)
     mgr.beginFresh();
     for (std::uint64_t i = 0; i < 3; ++i)
         mgr.appendJob(sampleJob(i));
-    EXPECT_EQ(mgr.journal().syncedOffset(), kJournalHeaderSize);
-    EXPECT_GT(mgr.journal().offset(), kJournalHeaderSize);
+    EXPECT_EQ(mgr.journal().syncedOffset(), kFramedLogHeaderSize);
+    EXPECT_GT(mgr.journal().offset(), kFramedLogHeaderSize);
 
     mgr.writeSnapshot(RunSnapshot{});
     const RunSnapshot snap = loadSnapshotFile(mgr.snapshotPath());
@@ -607,6 +906,39 @@ TEST_F(JournalTest, DigestMismatchRefusesToResume)
     cfg.resume = true;
     CheckpointManager other(cfg, kDigest + 1);
     EXPECT_THROW((void)other.recover(), CheckpointError);
+}
+
+TEST_F(JournalTest, ResumeRefusesAVersion1SnapshotUnread)
+{
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    cfg.resume = false;
+    {
+        CheckpointManager writer(cfg, kDigest);
+        writer.beginFresh();
+        writer.appendJob(sampleJob(0));
+        writer.writeSnapshot(sampleSnapshot());
+        writer.appendJob(sampleJob(1));
+    }
+    CheckpointManager resumer({cfg.dir, 1, true}, kDigest);
+    const std::string v1 = version1Snapshot(sampleSnapshot());
+    atomicWriteFile(resumer.snapshotPath(), v1);
+    const std::string journal = readFile(resumer.journalPath());
+    try {
+        (void)resumer.recover();
+        FAIL() << "a version-1 snapshot was resumed";
+    }
+    catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported version 1 (expected " +
+                      std::to_string(kSnapshotVersion) + ")"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Refused before anything was replayed or truncated.
+    EXPECT_TRUE(resumer.diagnostics().empty());
+    EXPECT_EQ(readFile(resumer.journalPath()), journal);
+    EXPECT_EQ(readFile(resumer.snapshotPath()), v1);
 }
 
 TEST_F(JournalTest, JournalShorterThanSnapshotClaimsIsAnError)

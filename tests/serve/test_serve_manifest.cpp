@@ -10,7 +10,9 @@
 
 #include <unistd.h>
 
+#include "common/atomic_file.hpp"
 #include "common/scratch_dir.hpp"
+#include "common/serial.hpp"
 
 namespace qismet {
 namespace {
@@ -187,6 +189,104 @@ TEST_F(ServeManifestTest, OversizedRecordIsRejectedBeforeAnyByte)
     EXPECT_EQ(scan.submitted[1].first, 2u);
     EXPECT_TRUE(scan.completed.empty());
     EXPECT_EQ(scan.cleanOffset, fs::file_size(path_));
+}
+
+/** A checksum-valid health frame, hand-encoded: u8 type 6 | u32 len |
+ *  payload | u64 fnv1a(type byte + payload). */
+std::string healthFrame(std::uint8_t health, std::uint8_t breaker)
+{
+    Encoder payload;
+    payload.writeU64(0); // backendId
+    payload.writeU64(7); // tick
+    payload.writeU8(health);
+    payload.writeU8(breaker);
+    payload.writeU64(3); // cooldownTicks
+    payload.writeU64(7); // breakerOpenedTick
+    payload.writeU32(2); // consecutiveFaults
+    payload.writeU32(0); // consecutiveSuccesses
+    const std::uint8_t type = 6;
+    Encoder frame;
+    frame.writeU8(type);
+    frame.writeU32(static_cast<std::uint32_t>(payload.bytes().size()));
+    Encoder sum;
+    sum.writeU64(fnv1a64(payload.bytes(), fnv1a64(&type, 1)));
+    return frame.take() + payload.bytes() + sum.bytes();
+}
+
+TEST_F(ServeManifestTest, OutOfRangeHealthByteThrowsNamingIt)
+{
+    {
+        ServeManifest manifest(path_, 5, DurableFile::Mode::Truncate);
+    }
+    const std::string header = readAll();
+    // In range, the hand-encoded frame scans clean...
+    writeAll(header + healthFrame(2, 2));
+    ASSERT_EQ(scanManifest(path_).health.size(), 1u);
+    // ...one past the last BackendHealth fails closed.
+    writeAll(header + healthFrame(3, 0));
+    try {
+        (void)scanManifest(path_);
+        FAIL() << "health byte 3 was accepted";
+    }
+    catch (const ManifestError &e) {
+        EXPECT_NE(std::string(e.what()).find("health 3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(ServeManifestTest, OutOfRangeBreakerByteThrowsNamingIt)
+{
+    {
+        ServeManifest manifest(path_, 5, DurableFile::Mode::Truncate);
+    }
+    const std::string header = readAll();
+    writeAll(header + healthFrame(0, 200));
+    try {
+        (void)scanManifest(path_);
+        FAIL() << "breaker byte 200 was accepted";
+    }
+    catch (const ManifestError &e) {
+        EXPECT_NE(std::string(e.what()).find("breaker 200"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(ServeManifestTest, DecodeRejectsHostileSpecBytesNamingThem)
+{
+    // A checksum-valid submit frame can still carry bytes no encoder
+    // writes. Each must fail as a decode error (scanManifest turns it
+    // into a ManifestError), never be cast or allocated for.
+    auto decodeError = [](const std::string &bytes) {
+        Decoder dec(bytes);
+        try {
+            (void)ServeJobSpec::decode(dec);
+        }
+        catch (const SerialError &err) {
+            return std::string(err.what());
+        }
+        return std::string("decoded");
+    };
+    auto encoded = [](const ServeJobSpec &s) {
+        Encoder enc;
+        s.encode(enc);
+        return enc.take();
+    };
+    ServeJobSpec s = spec(1);
+    s.kind = static_cast<WorkloadKind>(3);
+    EXPECT_NE(decodeError(encoded(s)).find("kind 3"), std::string::npos);
+    s = spec(1);
+    s.scheme = static_cast<Scheme>(11);
+    EXPECT_NE(decodeError(encoded(s)).find("scheme 11"),
+              std::string::npos);
+    // The crash-plan count sits before its one entry, the deadline and
+    // the migration budget (8 bytes each): claim 2^62 entries.
+    std::string bytes = encoded(spec(1));
+    Encoder count;
+    count.writeU64(std::uint64_t{1} << 62);
+    bytes.replace(bytes.size() - 32, 8, count.bytes());
+    EXPECT_NE(decodeError(bytes), "decoded");
 }
 
 TEST_F(ServeManifestTest, BadHeaderThrows)

@@ -298,10 +298,12 @@ ctest --preset tsan-subsys
 stage "kernel, expectation, persist and recovery suites under ASan+UBSan and standalone UBSan"
 # The SIMD kernels and the batched-expectation sweep walk amplitude
 # arrays with hand-rolled bit arithmetic and intrinsic loads; the
-# journal and snapshot decoders parse bytes from disk, and their
-# bit-flip and truncation fuzz suites (persist label) plus the
-# kill-and-resume suite (recovery label) feed them hostile input.
-# ASan/UBSan rerun those batteries against exactly that surface.
+# journal, snapshot and serve-manifest decoders (one framed-log codec)
+# parse bytes from disk, and their bit-flip and truncation fuzz suites
+# (test_persist, persist label, which links qismet_serve for the
+# manifest) plus the kill-and-resume suite (recovery label) feed them
+# hostile input. ASan/UBSan rerun those batteries against exactly that
+# surface.
 cmake --preset asan >/dev/null
 cmake --build build-asan --target test_sim_kernels test_pauli_expect \
     test_persist test_recovery -j "$jobs"
