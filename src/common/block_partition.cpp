@@ -1,6 +1,5 @@
 #include "common/block_partition.hpp"
 
-#include <array>
 #include <atomic>
 
 #include "common/thread_pool.hpp"
@@ -43,67 +42,21 @@ intraStateBlock(std::size_t units, std::size_t index)
                       end < units ? end : units};
 }
 
+namespace detail {
+
 void
-forEachUnitBlocked(std::size_t units, std::size_t elements,
-                   const std::function<void(std::size_t, std::size_t)> &fn)
+forEachIntraStateBlock(
+    std::size_t units,
+    const std::function<void(std::size_t, BlockRange)> &body)
 {
-    if (units == 0)
-        return;
-    if (elements < intraStateParallelThreshold()) {
-        fn(0, units);
-        return;
-    }
     ParallelExecutor::global().parallelFor(
         kIntraStateBlocks, [&](std::size_t b) {
             const BlockRange r = intraStateBlock(units, b);
             if (r.begin < r.end)
-                fn(r.begin, r.end);
+                body(b, r);
         });
 }
 
-double
-orderedBlockReduce(
-    std::size_t units, std::size_t elements,
-    const std::function<double(std::size_t, std::size_t)> &blockFn)
-{
-    if (units == 0)
-        return 0.0;
-    if (elements < intraStateParallelThreshold())
-        return blockFn(0, units);
-    // Partials land in per-block slots; the fold below is serial and in
-    // block order, so the grouping is fixed at every thread count.
-    std::array<double, kIntraStateBlocks> partial{};
-    ParallelExecutor::global().parallelFor(
-        kIntraStateBlocks, [&](std::size_t b) {
-            const BlockRange r = intraStateBlock(units, b);
-            partial[b] = r.begin < r.end ? blockFn(r.begin, r.end) : 0.0;
-        });
-    double total = 0.0;
-    for (std::size_t b = 0; b < kIntraStateBlocks; ++b)
-        total += partial[b];
-    return total;
-}
-
-Complex
-orderedBlockReduceComplex(
-    std::size_t units, std::size_t elements,
-    const std::function<Complex(std::size_t, std::size_t)> &blockFn)
-{
-    if (units == 0)
-        return Complex(0.0, 0.0);
-    if (elements < intraStateParallelThreshold())
-        return blockFn(0, units);
-    std::array<Complex, kIntraStateBlocks> partial{};
-    ParallelExecutor::global().parallelFor(
-        kIntraStateBlocks, [&](std::size_t b) {
-            const BlockRange r = intraStateBlock(units, b);
-            partial[b] = r.begin < r.end ? blockFn(r.begin, r.end)
-                                         : Complex(0.0, 0.0);
-        });
-    Complex total(0.0, 0.0);
-    for (std::size_t b = 0; b < kIntraStateBlocks; ++b)
-        total += partial[b];
-    return total;
-}
+} // namespace detail
 
 } // namespace qismet

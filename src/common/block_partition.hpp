@@ -25,6 +25,12 @@
  * is a constant, not a runtime knob: moving it moves the summation
  * grouping of every state it crosses, and with it the result bits.
  *
+ * The entry points are templates over their body, so below the
+ * threshold a kernel call is one inline call that allocates nothing: a
+ * std::function there would heap-allocate once per kernel call, since
+ * a kernel's captures outgrow its small-buffer storage. Only the
+ * blocked path wraps the body for the executor.
+ *
  * Nested use is safe: ParallelExecutor::parallelFor degrades to inline
  * serial execution inside an already-parallel region (the energy
  * estimator fans out per-term over the same executor), and the inline
@@ -34,6 +40,7 @@
 #ifndef QISMET_COMMON_BLOCK_PARTITION_HPP
 #define QISMET_COMMON_BLOCK_PARTITION_HPP
 
+#include <array>
 #include <cstddef>
 #include <functional>
 
@@ -67,16 +74,65 @@ struct BlockRange
 /** Block `index` of `units` split into kIntraStateBlocks pieces. */
 BlockRange intraStateBlock(std::size_t units, std::size_t index);
 
+namespace detail {
+
+/**
+ * Run `body(b, range)` for every non-empty fixed block `b` of [0,
+ * units) through the global ParallelExecutor (inline, in order, when it
+ * has 1 thread or the caller is already inside a parallel region). The
+ * partition's one out-of-line piece: only sweeps at or above the
+ * threshold reach it, where a pool dispatch dwarfs the std::function.
+ */
+void forEachIntraStateBlock(
+    std::size_t units,
+    const std::function<void(std::size_t, BlockRange)> &body);
+
+/** The fold behind orderedBlockReduce{,Complex}. */
+template <typename T, typename BlockFn>
+T
+orderedBlockFold(std::size_t units, std::size_t elements, BlockFn &blockFn)
+{
+    if (units == 0)
+        return T{};
+    if (elements < intraStateParallelThreshold())
+        return blockFn(std::size_t{0}, units);
+    // Partials land in per-block slots (empty blocks keep their zero);
+    // the fold below is serial and in block order, so the grouping is
+    // fixed at every thread count.
+    std::array<T, kIntraStateBlocks> partial{};
+    forEachIntraStateBlock(units, [&](std::size_t b, BlockRange r) {
+        partial[b] = blockFn(r.begin, r.end);
+    });
+    T total{};
+    for (std::size_t b = 0; b < kIntraStateBlocks; ++b)
+        total += partial[b];
+    return total;
+}
+
+} // namespace detail
+
 /**
  * Run `fn(begin, end)` over [0, units). Below the threshold (measured
- * in `elements` actually touched) this is one inline call fn(0, units);
- * at or above it the fixed blocks are dispatched through the global
- * ParallelExecutor (inline, in order, when it has 1 thread or the
- * caller is already inside a parallel region). `fn` must treat the
- * units independently — elementwise kernels only.
+ * in `elements` actually touched) this is one inline call fn(0, units)
+ * that allocates nothing; at or above it the fixed blocks are
+ * dispatched through the global ParallelExecutor (inline, in order,
+ * when it has 1 thread or the caller is already inside a parallel
+ * region). `fn` must treat the units independently — elementwise
+ * kernels only.
  */
-void forEachUnitBlocked(std::size_t units, std::size_t elements,
-                        const std::function<void(std::size_t, std::size_t)> &fn);
+template <typename Fn>
+void
+forEachUnitBlocked(std::size_t units, std::size_t elements, Fn &&fn)
+{
+    if (units == 0)
+        return;
+    if (elements < intraStateParallelThreshold()) {
+        fn(std::size_t{0}, units);
+        return;
+    }
+    detail::forEachIntraStateBlock(
+        units, [&fn](std::size_t, BlockRange r) { fn(r.begin, r.end); });
+}
 
 /**
  * Deterministic ordered reduction over [0, units): below the threshold
@@ -85,14 +141,22 @@ void forEachUnitBlocked(std::size_t units, std::size_t elements,
  * possible) and folds them serially in block order — the same grouping
  * at every thread count.
  */
-double orderedBlockReduce(
-    std::size_t units, std::size_t elements,
-    const std::function<double(std::size_t, std::size_t)> &blockFn);
+template <typename BlockFn>
+double
+orderedBlockReduce(std::size_t units, std::size_t elements,
+                   BlockFn &&blockFn)
+{
+    return detail::orderedBlockFold<double>(units, elements, blockFn);
+}
 
 /** Complex-valued variant of orderedBlockReduce. */
-Complex orderedBlockReduceComplex(
-    std::size_t units, std::size_t elements,
-    const std::function<Complex(std::size_t, std::size_t)> &blockFn);
+template <typename BlockFn>
+Complex
+orderedBlockReduceComplex(std::size_t units, std::size_t elements,
+                          BlockFn &&blockFn)
+{
+    return detail::orderedBlockFold<Complex>(units, elements, blockFn);
+}
 
 } // namespace qismet
 

@@ -138,6 +138,16 @@ QismetVqe::runEnsemble(const QismetVqeConfig &config,
 QismetVqeResult
 QismetVqe::run(const QismetVqeConfig &config) const
 {
+    // θ reaches CompiledCircuit::bind unchecked: a non-finite entry
+    // would run every job and return a NaN estimate.
+    for (std::size_t i = 0; i < config.initialTheta.size(); ++i) {
+        const double t = config.initialTheta[i];
+        if (!std::isfinite(t))
+            throw std::invalid_argument(
+                "QismetVqe::run: initialTheta[" + std::to_string(i) +
+                "] must be finite, got " + std::to_string(t));
+    }
+
     MachineModel machine = machine_;
     if (config.transientScale >= 0.0)
         machine.transient.scale = config.transientScale;

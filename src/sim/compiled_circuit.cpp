@@ -1,6 +1,9 @@
 #include "sim/compiled_circuit.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <cmath>
 #include <stdexcept>
 
 namespace qismet {
@@ -25,8 +28,13 @@ mulLeft2x2(const Complex *f, Complex *acc)
     acc[3] = f[2] * a1 + f[3] * a3;
 }
 
-/** acc = f * acc, 4x4 row-major. */
-void
+/**
+ * acc = f * acc, 4x4 row-major. Kept out of line: inlining it reorders
+ * the operands the compiler feeds each multiply and add, which moves
+ * the sign and payload of the NaN entries a non-finite angle produces
+ * (IEEE 754 leaves both to that order).
+ */
+[[gnu::noinline]] void
 mulLeft4x4(const Complex *f, Complex *acc)
 {
     Complex out[16];
@@ -83,7 +91,59 @@ matrixSize(CompiledOpKind kind, std::uint64_t mask)
     return 0;
 }
 
+/**
+ * RZ's diagonal for half-angle `a`: minus = e^{-ia}, plus = e^{ia},
+ * bit for bit what Gate::matrixInto's std::exp(∓i·a) returns. The
+ * argument's real part is ±0 there, and for a finite imaginary part y
+ * with |y| > DBL_MIN glibc's cexp returns (exp(±0)·cos y, exp(±0)·sin y)
+ * with sin y and cos y from its own sincos(y); exp(±0) is exactly 1.
+ * Other angles, where cexp branches differently, keep std::exp.
+ */
+void
+rzPhases(double a, Complex &minus, Complex &plus)
+{
+#if defined(__GLIBC__)
+    if (std::isfinite(a) && std::fabs(a) > DBL_MIN) {
+        double s = 0.0;
+        double c = 0.0;
+        ::sincos(-a, &s, &c);
+        minus = Complex(c, s);
+        ::sincos(a, &s, &c);
+        plus = Complex(c, s);
+        return;
+    }
+#endif
+    const Complex i(0.0, 1.0);
+    minus = std::exp(-i * a);
+    plus = std::exp(i * a);
+}
+
 } // namespace
+
+void
+CompiledCircuit::rotationInto(const FactorRecipe &r, const double *params,
+                              Complex *m)
+{
+    // Gate::matrixInto's formulas, from the angle Gate::resolvedAngle
+    // would resolve.
+    const double a = (r.scale * params[r.param] + r.offset) / 2.0;
+    const Complex i(0.0, 1.0);
+    switch (r.kind) {
+      case FactorRecipe::Kind::RX:
+        m[0] = m[3] = std::cos(a);
+        m[1] = m[2] = -i * std::sin(a);
+        return;
+      case FactorRecipe::Kind::RY:
+        m[0] = m[3] = std::cos(a);
+        m[1] = -std::sin(a);
+        m[2] = std::sin(a);
+        return;
+      default:
+        m[1] = m[2] = Complex(0.0, 0.0);
+        rzPhases(a, m[0], m[3]);
+        return;
+    }
+}
 
 CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                                  CompileOptions options)
@@ -101,7 +161,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         int q0 = 0;
         int q1 = 0;
         std::uint64_t mask = 0;
-        std::vector<ParamFactor> factors;
+        std::vector<CompiledFactor> factors;
         bool erased = false;
     };
     std::vector<BNode> nodes;
@@ -137,7 +197,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         n.q0 = q0;
         n.q1 = q1;
         n.mask = mask;
-        n.factors.push_back(ParamFactor{g, sub});
+        n.factors.push_back(CompiledFactor{g, sub});
         nodes.push_back(std::move(n));
         return static_cast<int>(nodes.size()) - 1;
     };
@@ -162,7 +222,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 BNode &n = node(t);
                 const int sub =
                     n.kind == CompiledOpKind::Dense1 ? -1 : subOf(n, q);
-                n.factors.push_back(ParamFactor{g, sub});
+                n.factors.push_back(CompiledFactor{g, sub});
                 continue;
             }
             // X·X on the same qubit cancels outright.
@@ -178,7 +238,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             if (live(t) && node(t).kind == CompiledOpKind::PermX) {
                 BNode &n = node(t);
                 n.kind = CompiledOpKind::Dense1;
-                n.factors.push_back(ParamFactor{g, -1});
+                n.factors.push_back(CompiledFactor{g, -1});
                 continue;
             }
             // Absorb into a neighbouring CX/SWAP as a dense 4x4 (gated:
@@ -188,7 +248,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                  node(t).kind == CompiledOpKind::PermSwap)) {
                 BNode &n = node(t);
                 n.kind = CompiledOpKind::Dense2;
-                n.factors.push_back(ParamFactor{g, subOf(n, q)});
+                n.factors.push_back(CompiledFactor{g, subOf(n, q)});
                 continue;
             }
             if (diag) {
@@ -199,7 +259,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                     const int width = std::popcount(n.mask | bit);
                     if (width <= options.maxDiagQubits) {
                         n.mask |= bit;
-                        n.factors.push_back(ParamFactor{g, -1});
+                        n.factors.push_back(CompiledFactor{g, -1});
                         touch(q, lastDiag);
                         continue;
                     }
@@ -225,7 +285,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         // Multiply into an open dense 4x4 on the same pair.
         if (ta == tb && live(ta) &&
             node(ta).kind == CompiledOpKind::Dense2) {
-            node(ta).factors.push_back(ParamFactor{g, -1});
+            node(ta).factors.push_back(CompiledFactor{g, -1});
             continue;
         }
 
@@ -237,7 +297,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 const int width = std::popcount(n.mask | bits);
                 if (width <= options.maxDiagQubits) {
                     n.mask |= bits;
-                    n.factors.push_back(ParamFactor{g, -1});
+                    n.factors.push_back(CompiledFactor{g, -1});
                     touch(a, lastDiag);
                     touch(b, lastDiag);
                     continue;
@@ -279,16 +339,16 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             n.q0 = a;
             n.q1 = b;
             if (pullA) {
-                for (const ParamFactor &f : node(ta).factors)
-                    n.factors.push_back(ParamFactor{f.gate, 0});
+                for (const CompiledFactor &f : node(ta).factors)
+                    n.factors.push_back(CompiledFactor{f.gate, 0});
                 node(ta).erased = true;
             }
             if (pullB) {
-                for (const ParamFactor &f : node(tb).factors)
-                    n.factors.push_back(ParamFactor{f.gate, 1});
+                for (const CompiledFactor &f : node(tb).factors)
+                    n.factors.push_back(CompiledFactor{f.gate, 1});
                 node(tb).erased = true;
             }
-            n.factors.push_back(ParamFactor{g, -1});
+            n.factors.push_back(CompiledFactor{g, -1});
             nodes.push_back(std::move(n));
             const int idx = static_cast<int>(nodes.size()) - 1;
             touch(a, idx);
@@ -301,13 +361,84 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         touch(b, idx);
     }
 
+    // Lay out each factor's bind-time recipe. A constant factor is
+    // evaluated here, by the same Gate::matrixInto bind would call, and
+    // widened the way the op's product consumes it.
+    auto recipeFor = [this](const CompiledOp &op,
+                            const CompiledFactor &f) {
+        FactorRecipe r;
+        r.sub = static_cast<std::int8_t>(f.sub);
+        const Gate &g = f.gate;
+        if (op.kind == CompiledOpKind::Diag)
+            r.bit0 = static_cast<std::uint8_t>(localBit(op.mask, g.qubits[0]));
+        if (g.isParameterized()) {
+            if (g.paramIndex < 0 || g.paramIndex >= numParams_) {
+                throw std::out_of_range(
+                    "CompiledCircuit: parameter index " +
+                    std::to_string(g.paramIndex) + " out of range");
+            }
+            r.kind = g.type == GateType::RX   ? FactorRecipe::Kind::RX
+                     : g.type == GateType::RY ? FactorRecipe::Kind::RY
+                                              : FactorRecipe::Kind::RZ;
+            r.param = static_cast<std::uint32_t>(g.paramIndex);
+            r.scale = g.paramScale;
+            r.offset = g.angle;
+            return r;
+        }
+        r.consts = static_cast<std::uint32_t>(recipeConsts_.size());
+        Complex m[16];
+        g.matrixInto(m);
+        switch (op.kind) {
+          case CompiledOpKind::Dense1:
+          case CompiledOpKind::PermX:
+            recipeConsts_.insert(recipeConsts_.end(), m, m + 4);
+            break;
+          case CompiledOpKind::Diag:
+            if (gateArity(g.type) == 2) {
+                // CZ: phase -1 where both acted-on bits are set.
+                r.kind = FactorRecipe::Kind::CZ;
+                r.bit1 = static_cast<std::uint8_t>(
+                    localBit(op.mask, g.qubits[1]));
+                break;
+            }
+            recipeConsts_.push_back(m[0]);
+            recipeConsts_.push_back(m[3]);
+            break;
+          case CompiledOpKind::Dense2:
+          case CompiledOpKind::PermCX:
+          case CompiledOpKind::PermSwap: {
+            Complex wide[16];
+            if (f.sub >= 0) {
+                expand1qTo4x4(m, f.sub, wide);
+            } else if (g.qubits[0] == op.q1 && g.qubits[1] == op.q0) {
+                // The factor's qubit order is reversed relative to the
+                // op: permute local indices by swapping their two bits.
+                auto p = [](int x) { return ((x & 1) << 1) | (x >> 1); };
+                for (int row = 0; row < 4; ++row)
+                    for (int col = 0; col < 4; ++col)
+                        wide[p(row) * 4 + p(col)] = m[row * 4 + col];
+            } else {
+                std::copy(m, m + 16, wide);
+            }
+            recipeConsts_.insert(recipeConsts_.end(), wide, wide + 16);
+            break;
+          }
+        }
+        return r;
+    };
+
     // Emit the op stream: constant nodes evaluate into the const pool
-    // now; parameterized nodes become bind-time slots.
+    // now; parameterized nodes are left to bind().
+    std::size_t numFactors = 0;
+    for (const BNode &n : nodes)
+        numFactors += n.erased ? 0 : n.factors.size();
+    factors_.reserve(numFactors);
+    recipes_.reserve(numFactors);
     for (const BNode &n : nodes) {
         if (n.erased)
             continue;
         bool parameterized = false;
-        for (const ParamFactor &f : n.factors)
+        for (const CompiledFactor &f : n.factors)
             parameterized = parameterized || f.gate.isParameterized();
 
         const std::size_t size = matrixSize(n.kind, n.mask);
@@ -317,24 +448,20 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         op.q0 = n.q0;
         op.q1 = n.q1;
         op.mask = n.mask;
-
-        ParamSlot slot;
-        slot.kind = n.kind;
-        slot.mask = n.mask;
-        slot.q0 = n.q0;
-        slot.q1 = n.q1;
-        slot.factors = n.factors;
+        op.firstFactor = static_cast<std::uint32_t>(factors_.size());
+        op.numFactors = static_cast<std::uint32_t>(n.factors.size());
+        for (const CompiledFactor &f : n.factors) {
+            factors_.push_back(f);
+            recipes_.push_back(recipeFor(op, f));
+        }
 
         if (parameterized) {
             op.offset = static_cast<std::uint32_t>(bindPoolSize_);
-            slot.offset = op.offset;
             bindPoolSize_ += size;
-            slots_.push_back(std::move(slot));
         } else {
             op.offset = static_cast<std::uint32_t>(constPool_.size());
-            slot.offset = op.offset;
             constPool_.resize(constPool_.size() + size);
-            evalSlot(slot, {}, constPool_.data() + op.offset);
+            evalOp(op, nullptr, constPool_.data() + op.offset);
         }
         ops_.push_back(op);
 
@@ -359,20 +486,29 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
 }
 
 void
-CompiledCircuit::evalSlot(const ParamSlot &slot,
-                          const std::vector<double> &params,
-                          Complex *out) const
+CompiledCircuit::evalOp(const CompiledOp &op, const double *params,
+                        Complex *out) const
 {
-    switch (slot.kind) {
+    const FactorRecipe *f = recipes_.data() + op.firstFactor;
+    const FactorRecipe *const end = f + op.numFactors;
+    const Complex *consts = recipeConsts_.data();
+    // A rotation factor's matrix lands here; a constant one is read in
+    // place.
+    Complex m[4];
+    auto factorMatrix = [&](const FactorRecipe &r) -> const Complex * {
+        if (r.kind == FactorRecipe::Kind::Const)
+            return consts + r.consts;
+        rotationInto(r, params, m);
+        return m;
+    };
+
+    switch (op.kind) {
       case CompiledOpKind::Dense1:
       case CompiledOpKind::PermX: {
         out[0] = out[3] = Complex(1.0, 0.0);
         out[1] = out[2] = Complex(0.0, 0.0);
-        Complex f[4];
-        for (const ParamFactor &factor : slot.factors) {
-            factor.gate.matrixInto(f, params);
-            mulLeft2x2(f, out);
-        }
+        for (; f != end; ++f)
+            mulLeft2x2(factorMatrix(*f), out);
         return;
       }
       case CompiledOpKind::Dense2:
@@ -381,61 +517,43 @@ CompiledCircuit::evalSlot(const ParamSlot &slot,
         for (int k = 0; k < 16; ++k)
             out[k] = Complex(0.0, 0.0);
         out[0] = out[5] = out[10] = out[15] = Complex(1.0, 0.0);
-        Complex f[16];
-        Complex expanded[16];
-        for (const ParamFactor &factor : slot.factors) {
-            const Gate &g = factor.gate;
-            if (factor.sub >= 0) {
-                Complex f1[4];
-                g.matrixInto(f1, params);
-                expand1qTo4x4(f1, factor.sub, expanded);
-                mulLeft4x4(expanded, out);
-                continue;
+        Complex wide[16];
+        for (; f != end; ++f) {
+            const Complex *fm = factorMatrix(*f);
+            if (f->kind != FactorRecipe::Kind::Const) {
+                expand1qTo4x4(fm, f->sub, wide);
+                fm = wide;
             }
-            g.matrixInto(f, params);
-            if (g.qubits[0] == slot.q1 && g.qubits[1] == slot.q0) {
-                // The factor's qubit order is reversed relative to the
-                // op: permute local indices by swapping their two bits.
-                auto p = [](int x) { return ((x & 1) << 1) | (x >> 1); };
-                for (int r = 0; r < 4; ++r)
-                    for (int c = 0; c < 4; ++c)
-                        expanded[p(r) * 4 + p(c)] = f[r * 4 + c];
-                mulLeft4x4(expanded, out);
-            } else {
-                mulLeft4x4(f, out);
-            }
+            mulLeft4x4(fm, out);
         }
         return;
       }
       case CompiledOpKind::Diag: {
-        const std::size_t size = matrixSize(slot.kind, slot.mask);
+        const std::size_t size = matrixSize(op.kind, op.mask);
         for (std::size_t k = 0; k < size; ++k)
             out[k] = Complex(1.0, 0.0);
-        for (const ParamFactor &factor : slot.factors) {
-            const Gate &g = factor.gate;
-            if (gateArity(g.type) == 1) {
-                Complex d[2];
-                g.diagonalInto(d, params);
-                const int bi = localBit(slot.mask, g.qubits[0]);
-                for (std::size_t li = 0; li < size; ++li)
-                    out[li] *= d[(li >> bi) & 1];
-            } else {
-                // CZ: phase -1 where both acted-on bits are set.
-                const std::size_t b0 = static_cast<std::size_t>(
-                    localBit(slot.mask, g.qubits[0]));
-                const std::size_t b1 = static_cast<std::size_t>(
-                    localBit(slot.mask, g.qubits[1]));
-                const std::size_t both =
-                    (std::size_t{1} << b0) | (std::size_t{1} << b1);
+        for (; f != end; ++f) {
+            if (f->kind == FactorRecipe::Kind::CZ) {
+                const std::size_t both = (std::size_t{1} << f->bit0) |
+                                         (std::size_t{1} << f->bit1);
                 for (std::size_t li = 0; li < size; ++li)
                     if ((li & both) == both)
                         out[li] = -out[li];
+                continue;
             }
+            // A Diag factor's pair: (u00, u11) of its 2x2.
+            const Complex *fm = factorMatrix(*f);
+            const Complex d[2] = {fm[0],
+                                  f->kind == FactorRecipe::Kind::Const
+                                      ? fm[1]
+                                      : fm[3]};
+            for (std::size_t li = 0; li < size; ++li)
+                out[li] *= d[(li >> f->bit0) & 1];
         }
         return;
       }
     }
-    throw std::logic_error("CompiledCircuit::evalSlot: unknown op kind");
+    throw std::logic_error("CompiledCircuit::evalOp: unknown op kind");
 }
 
 void
@@ -449,8 +567,9 @@ CompiledCircuit::bind(const std::vector<double> &params,
             std::to_string(params.size()));
     }
     pool.resize(bindPoolSize_);
-    for (const ParamSlot &slot : slots_)
-        evalSlot(slot, params, pool.data() + slot.offset);
+    for (const CompiledOp &op : ops_)
+        if (op.parameterized)
+            evalOp(op, params.data(), pool.data() + op.offset);
 }
 
 } // namespace qismet

@@ -7,10 +7,11 @@
  * simulators execute without touching `Gate::matrix` again:
  *
  *  - **Constant folding.** Every constant gate's dense matrix is
- *    resolved at compile time into a shared matrix pool. Parameterized
- *    gates become *parameter slots*: at run time `bind()` re-evaluates
- *    only the parameter-dependent entries into a caller-owned scratch
- *    pool, so one compiled circuit serves every (θ, thread) pair.
+ *    resolved at compile time into a shared matrix pool. An op with a
+ *    parameterized factor gets a flat recipe per factor instead: at
+ *    run time `bind()` re-evaluates only those ops into a caller-owned
+ *    scratch pool, so one compiled circuit serves every (θ, thread)
+ *    pair.
  *  - **Greedy fusion.** Adjacent 1q gates on the same qubit fuse into a
  *    single 2×2; 1q gates are absorbed into neighbouring 2q ops as 4×4
  *    products (cost-gated — see `CompileOptions::absorb2q`); runs of
@@ -77,6 +78,22 @@ struct CompiledOp
      * qubit order).
      */
     std::uint32_t offset = 0;
+    /** This op's factors: factors()[firstFactor, firstFactor + numFactors). */
+    std::uint32_t firstFactor = 0;
+    std::uint32_t numFactors = 0;
+};
+
+/**
+ * One multiplicative factor of a compiled op, in application order: the
+ * source gate and, inside a 4x4-wide op (Dense2/PermCX/PermSwap), the
+ * half a 1q gate acts on (0 = the op's q0, 1 = its q1; -1 = the full
+ * width). Introspection only: bind() evaluates the recipe compiled from
+ * it, never the gate.
+ */
+struct CompiledFactor
+{
+    Gate gate;
+    int sub = -1;
 };
 
 /** Fusion-pass accounting, for tests and compile-time introspection. */
@@ -134,6 +151,8 @@ class CompiledCircuit
     int numParams() const { return numParams_; }
     const std::vector<CompiledOp> &ops() const { return ops_; }
     const FusionStats &stats() const { return stats_; }
+    /** Every op's factors, indexed by CompiledOp::firstFactor. */
+    const std::vector<CompiledFactor> &factors() const { return factors_; }
 
     /** Constant-matrix pool (offsets from constant ops point here). */
     const std::vector<Complex> &constPool() const { return constPool_; }
@@ -142,12 +161,15 @@ class CompiledCircuit
     std::size_t bindPoolSize() const { return bindPoolSize_; }
 
     /** True when at least one op depends on a circuit parameter. */
-    bool parameterized() const { return !slots_.empty(); }
+    bool parameterized() const { return bindPoolSize_ != 0; }
 
     /**
      * Evaluate all parameter-dependent matrices for `params` into
      * `pool` (resized to bindPoolSize()). Each simulator thread owns
-     * its own pool, keeping concurrent runs race-free.
+     * its own pool, keeping concurrent runs race-free. Each op's matrix
+     * is the product of its factors' matrices, multiplied one by one
+     * onto the identity in application order; every factor follows the
+     * recipe laid out at compile time (DESIGN.md §11).
      * @throws std::invalid_argument on parameter-count mismatch.
      */
     void bind(const std::vector<double> &params,
@@ -163,35 +185,57 @@ class CompiledCircuit
 
   private:
     /**
-     * One multiplicative factor of a fused op, in application order.
-     * `sub` locates 1q factors inside a 2q op: 0 = the op's
-     * most-significant qubit (q0), 1 = q1, -1 = full-width factor.
+     * bind()'s recipe for factors_[i]. A constant factor's matrix was
+     * evaluated at compile time into recipeConsts_ (widened to a 4x4
+     * inside a 4x4-wide op; a diagonal pair inside a Diag op); a
+     * rotation keeps angle = scale * θ[param] + offset; a CZ inside a
+     * Diag op keeps the local bits it negates.
      */
-    struct ParamFactor
+    struct FactorRecipe
     {
-        Gate gate;
-        int sub = -1;
+        enum class Kind : std::uint8_t
+        {
+            Const,
+            RX,
+            RY,
+            RZ,
+            CZ,
+        };
+        Kind kind = Kind::Const;
+        /** As CompiledFactor::sub. */
+        std::int8_t sub = -1;
+        /** Diag ops: local bit of the factor's qubit (CZ: first qubit). */
+        std::uint8_t bit0 = 0;
+        /** Diag ops, CZ only: local bit of the second qubit. */
+        std::uint8_t bit1 = 0;
+        std::uint32_t param = 0;
+        double scale = 1.0;
+        double offset = 0.0;
+        /** Const only: offset of its matrix in recipeConsts_. */
+        std::uint32_t consts = 0;
     };
 
-    /** Re-evaluation plan for one parameterized op. */
-    struct ParamSlot
-    {
-        CompiledOpKind kind = CompiledOpKind::Dense1;
-        std::uint32_t offset = 0;
-        std::uint64_t mask = 0;
-        int q0 = 0;
-        int q1 = 0;
-        std::vector<ParamFactor> factors;
-    };
+    /**
+     * A rotation factor's 2x2, by Gate::matrixInto's formulas. Kept out
+     * of line, so evalOp's products see every factor through memory:
+     * inlined, the compiler reorders their NaN operands, which moves
+     * the sign and payload of the NaN entries a non-finite angle
+     * produces (IEEE 754 leaves both to that order).
+     */
+    [[gnu::noinline]] static void
+    rotationInto(const FactorRecipe &r, const double *params, Complex *m);
 
-    void evalSlot(const ParamSlot &slot, const std::vector<double> &params,
-                  Complex *out) const;
+    /** Evaluate `op`'s matrix from its recipes (params unused if constant). */
+    void evalOp(const CompiledOp &op, const double *params,
+                Complex *out) const;
 
     int numQubits_ = 0;
     int numParams_ = 0;
     std::vector<CompiledOp> ops_;
+    std::vector<CompiledFactor> factors_;
+    std::vector<FactorRecipe> recipes_;
+    std::vector<Complex> recipeConsts_;
     std::vector<Complex> constPool_;
-    std::vector<ParamSlot> slots_;
     std::size_t bindPoolSize_ = 0;
     FusionStats stats_;
 };

@@ -20,24 +20,8 @@ adjointInto(const Complex *m, int w, Complex *out)
             out[c * w + r] = std::conj(m[r * w + c]);
 }
 
-/** k-th index with bit `b` clear, counting upward (bit-deposit). */
-std::size_t
-depositOne(std::size_t k, std::size_t b)
-{
-    return (k & (b - 1)) | ((k << 1) & ~((b << 1) - 1));
-}
-
-/** k-th index with bits b1|b0 clear, counting upward. */
-std::size_t
-depositTwo(std::size_t k, std::size_t b1, std::size_t b0)
-{
-    const std::size_t lo = b1 < b0 ? b1 : b0;
-    const std::size_t hi = b1 < b0 ? b0 : b1;
-    const std::size_t mLow = lo - 1;
-    const std::size_t mMid = (hi - 1) & ~((lo << 1) - 1);
-    const std::size_t mHigh = ~((hi << 1) - 1);
-    return (k & mLow) | ((k << 1) & mMid) | ((k << 2) & mHigh);
-}
+using kern::detail::deposit1;
+using kern::detail::deposit2;
 
 } // namespace
 
@@ -94,7 +78,7 @@ DensityMatrix::applyLeft1q(int q, const Complex *m,
     forEachUnitBlocked(
         dim_ >> 1, dim_ * dim_, [&](std::size_t k0, std::size_t k1) {
             for (std::size_t k = k0; k < k1; ++k) {
-                const std::size_t r0 = depositOne(k, stride);
+                const std::size_t r0 = deposit1(k, stride);
                 kern::dense1Run(base + r0 * dim_,
                                 base + (r0 + stride) * dim_, dim_, m, simd);
             }
@@ -131,7 +115,7 @@ DensityMatrix::applyLeft2q(int q1, int q0, const Complex *m,
     forEachUnitBlocked(
         dim_ >> 2, dim_ * dim_, [&](std::size_t k0, std::size_t k1) {
             for (std::size_t k = k0; k < k1; ++k) {
-                const std::size_t rb = depositTwo(k, b1, b0);
+                const std::size_t rb = deposit2(k, b1, b0);
                 kern::dense2Run(base + rb * dim_, base + (rb | b0) * dim_,
                                 base + (rb | b1) * dim_,
                                 base + (rb | b1 | b0) * dim_, dim_, m,
@@ -234,10 +218,10 @@ DensityMatrix::applyKrausSum(const std::vector<int> &qubits,
         forEachUnitBlocked(half, dim_ * dim_, [&](std::size_t ri0,
                                                   std::size_t ri1) {
         for (std::size_t ri = ri0; ri < ri1; ++ri) {
-            const std::size_t rb = depositOne(ri, b);
+            const std::size_t rb = deposit1(ri, b);
             const std::size_t rows[2] = {rb, rb | b};
             for (std::size_t ci = 0; ci < half; ++ci) {
-                const std::size_t cb = depositOne(ci, b);
+                const std::size_t cb = deposit1(ci, b);
                 const std::size_t cols[2] = {cb, cb | b};
                 Complex blk[2][2];
                 for (int a = 0; a < 2; ++a)
@@ -281,10 +265,10 @@ DensityMatrix::applyKrausSum(const std::vector<int> &qubits,
     forEachUnitBlocked(quarter, dim_ * dim_, [&](std::size_t ri0,
                                                  std::size_t ri1) {
     for (std::size_t ri = ri0; ri < ri1; ++ri) {
-        const std::size_t rb = depositTwo(ri, b1, b0);
+        const std::size_t rb = deposit2(ri, b1, b0);
         const std::size_t rows[4] = {rb, rb | b0, rb | b1, rb | b1 | b0};
         for (std::size_t ci = 0; ci < quarter; ++ci) {
-            const std::size_t cb = depositTwo(ci, b1, b0);
+            const std::size_t cb = deposit2(ci, b1, b0);
             const std::size_t cols[4] = {cb, cb | b0, cb | b1, cb | b1 | b0};
             Complex blk[4][4];
             for (int a = 0; a < 4; ++a)

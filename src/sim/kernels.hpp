@@ -39,9 +39,9 @@
  * simulators' own storage): the gate kernels take a mutable
  * `std::span<Complex>`, the reductions a `std::span<const Complex>`.
  *
- * The contiguous-run micro-kernels (`dense1Run`, `dense2Run`, ...) are
- * shared with the density-matrix sweeps, whose row/column structure
- * reduces to the same dual/quad-stream inner loops.
+ * The contiguous-run micro-kernels (`dense1Run`, `dense2Run`,
+ * `conjPhaseRow`) serve the density-matrix sweeps, whose row/column
+ * structure reduces to dual/quad-stream inner loops.
  */
 
 #ifndef QISMET_SIM_KERNELS_HPP
@@ -149,9 +149,9 @@ void pauliGroupSums(std::span<const Complex> amps, std::uint64_t xmask,
 /**
  * @name Contiguous-run micro-kernels
  *
- * Serial building blocks reused by the density-matrix sweeps. `simd`
- * is the dispatch decision, resolved once per sweep by the caller
- * (pass `simdEnabled()`).
+ * Serial building blocks of the density-matrix sweeps. `simd` is the
+ * dispatch decision, resolved once per sweep by the caller (pass
+ * `simdEnabled()`).
  * @{
  */
 
@@ -166,15 +166,9 @@ void dense1Run(Complex *p0, Complex *p1, std::size_t count, const Complex *m,
 void dense2Run(Complex *p0, Complex *p1, Complex *p2, Complex *p3,
                std::size_t count, const Complex *m, bool simd);
 
-/** run[i] *= d for i in [0, count). */
-void scaleRun(Complex *run, Complex d, std::size_t count, bool simd);
-
 /** row[i] *= rowPhase * conj(phases[i]) — diagonal conjugation row. */
 void conjPhaseRow(Complex *row, const Complex *phases, Complex rowPhase,
                   std::size_t count, bool simd);
-
-/** Exchange two contiguous runs of count amplitudes. */
-void swapRuns(Complex *a, Complex *b, std::size_t count, bool simd);
 
 /** @} */
 
@@ -185,7 +179,10 @@ void swapRuns(Complex *a, Complex *b, std::size_t count, bool simd);
  * permX), a 4-tuple (dense2 / permCX / permSwap), or one amplitude
  * (diag). Each core handles an arbitrary [k0, k1) sub-range so the
  * blocked partition can hand out pieces; the density-matrix sweeps call
- * them serially per row with transposed matrices.
+ * them serially per row with transposed matrices. With `simd` set a
+ * core makes at most one AVX2 call per range: that call walks every
+ * contiguous run two units per vector, and an odd unit at either end
+ * of the range runs the scalar formula instead.
  * @{
  */
 
@@ -217,32 +214,66 @@ void permSwapUnits(Complex *a, int qa, int qb, bool simd, std::size_t k0,
 
 namespace detail {
 
+/** k-th index with bit `b` clear, counting upward (bit-deposit). */
+inline std::size_t
+deposit1(std::size_t k, std::size_t b)
+{
+    return (k & (b - 1)) | ((k << 1) & ~((b << 1) - 1));
+}
+
+/** k-th index with bits bA|bB clear, counting upward. */
+inline std::size_t
+deposit2(std::size_t k, std::size_t bA, std::size_t bB)
+{
+    const std::size_t lo = bA < bB ? bA : bB;
+    const std::size_t hi = bA < bB ? bB : bA;
+    const std::size_t mLow = lo - 1;
+    const std::size_t mMid = (hi - 1) & ~((lo << 1) - 1);
+    const std::size_t mHigh = ~((hi << 1) - 1);
+    return (k & mLow) | ((k << 1) & mMid) | ((k << 2) & mHigh);
+}
+
 /**
  * AVX2 cores, compiled with per-function target("avx2,fma") attributes
- * when QISMET_SIMD_X86; call only when simdAvailable(). Each processes
- * the longest prefix it can vectorize and returns the number of units
- * completed — the portable wrappers finish the tail with the scalar
- * code, so no scalar FP ever executes inside an AVX2-target function
- * (where the compiler would be free to contract it).
+ * when QISMET_SIMD_X86; call only when simdAvailable(). No scalar FP
+ * ever executes inside an AVX2-target function (where the compiler
+ * would be free to contract it): the run kernels process the longest
+ * even prefix and return the units completed, and the portable
+ * wrappers finish the tail with the scalar code.
  */
 std::size_t dense1RunAvx2(Complex *p0, Complex *p1, std::size_t count,
                           const Complex *m);
-std::size_t dense1RunRealAvx2(Complex *p0, Complex *p1, std::size_t count,
-                              const Complex *m);
-std::size_t dense1PairsAvx2(Complex *p, std::size_t count, const Complex *m);
-std::size_t dense1PairsRealAvx2(Complex *p, std::size_t count,
-                                const Complex *m);
 std::size_t dense2RunAvx2(Complex *p0, Complex *p1, Complex *p2, Complex *p3,
                           std::size_t count, const Complex *m);
-std::size_t scaleRunAvx2(Complex *run, Complex d, std::size_t count);
 std::size_t conjPhaseRowAvx2(Complex *row, const Complex *phases,
                              Complex rowPhase, std::size_t count);
-std::size_t swapRunsAvx2(Complex *a, Complex *b, std::size_t count);
-std::size_t swapAdjacentPairsAvx2(Complex *p, std::size_t count);
 std::size_t pauliGroupSumsAvx2(const Complex *a, std::uint64_t xmask,
                                const PauliTermSpec *terms,
                                std::size_t num_terms, std::size_t u0,
                                std::size_t u1, double *acc);
+
+/**
+ * AVX2 unit walks: one call covers a whole [k0, k1) range of the
+ * matching unit core, two units per vector. k0 and k1 must be even,
+ * so every contiguous run inside the range has even length; the
+ * 2-qubit walks also need both qubits above bit 0, and diagUnitsAvx2
+ * needs bit 0 outside `mask` (otherwise the runs are single units and
+ * the cores stay scalar).
+ */
+void dense1UnitsAvx2(Complex *a, int q, const Complex *m, bool real,
+                     std::size_t k0, std::size_t k1);
+void dense2UnitsAvx2(Complex *a, int qm, int ql, const Complex *m,
+                     std::size_t k0, std::size_t k1);
+void diagUnitsAvx2(Complex *a, std::size_t dim, std::uint64_t mask,
+                   const Complex *table, std::size_t u0, std::size_t u1);
+void permXUnitsAvx2(Complex *a, int q, std::size_t k0, std::size_t k1);
+/**
+ * The CX and SWAP walk: for each 4-tuple base (bits bA|bB clear),
+ * exchange a[base | offA] and a[base | offB].
+ */
+void swapPairUnitsAvx2(Complex *a, std::size_t bA, std::size_t bB,
+                       std::size_t offA, std::size_t offB, std::size_t k0,
+                       std::size_t k1);
 
 } // namespace detail
 

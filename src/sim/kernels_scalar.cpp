@@ -6,10 +6,12 @@
  * simulator code (statevector.cpp / density_matrix.cpp at the time the
  * kernels were extracted): same formulas, same accumulation order, same
  * special cases. The AVX2 cores (kernels_avx2.cpp) mirror these ops
- * lane-wise; the wrappers below let them process the longest vector
- * prefix and always finish the tail with the scalar code, so the tail
- * never executes inside an AVX2-target function where the compiler
- * could contract it. See kernels.hpp for the full rounding contract.
+ * lane-wise. A unit core hands the even-bounded middle of its range to
+ * one AVX2 walk and runs an odd end unit here; a run micro-kernel lets
+ * its AVX2 core take the longest even prefix and finishes the tail
+ * here. Either way no scalar FP executes inside an AVX2-target
+ * function, where the compiler could contract it. See kernels.hpp for
+ * the full rounding contract.
  */
 
 #include "sim/kernels.hpp"
@@ -25,24 +27,8 @@ namespace kern {
 
 namespace {
 
-/** k-th index with bit `b` clear, counting upward (bit-deposit). */
-inline std::size_t
-deposit1(std::size_t k, std::size_t b)
-{
-    return (k & (b - 1)) | ((k << 1) & ~((b << 1) - 1));
-}
-
-/** k-th index with bits bA|bB clear, counting upward. */
-inline std::size_t
-deposit2(std::size_t k, std::size_t bA, std::size_t bB)
-{
-    const std::size_t lo = bA < bB ? bA : bB;
-    const std::size_t hi = bA < bB ? bB : bA;
-    const std::size_t mLow = lo - 1;
-    const std::size_t mMid = (hi - 1) & ~((lo << 1) - 1);
-    const std::size_t mHigh = ~((hi << 1) - 1);
-    return (k & mLow) | ((k << 1) & mMid) | ((k << 2) & mHigh);
-}
+using detail::deposit1;
+using detail::deposit2;
 
 /* ------------------------------------------------------------------ */
 /* Scalar micro-kernels (exact legacy formulas).                       */
@@ -164,67 +150,163 @@ swapRunsScalar(Complex *a, Complex *b, std::size_t count)
 }
 
 /* ------------------------------------------------------------------ */
-/* Dispatching micro-kernel variants used only inside this TU.         */
+/* Scalar unit walks: the range decomposed into contiguous runs (all   */
+/* unit addresses below the lowest acted-on qubit are consecutive),    */
+/* each fed to a scalar run kernel above.                              */
 /* ------------------------------------------------------------------ */
 
-inline void
-dense1RunReal(Complex *p0, Complex *p1, std::size_t count, const Complex *m,
-              bool simd)
+void
+dense1UnitsScalar(Complex *a, int q, const Complex *m, bool real,
+                  std::size_t k0, std::size_t k1)
 {
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::dense1RunRealAvx2(p0, p1, count, m);
-#else
-    (void)simd;
-#endif
-    dense1RunRealScalar(p0 + done, p1 + done, count - done, m);
+    if (q == 0) {
+        // Units are adjacent (even, odd) amplitude pairs.
+        if (real)
+            dense1PairsRealScalarCore(a + 2 * k0, k1 - k0, m);
+        else
+            dense1PairsScalarCore(a + 2 * k0, k1 - k0, m);
+        return;
+    }
+    const std::size_t s = std::size_t{1} << q;
+    std::size_t k = k0;
+    while (k < k1) {
+        const std::size_t off = k & (s - 1);
+        const std::size_t len = std::min(s - off, k1 - k);
+        const std::size_t i0 = deposit1(k, s);
+        if (real)
+            dense1RunRealScalar(a + i0, a + i0 + s, len, m);
+        else
+            dense1RunScalar(a + i0, a + i0 + s, len, m);
+        k += len;
+    }
 }
 
-inline void
-dense1Pairs(Complex *p, std::size_t count, const Complex *m, bool simd)
+void
+dense2UnitsScalar(Complex *a, int qm, int ql, const Complex *m,
+                  std::size_t k0, std::size_t k1)
 {
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::dense1PairsAvx2(p, count, m);
-#else
-    (void)simd;
-#endif
-    dense1PairsScalarCore(p + 2 * done, count - done, m);
+    const std::size_t bm = std::size_t{1} << qm;
+    const std::size_t bl = std::size_t{1} << ql;
+    const int pLow = qm < ql ? qm : ql;
+    if (pLow == 0) {
+        // One of the acted-on qubits is bit 0: tuples are scattered,
+        // stay scalar (see DESIGN.md — not worth a gather/blend path
+        // for the op mix the compiler emits).
+        for (std::size_t k = k0; k < k1; ++k)
+            dense2Quartet(a, deposit2(k, bm, bl), bl, bm, m);
+        return;
+    }
+    const std::size_t sLow = std::size_t{1} << pLow;
+    std::size_t k = k0;
+    while (k < k1) {
+        const std::size_t off = k & (sLow - 1);
+        const std::size_t len = std::min(sLow - off, k1 - k);
+        const std::size_t base = deposit2(k, bm, bl);
+        dense2RunScalar(a + base, a + (base | bl), a + (base | bm),
+                        a + (base | bm | bl), len, m);
+        k += len;
+    }
 }
 
-inline void
-dense1PairsReal(Complex *p, std::size_t count, const Complex *m, bool simd)
+void
+diagUnitsScalar(Complex *a, std::size_t dim, std::uint64_t mask,
+                const Complex *table, std::size_t u0, std::size_t u1)
 {
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::dense1PairsRealAvx2(p, count, m);
-#else
-    (void)simd;
-#endif
-    dense1PairsRealScalarCore(p + 2 * done, count - done, m);
+    const std::uint64_t comp = (dim - 1) & ~mask;
+    const int t = std::popcount(mask);
+    const int freeBits = std::countr_zero(dim) - t;
+    const std::size_t subSize = std::size_t{1} << freeBits;
+    const std::size_t runLen = std::size_t{1} << std::countr_one(comp);
+    const Complex one(1.0, 0.0);
+    std::size_t u = u0;
+    while (u < u1) {
+        const std::uint64_t li = u >> freeBits;
+        const std::size_t entryBegin = static_cast<std::size_t>(li) * subSize;
+        const std::size_t jEnd = std::min(u1, entryBegin + subSize) -
+                                 entryBegin;
+        const Complex d = table[li];
+        if (d == one) { // common for merged CZ/S/T runs
+            u = entryBegin + jEnd;
+            continue;
+        }
+        const std::uint64_t fixed = depositBits(li, mask);
+        std::size_t j = u - entryBegin;
+        while (j < jEnd) {
+            const std::size_t off = j & (runLen - 1);
+            const std::size_t len = std::min(runLen - off, jEnd - j);
+            const std::uint64_t idx = fixed | depositBits(j, comp);
+            scaleRunScalar(a + idx, d, len);
+            j += len;
+        }
+        u = entryBegin + jEnd;
+    }
 }
 
-inline void
-swapAdjacentPairs(Complex *p, std::size_t count, bool simd)
+void
+permXUnitsScalar(Complex *a, int q, std::size_t k0, std::size_t k1)
 {
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::swapAdjacentPairsAvx2(p, count);
-#else
-    (void)simd;
-#endif
-    for (std::size_t i = done; i < count; ++i)
-        std::swap(p[2 * i], p[2 * i + 1]);
+    if (q == 0) {
+        for (std::size_t k = k0; k < k1; ++k)
+            std::swap(a[2 * k], a[2 * k + 1]);
+        return;
+    }
+    const std::size_t b = std::size_t{1} << q;
+    std::size_t k = k0;
+    while (k < k1) {
+        const std::size_t off = k & (b - 1);
+        const std::size_t len = std::min(b - off, k1 - k);
+        const std::size_t i0 = deposit1(k, b);
+        swapRunsScalar(a + i0, a + i0 + b, len);
+        k += len;
+    }
 }
+
+/** The CX and SWAP walk: exchange a[base | offA] and a[base | offB]. */
+void
+swapPairUnitsScalar(Complex *a, std::size_t bA, std::size_t bB,
+                    std::size_t offA, std::size_t offB, std::size_t k0,
+                    std::size_t k1)
+{
+    const std::size_t sLow = bA < bB ? bA : bB;
+    if (sLow == 1) {
+        for (std::size_t k = k0; k < k1; ++k) {
+            const std::size_t base = deposit2(k, bA, bB);
+            std::swap(a[base | offA], a[base | offB]);
+        }
+        return;
+    }
+    std::size_t k = k0;
+    while (k < k1) {
+        const std::size_t off = k & (sLow - 1);
+        const std::size_t len = std::min(sLow - off, k1 - k);
+        const std::size_t base = deposit2(k, bA, bB);
+        swapRunsScalar(a + (base | offA), a + (base | offB), len);
+        k += len;
+    }
+}
+
+#if QISMET_SIMD_X86
+/**
+ * Give an odd unit at either end of [k0, k1) to the scalar `unit(k)`
+ * and return the even-bounded middle, which the two-units-per-vector
+ * AVX2 walks cover in one call.
+ */
+template <typename UnitFn>
+BlockRange
+peelOddEnds(std::size_t k0, std::size_t k1, UnitFn &&unit)
+{
+    if (k0 < k1 && (k0 & 1) != 0)
+        unit(k0++);
+    if (k0 < k1 && (k1 & 1) != 0)
+        unit(--k1);
+    return BlockRange{k0, k1};
+}
+#endif
 
 } // namespace
 
 /* ------------------------------------------------------------------ */
-/* Public contiguous-run micro-kernels.                                */
+/* Public contiguous-run micro-kernels (density-matrix sweeps).        */
 /* ------------------------------------------------------------------ */
 
 void
@@ -257,19 +339,6 @@ dense2Run(Complex *p0, Complex *p1, Complex *p2, Complex *p3,
 }
 
 void
-scaleRun(Complex *run, Complex d, std::size_t count, bool simd)
-{
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::scaleRunAvx2(run, d, count);
-#else
-    (void)simd;
-#endif
-    scaleRunScalar(run + done, d, count - done);
-}
-
-void
 conjPhaseRow(Complex *row, const Complex *phases, Complex rowPhase,
              std::size_t count, bool simd)
 {
@@ -283,134 +352,116 @@ conjPhaseRow(Complex *row, const Complex *phases, Complex rowPhase,
     conjPhaseRowScalar(row + done, phases + done, rowPhase, count - done);
 }
 
-void
-swapRuns(Complex *a, Complex *b, std::size_t count, bool simd)
-{
-    std::size_t done = 0;
-#if QISMET_SIMD_X86
-    if (simd)
-        done = detail::swapRunsAvx2(a, b, count);
-#else
-    (void)simd;
-#endif
-    swapRunsScalar(a + done, b + done, count - done);
-}
-
 /* ------------------------------------------------------------------ */
 /* Unit-range cores over an interleaved array.                         */
 /*                                                                     */
 /* A "unit" is one independent work item: an amplitude pair (dense1 /  */
 /* permX), a 4-tuple (dense2 / permCX / permSwap), or one amplitude    */
 /* (diag). Each core handles any [k0, k1) sub-range so the blocked     */
-/* partition can hand out pieces; the walk decomposes the range into   */
-/* contiguous runs (all unit addresses below the acted-on qubit are    */
-/* consecutive) and feeds them to the run micro-kernels.               */
+/* partition can hand out pieces. With SIMD on, the even-bounded       */
+/* middle of the range goes to one AVX2 walk and an odd end unit to    */
+/* the scalar walk; units are independent, so the split moves no bit. */
 /* ------------------------------------------------------------------ */
 
 void
 dense1Units(Complex *a, int q, const Complex *m, bool real, bool simd,
             std::size_t k0, std::size_t k1)
 {
-    if (q == 0) {
-        // Units are adjacent (even, odd) amplitude pairs.
-        if (real)
-            dense1PairsReal(a + 2 * k0, k1 - k0, m, simd);
-        else
-            dense1Pairs(a + 2 * k0, k1 - k0, m, simd);
+#if QISMET_SIMD_X86
+    if (simd) {
+        const BlockRange mid = peelOddEnds(k0, k1, [&](std::size_t k) {
+            dense1UnitsScalar(a, q, m, real, k, k + 1);
+        });
+        if (mid.begin < mid.end)
+            detail::dense1UnitsAvx2(a, q, m, real, mid.begin, mid.end);
         return;
     }
-    const std::size_t s = std::size_t{1} << q;
-    std::size_t k = k0;
-    while (k < k1) {
-        const std::size_t off = k & (s - 1);
-        const std::size_t len = std::min(s - off, k1 - k);
-        const std::size_t i0 = deposit1(k, s);
-        if (real)
-            dense1RunReal(a + i0, a + i0 + s, len, m, simd);
-        else
-            dense1Run(a + i0, a + i0 + s, len, m, simd);
-        k += len;
-    }
+#else
+    (void)simd;
+#endif
+    dense1UnitsScalar(a, q, m, real, k0, k1);
 }
 
 void
 dense2Units(Complex *a, int qm, int ql, const Complex *m, bool simd,
             std::size_t k0, std::size_t k1)
 {
-    const std::size_t bm = std::size_t{1} << qm;
-    const std::size_t bl = std::size_t{1} << ql;
-    const int pLow = qm < ql ? qm : ql;
-    if (pLow == 0) {
-        // One of the acted-on qubits is bit 0: tuples are scattered,
-        // stay scalar (see DESIGN.md — not worth a gather/blend path
-        // for the op mix the compiler emits).
-        for (std::size_t k = k0; k < k1; ++k)
-            dense2Quartet(a, deposit2(k, bm, bl), bl, bm, m);
+#if QISMET_SIMD_X86
+    if (simd && qm != 0 && ql != 0) {
+        const BlockRange mid = peelOddEnds(k0, k1, [&](std::size_t k) {
+            dense2UnitsScalar(a, qm, ql, m, k, k + 1);
+        });
+        if (mid.begin < mid.end)
+            detail::dense2UnitsAvx2(a, qm, ql, m, mid.begin, mid.end);
         return;
     }
-    const std::size_t sLow = std::size_t{1} << pLow;
-    std::size_t k = k0;
-    while (k < k1) {
-        const std::size_t off = k & (sLow - 1);
-        const std::size_t len = std::min(sLow - off, k1 - k);
-        const std::size_t base = deposit2(k, bm, bl);
-        dense2Run(a + base, a + (base | bl), a + (base | bm),
-                  a + (base | bm | bl), len, m, simd);
-        k += len;
-    }
+#else
+    (void)simd;
+#endif
+    dense2UnitsScalar(a, qm, ql, m, k0, k1);
 }
 
 void
 diagUnits(Complex *a, std::size_t dim, std::uint64_t mask,
           const Complex *table, bool simd, std::size_t u0, std::size_t u1)
 {
-    const std::uint64_t comp = (dim - 1) & ~mask;
-    const int t = std::popcount(mask);
-    const int freeBits = std::countr_zero(dim) - t;
-    const std::size_t subSize = std::size_t{1} << freeBits;
-    const std::size_t runLen = std::size_t{1} << std::countr_one(comp);
-    const Complex one(1.0, 0.0);
-    std::size_t u = u0;
-    while (u < u1) {
-        const std::uint64_t li = u >> freeBits;
-        const std::size_t entryBegin = static_cast<std::size_t>(li) * subSize;
-        const std::size_t jEnd = std::min(u1, entryBegin + subSize) -
-                                 entryBegin;
-        const Complex d = table[li];
-        if (d == one) { // common for merged CZ/S/T runs
-            u = entryBegin + jEnd;
-            continue;
-        }
-        const std::uint64_t fixed = depositBits(li, mask);
-        std::size_t j = u - entryBegin;
-        while (j < jEnd) {
-            const std::size_t off = j & (runLen - 1);
-            const std::size_t len = std::min(runLen - off, jEnd - j);
-            const std::uint64_t idx = fixed | depositBits(j, comp);
-            scaleRun(a + idx, d, len, simd);
-            j += len;
-        }
-        u = entryBegin + jEnd;
+#if QISMET_SIMD_X86
+    if (simd && (mask & 1) == 0) {
+        const BlockRange mid = peelOddEnds(u0, u1, [&](std::size_t u) {
+            diagUnitsScalar(a, dim, mask, table, u, u + 1);
+        });
+        if (mid.begin < mid.end)
+            detail::diagUnitsAvx2(a, dim, mask, table, mid.begin, mid.end);
+        return;
     }
+#else
+    (void)simd;
+#endif
+    diagUnitsScalar(a, dim, mask, table, u0, u1);
 }
 
 void
 permXUnits(Complex *a, int q, bool simd, std::size_t k0, std::size_t k1)
 {
-    if (q == 0) {
-        swapAdjacentPairs(a + 2 * k0, k1 - k0, simd);
+#if QISMET_SIMD_X86
+    if (simd) {
+        const BlockRange mid = peelOddEnds(k0, k1, [&](std::size_t k) {
+            permXUnitsScalar(a, q, k, k + 1);
+        });
+        if (mid.begin < mid.end)
+            detail::permXUnitsAvx2(a, q, mid.begin, mid.end);
         return;
     }
-    const std::size_t b = std::size_t{1} << q;
-    std::size_t k = k0;
-    while (k < k1) {
-        const std::size_t off = k & (b - 1);
-        const std::size_t len = std::min(b - off, k1 - k);
-        const std::size_t i0 = deposit1(k, b);
-        swapRuns(a + i0, a + i0 + b, len, simd);
-        k += len;
-    }
+#else
+    (void)simd;
+#endif
+    permXUnitsScalar(a, q, k0, k1);
 }
+
+namespace {
+
+/** permCX and permSwap: the shared exchange walk, SIMD or scalar. */
+void
+swapPairUnits(Complex *a, std::size_t bA, std::size_t bB, std::size_t offA,
+              std::size_t offB, bool simd, std::size_t k0, std::size_t k1)
+{
+#if QISMET_SIMD_X86
+    if (simd && bA != 1 && bB != 1) {
+        const BlockRange mid = peelOddEnds(k0, k1, [&](std::size_t k) {
+            swapPairUnitsScalar(a, bA, bB, offA, offB, k, k + 1);
+        });
+        if (mid.begin < mid.end)
+            detail::swapPairUnitsAvx2(a, bA, bB, offA, offB, mid.begin,
+                                      mid.end);
+        return;
+    }
+#else
+    (void)simd;
+#endif
+    swapPairUnitsScalar(a, bA, bB, offA, offB, k0, k1);
+}
+
+} // namespace
 
 void
 permCXUnits(Complex *a, int qc, int qt, bool simd, std::size_t k0,
@@ -418,23 +469,7 @@ permCXUnits(Complex *a, int qc, int qt, bool simd, std::size_t k0,
 {
     const std::size_t bc = std::size_t{1} << qc;
     const std::size_t bt = std::size_t{1} << qt;
-    const int pLow = qc < qt ? qc : qt;
-    if (pLow == 0) {
-        for (std::size_t k = k0; k < k1; ++k) {
-            const std::size_t base = deposit2(k, bc, bt);
-            std::swap(a[base | bc], a[base | bc | bt]);
-        }
-        return;
-    }
-    const std::size_t sLow = std::size_t{1} << pLow;
-    std::size_t k = k0;
-    while (k < k1) {
-        const std::size_t off = k & (sLow - 1);
-        const std::size_t len = std::min(sLow - off, k1 - k);
-        const std::size_t base = deposit2(k, bc, bt);
-        swapRuns(a + (base | bc), a + (base | bc | bt), len, simd);
-        k += len;
-    }
+    swapPairUnits(a, bc, bt, bc, bc | bt, simd, k0, k1);
 }
 
 void
@@ -443,23 +478,7 @@ permSwapUnits(Complex *a, int qa, int qb, bool simd, std::size_t k0,
 {
     const std::size_t ba = std::size_t{1} << qa;
     const std::size_t bb = std::size_t{1} << qb;
-    const int pLow = qa < qb ? qa : qb;
-    if (pLow == 0) {
-        for (std::size_t k = k0; k < k1; ++k) {
-            const std::size_t base = deposit2(k, ba, bb);
-            std::swap(a[base | ba], a[base | bb]);
-        }
-        return;
-    }
-    const std::size_t sLow = std::size_t{1} << pLow;
-    std::size_t k = k0;
-    while (k < k1) {
-        const std::size_t off = k & (sLow - 1);
-        const std::size_t len = std::min(sLow - off, k1 - k);
-        const std::size_t base = deposit2(k, ba, bb);
-        swapRuns(a + (base | ba), a + (base | bb), len, simd);
-        k += len;
-    }
+    swapPairUnits(a, ba, bb, ba, bb, simd, k0, k1);
 }
 
 /* ------------------------------------------------------------------ */

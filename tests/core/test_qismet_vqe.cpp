@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "apps/applications.hpp"
 #include "core/qismet_vqe.hpp"
@@ -43,6 +44,40 @@ TEST(QismetVqe, NaNJitterThrowsInsteadOfRunning)
     cfg.intraJobJitter = 0.01;
     cfg.intraJobRelativeJitter = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(runner.run(cfg), std::invalid_argument);
+}
+
+TEST(QismetVqe, NonFiniteInitialThetaThrowsNamingTheEntry)
+{
+    // Used to run all 60 jobs and return a NaN finalEstimate.
+    const Application app = application(1);
+    const QismetVqe runner = app.makeRunner();
+    QismetVqeConfig cfg;
+    cfg.scheme = Scheme::Qismet;
+    cfg.totalJobs = 60;
+    const struct
+    {
+        double value;
+        const char *text;
+    } cases[] = {{std::numeric_limits<double>::quiet_NaN(), "nan"},
+                 {std::numeric_limits<double>::infinity(), "inf"},
+                 {-std::numeric_limits<double>::infinity(), "-inf"}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        cfg.initialTheta.assign(
+            static_cast<std::size_t>(app.ansatzCircuit.numParams()), 0.5);
+        cfg.initialTheta[3] = c.value;
+        try {
+            runner.run(cfg);
+            ADD_FAILURE() << "a non-finite initialTheta ran";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("initialTheta[3]"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::string("got ") + c.text),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(QismetVqe, EnergyScalePositive)

@@ -13,6 +13,8 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -217,6 +219,22 @@ TEST(CompiledCircuit, BindValidatesParameterCount)
     EXPECT_THROW(cc.bind({0.1}, pool), std::invalid_argument);
     EXPECT_NO_THROW(cc.bind({0.1, 0.2}, pool));
     EXPECT_EQ(pool.size(), cc.bindPoolSize());
+}
+
+TEST(CompiledCircuit, NegativeParameterIndexIsRejectedAtCompile)
+{
+    // Circuit::append bounds a parameter index from above only. bind()
+    // no longer checks indexes per factor, so the compiler rejects one
+    // below zero, naming it.
+    Circuit c(1, 1);
+    c.rzParam(0, -3);
+    try {
+        const CompiledCircuit cc(c);
+        ADD_FAILURE() << "compiled a negative parameter index";
+    } catch (const std::out_of_range &e) {
+        EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos)
+            << e.what();
+    }
 }
 
 /**

@@ -24,7 +24,10 @@
  *
  * Half the seeds run with the intra-state parallel threshold forced to
  * 64 elements so the fixed-block partition is exercised even at small
- * widths; blocked and serial sweeps must agree bit-for-bit.
+ * widths; blocked and serial sweeps must agree bit-for-bit. A second
+ * grid drives every qubit and every ordered pair at 2-8 qubits, at the
+ * default threshold and at 64 and 16, so the unit walks also see
+ * one-unit blocks and ranges that start or end inside a run.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +39,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -420,6 +424,142 @@ TEST_P(KernelEquivalenceTest, OrderedReductions)
 INSTANTIATE_TEST_SUITE_P(Random, KernelEquivalenceTest,
                          ::testing::Combine(::testing::Range(2, 13),
                                             ::testing::Range(0, 10)));
+
+// ---------------------------------------------------------------------
+// Every position at small widths: each qubit and each ordered pair, at
+// the default parallel threshold, at 64 and at 16 elements. The lower
+// thresholds split the state into one-unit blocks and ranges that start
+// or end inside a run, which is where the unit walks hand an odd end
+// unit to the scalar code instead of the AVX2 walk.
+// ---------------------------------------------------------------------
+
+/** (qubits, threshold index): thresholds default, 64, 16. */
+class KernelPositionSweepTest
+    : public ::testing::TestWithParam<std::tuple<int, int>>
+{
+  protected:
+    void SetUp() override
+    {
+        static const std::size_t kThresholds[] = {0, 64, 16};
+        setIntraStateParallelThreshold(
+            kThresholds[std::get<1>(GetParam())]);
+    }
+
+    int numQubits() const { return std::get<0>(GetParam()); }
+    std::size_t dim() const { return std::size_t{1} << numQubits(); }
+    Rng makeRng(std::uint64_t salt) const
+    {
+        return Rng(salt * 7919 +
+                   static_cast<std::uint64_t>(10 * std::get<0>(GetParam()) +
+                                              std::get<1>(GetParam())));
+    }
+
+  private:
+    ThresholdGuard thresholdGuard_;
+};
+
+TEST_P(KernelPositionSweepTest, Dense1EveryQubit)
+{
+    Rng rng = makeRng(1);
+    for (int q = 0; q < numQubits(); ++q) {
+        SCOPED_TRACE("q=" + std::to_string(q));
+        Complex m[4];
+        randomComplexArray(m, 4, rng);
+        differentialCase(
+            dim(), rng,
+            [&](std::span<Complex> s) { kern::applyDense1(s, q, m); },
+            [&](std::vector<Complex> &a) { refDense1(a, q, m); });
+        Complex mr[4];
+        for (Complex &e : mr)
+            e = Complex(rng.uniform(-1.0, 1.0), 0.0);
+        differentialCase(
+            dim(), rng,
+            [&](std::span<Complex> s) { kern::applyDense1(s, q, mr); },
+            [&](std::vector<Complex> &a) { refDense1(a, q, mr); });
+    }
+}
+
+TEST_P(KernelPositionSweepTest, Dense2EveryOrderedPair)
+{
+    Rng rng = makeRng(2);
+    for (int qm = 0; qm < numQubits(); ++qm) {
+        for (int ql = 0; ql < numQubits(); ++ql) {
+            if (qm == ql)
+                continue;
+            SCOPED_TRACE("qm=" + std::to_string(qm) +
+                         " ql=" + std::to_string(ql));
+            Complex m[16];
+            randomComplexArray(m, 16, rng);
+            differentialCase(
+                dim(), rng,
+                [&](std::span<Complex> s) {
+                    kern::applyDense2(s, qm, ql, m);
+                },
+                [&](std::vector<Complex> &a) { refDense2(a, qm, ql, m); });
+        }
+    }
+}
+
+TEST_P(KernelPositionSweepTest, DiagEveryQubitAndPair)
+{
+    Rng rng = makeRng(3);
+    const int n = numQubits();
+    std::vector<std::uint64_t> masks;
+    for (int a = 0; a < n; ++a) {
+        masks.push_back(std::uint64_t{1} << a);
+        for (int b = a + 1; b < n; ++b)
+            masks.push_back((std::uint64_t{1} << a) |
+                            (std::uint64_t{1} << b));
+    }
+    masks.push_back(dim() - 1);
+    for (const std::uint64_t mask : masks) {
+        SCOPED_TRACE("mask=" + std::to_string(mask));
+        // Some exact-one entries, so the skip branch runs too.
+        std::vector<Complex> table(std::size_t{1} << std::popcount(mask));
+        for (Complex &d : table)
+            d = rng.bernoulli(0.25) ? Complex(1.0, 0.0)
+                                    : Complex(rng.uniform(-1.0, 1.0),
+                                              rng.uniform(-1.0, 1.0));
+        differentialCase(
+            dim(), rng,
+            [&](std::span<Complex> s) {
+                kern::applyDiag(s, mask, table.data());
+            },
+            [&](std::vector<Complex> &a) {
+                refDiag(a, mask, table.data());
+            });
+    }
+}
+
+TEST_P(KernelPositionSweepTest, PermutationsEveryPosition)
+{
+    Rng rng = makeRng(4);
+    const int n = numQubits();
+    for (int q = 0; q < n; ++q) {
+        SCOPED_TRACE("q=" + std::to_string(q));
+        differentialCase(
+            dim(), rng,
+            [&](std::span<Complex> s) { kern::applyPermX(s, q); },
+            [&](std::vector<Complex> &a) { refPermX(a, q); });
+        for (int p = 0; p < n; ++p) {
+            if (p == q)
+                continue;
+            SCOPED_TRACE("p=" + std::to_string(p));
+            differentialCase(
+                dim(), rng,
+                [&](std::span<Complex> s) { kern::applyPermCX(s, q, p); },
+                [&](std::vector<Complex> &a) { refPermCX(a, q, p); });
+            differentialCase(
+                dim(), rng,
+                [&](std::span<Complex> s) { kern::applyPermSwap(s, q, p); },
+                [&](std::vector<Complex> &a) { refPermSwap(a, q, p); });
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, KernelPositionSweepTest,
+                         ::testing::Combine(::testing::Range(2, 9),
+                                            ::testing::Range(0, 3)));
 
 // ---------------------------------------------------------------------
 // Whole-circuit differential: compiled-kernel execution vs the legacy

@@ -55,12 +55,15 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # point reuse suite and the whole-trajectory determinism suite, whose
 # job fan-out reads the executor's kept points from pool threads.
 # Both legs rerun the shot loop's exactness battery (ShotSamplerExact);
-# its sampleBatch cases fan out over the global executor.
+# its sampleBatch cases fan out over the global executor. Both also
+# rerun the Table-1 known answers (bind pools, prepared states and
+# prepared points of all six apps, pinned digests) and the bind
+# battery (CompiledCircuit::bind against the slot-evaluation oracle).
 QISMET_SIMD=off ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|PreparedPointReuse|ParallelDeterminism' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
@@ -297,7 +300,10 @@ ctest --preset tsan-subsys
 
 stage "kernel, expectation, persist and recovery suites under ASan+UBSan and standalone UBSan"
 # The SIMD kernels and the batched-expectation sweep walk amplitude
-# arrays with hand-rolled bit arithmetic and intrinsic loads; the
+# arrays with hand-rolled bit arithmetic and intrinsic loads (each
+# kernel's AVX2 unit walk covers a whole range in pointer arithmetic,
+# and bind's flat factor recipes index their pools; the bind battery
+# in test_sim_kernels drives both); the
 # journal, snapshot and serve-manifest decoders (one framed-log codec)
 # parse bytes from disk, and their bit-flip and truncation fuzz suites
 # (test_persist, persist label, which links qismet_serve for the
