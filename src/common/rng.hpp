@@ -172,8 +172,15 @@ class Rng
     /** Construct with the given seed. */
     explicit Rng(std::uint64_t seed = 42);
 
-    /** Uniform double in [0, 1). */
+    /** Uniform double in [0, 1): uniformBits() scaled by 2^-53. */
     double uniform();
+
+    /**
+     * The 53-bit integer behind one uniform() draw, consuming the same
+     * engine step: uniform() is exactly this times 2^-53. For loops
+     * that compare draws as integers (the shot sampler).
+     */
+    std::uint64_t uniformBits();
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -255,11 +262,17 @@ class Rng
     double spareNormal_ = 0.0;
 };
 
+inline std::uint64_t
+Rng::uniformBits()
+{
+    return engine_() >> 11;
+}
+
 inline double
 Rng::uniform()
 {
     // 53 random bits into the mantissa: uniform on [0, 1).
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+    return static_cast<double>(uniformBits()) * 0x1.0p-53;
 }
 
 inline bool

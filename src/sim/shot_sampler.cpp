@@ -46,6 +46,10 @@ Counts
 ShotSampler::sample(const std::vector<double> &probs, int num_qubits,
                     std::size_t shots, Rng &rng) const
 {
+    if (num_qubits < 0 || num_qubits > 63)
+        throw std::invalid_argument("ShotSampler::sample: num_qubits = " +
+                                    std::to_string(num_qubits) +
+                                    " is outside [0, 63]");
     if (probs.size() != (std::size_t{1} << num_qubits))
         throw std::invalid_argument("ShotSampler::sample: size mismatch");
 
@@ -69,40 +73,57 @@ Counts
 ShotSampler::sampleFromCdf(const std::vector<double> &cdf, int num_qubits,
                            std::size_t shots, Rng &rng) const
 {
-    const double acc = cdf.back();
-    if (!(acc > 0.0))
-        throw std::invalid_argument(
-            "ShotSampler: distribution is all zero or NaN");
+    const detail::CdfSearch search(cdf, "ShotSampler");
     const auto noisy_qubits =
         readout_.empty() ? 0 : static_cast<std::size_t>(num_qubits);
     if (readout_.size() < noisy_qubits)
         throw std::invalid_argument(
             "ShotSampler: readout entries fewer than qubits");
 
-    // flip_p[2q + b]: probability that qubit q, ideally b, reads !b.
-    std::vector<double> flip_p(2 * noisy_qubits);
+    // Per qubit, the integer thresholds of its two possible trials
+    // (ideal bit 0: p10; ideal bit 1: p01), and the masks of qubits
+    // that draw at all for each ideal bit (flip probability above 0).
+    struct Trial
+    {
+        std::uint64_t below0;
+        std::uint64_t below1;
+    };
+    std::vector<Trial> trials(noisy_qubits);
+    std::uint64_t draws0 = 0;
+    std::uint64_t draws1 = 0;
     for (std::size_t q = 0; q < noisy_qubits; ++q) {
-        flip_p[2 * q] = readout_[q].p10;
-        flip_p[2 * q + 1] = readout_[q].p01;
+        trials[q] = {detail::trialThreshold(readout_[q].p10),
+                     detail::trialThreshold(readout_[q].p01)};
+        draws0 |= static_cast<std::uint64_t>(trials[q].below0 != 0) << q;
+        draws1 |= static_cast<std::uint64_t>(trials[q].below1 != 0) << q;
     }
 
     // The same draws in the same order as the per-shot loop this
-    // replaced (DESIGN.md §17). The stream is a local copy so its state
-    // stays in registers, and each qubit's flip probability is chosen
-    // by its pre-readout bit, which no other qubit's trial can flip.
+    // replaced (DESIGN.md §17), on a register-resident copy of the
+    // stream. Each trial tests its draw against both thresholds, each
+    // test setting the qubit's bit of its flip mask where the draw is
+    // below, so a shot's draws and tests never wait for its search:
+    // only the final combine reads the ideal outcome. Which qubits draw
+    // depends on it only where one of a qubit's two flip probabilities
+    // is 0, and then through a branch, not a data dependency.
     Rng local = rng;
     std::vector<std::uint64_t> dense(cdf.size(), 0);
     for (std::size_t s = 0; s < shots; ++s) {
-        const double u = local.uniform() * acc;
         const auto ideal =
-            static_cast<std::uint64_t>(detail::cdfLowerBound(cdf, u));
-        std::uint64_t flips = 0;
-        for (std::size_t q = 0; q < noisy_qubits; ++q) {
-            const double p = flip_p[2 * q + ((ideal >> q) & 1)];
-            if (p > 0.0)
-                flips |= static_cast<std::uint64_t>(local.bernoulli(p)) << q;
+            static_cast<std::uint64_t>(search.find(local.uniformBits()));
+        const std::uint64_t draws = (draws1 & ideal) | (draws0 & ~ideal);
+        std::uint64_t flip0 = 0;
+        std::uint64_t flip1 = 0;
+        std::uint64_t bit = 1;
+        for (const Trial &t : trials) {
+            if ((draws & bit) != 0) {
+                const std::uint64_t k = local.uniformBits();
+                flip0 |= bit & (0 - static_cast<std::uint64_t>(k < t.below0));
+                flip1 |= bit & (0 - static_cast<std::uint64_t>(k < t.below1));
+            }
+            bit <<= 1;
         }
-        ++dense[ideal ^ flips];
+        ++dense[ideal ^ ((flip1 & ideal) | (flip0 & ~ideal))];
     }
     rng = local;
 

@@ -267,15 +267,13 @@ Statevector::sample(Rng &rng, std::size_t shots) const
     // Inverse-CDF sampling over the cumulative distribution, with the
     // search ShotSampler uses. The CDF itself is cached across calls
     // until the state mutates.
-    const std::vector<double> &cdf = cumulativeProbabilities();
-    const double acc = cdf.back();
+    const detail::CdfSearch search(cumulativeProbabilities(),
+                                   "Statevector::sample");
     std::vector<std::uint64_t> out;
     out.reserve(shots);
-    for (std::size_t s = 0; s < shots; ++s) {
-        const double u = rng.uniform() * acc;
+    for (std::size_t s = 0; s < shots; ++s)
         out.push_back(
-            static_cast<std::uint64_t>(detail::cdfLowerBound(cdf, u)));
-    }
+            static_cast<std::uint64_t>(search.find(rng.uniformBits())));
     return out;
 }
 

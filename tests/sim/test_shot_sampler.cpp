@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/shot_sampler.hpp"
 
@@ -104,6 +105,45 @@ TEST(ShotSampler, RejectsNaNAndInfiniteProbabilities)
     Rng rng(1);
     const Counts counts = sampler.sample({-1e-13, 1.0}, 1, 10, rng);
     EXPECT_EQ(counts.at(1), 10u);
+}
+
+TEST(ShotSampler, RefusesTotalsThatAreNotFiniteAndPositive)
+{
+    const ShotSampler sampler({ReadoutError{0.01, 0.02},
+                               ReadoutError{0.01, 0.02}});
+    // Finite weights whose sum passes DBL_MAX, and all zeros.
+    for (const std::vector<double> &probs :
+         {std::vector<double>{1e308, 1e308, 1e308, 0.0},
+          std::vector<double>{0.0, 0.0, 0.0, 0.0}}) {
+        Rng rng(1);
+        expectInvalidNaming([&] { sampler.sample(probs, 2, 100, rng); },
+                            {"ShotSampler", "total"});
+    }
+    // The Statevector overload: an infinite, a NaN and a zero state.
+    for (const std::vector<Complex> &amps :
+         {std::vector<Complex>{1.0, kInf, 0.0, 0.0},
+          std::vector<Complex>{1.0, kNaN, 0.0, 0.0},
+          std::vector<Complex>(4, 0.0)}) {
+        const Statevector state(amps);
+        Rng rng(1);
+        expectInvalidNaming([&] { sampler.sample(state, 100, rng); },
+                            {"ShotSampler", "total"});
+    }
+}
+
+TEST(ShotSampler, RefusesWidthsOutsideTheShift)
+{
+    // 1 << num_qubits is undefined outside [0, 63]: refused before it.
+    const ShotSampler sampler;
+    const std::vector<double> probs = {1.0};
+    for (int n : {-1, 64, 100}) {
+        SCOPED_TRACE(n);
+        Rng rng(1);
+        expectInvalidNaming([&] { sampler.sample(probs, n, 10, rng); },
+                            {"num_qubits = " + std::to_string(n)});
+    }
+    Rng rng(1);
+    EXPECT_EQ(sampler.sample(probs, 0, 10, rng).at(0), 10u);
 }
 
 TEST(ShotSampler, ErrorFreeSamplingMatchesDistribution)

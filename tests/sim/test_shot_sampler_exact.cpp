@@ -8,26 +8,36 @@
  * The oracle below is that loop verbatim: one `std::lower_bound` per
  * shot over the CDF, then the per-qubit readout pass (`applyReadout`),
  * then `++counts[outcome]` on the `std::map`. After every call the
- * battery asserts equal Counts and an equal `Rng::saveState()`. It
- * lives in the `simkern` binary, so the ASan/UBSan sweeps also check
- * the branch-free search's indexing.
+ * battery asserts equal Counts and an equal `Rng::saveState()`, on a
+ * pinned grid, on the Table-1 apps' own group distributions, and on
+ * geometric tails and extreme totals. The guided search and the
+ * integer readout trial are also checked on their own: the search
+ * against `std::lower_bound` at every guide-bucket edge and wherever a
+ * draw lands exactly on a CDF entry, the trial against `uniform() < p`
+ * at its threshold. It lives in the `simkern` binary, so the
+ * ASan/UBSan sweeps also check the search's indexing.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/applications.hpp"
 #include "circuit/circuit.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/cdf_search.hpp"
 #include "sim/shot_sampler.hpp"
 #include "sim/statevector.hpp"
+#include "vqe/energy_estimator.hpp"
 
 namespace qismet {
 namespace {
@@ -408,12 +418,272 @@ TEST(ShotSamplerExact, SampleBatchMatchesReferenceAtOneAndFourThreads)
 }
 
 // ---------------------------------------------------------------------------
-// The search on its own, against std::lower_bound.
+// The workload's own inputs and the shapes the grid does not reach.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kWideShotCounts[] = {1, 7, 300, 4096};
+
+/**
+ * Run `probs` through the sampler and the reference at every shot count
+ * in kWideShotCounts and for every readout shape, plus `extra` readout
+ * entries (the workload's own), all on one stream.
+ */
+void
+expectMatchesReference(const std::vector<double> &probs, int n, Rng &rng,
+                       const std::vector<ReadoutError> &extra = {})
+{
+    std::vector<std::vector<ReadoutError>> readouts;
+    for (ReadoutKind rk : kReadoutKinds)
+        readouts.push_back(makeReadout(rk, n));
+    if (!extra.empty())
+        readouts.push_back(extra);
+    for (std::size_t ri = 0; ri < readouts.size(); ++ri) {
+        const ShotSampler sampler(readouts[ri]);
+        for (std::size_t shots : kWideShotCounts) {
+            SCOPED_TRACE("readout=" + std::to_string(ri) +
+                         " shots=" + std::to_string(shots));
+            Rng want_rng = rng;
+            const Counts want =
+                referenceSample(readouts[ri], probs, n, shots, want_rng);
+            EXPECT_EQ(sampler.sample(probs, n, shots, rng), want);
+            expectSameState(rng, want_rng);
+        }
+    }
+}
+
+/**
+ * Each Table-1 app's measurement-group distributions at a few random
+ * points, depolarized by the static survival factor exactly as
+ * EnergyEstimator::finishSampling does: what sampling-table1 samples.
+ */
+std::vector<std::vector<double>>
+table1GroupDistributions(const Application &app, Rng &rng)
+{
+    EstimatorConfig config;
+    config.mode = EstimatorMode::Sampling;
+    const EnergyEstimator estimator(app.hamiltonian, app.ansatzCircuit,
+                                    app.machine.staticModel(), config);
+    const int n = app.ansatzCircuit.numQubits();
+    const double uniform = 1.0 / static_cast<double>(std::size_t{1} << n);
+    const double f = estimator.staticSurvival();
+    std::vector<std::vector<double>> out;
+    std::vector<double> theta(
+        static_cast<std::size_t>(app.ansatzCircuit.numParams()));
+    for (int point = 0; point < 2; ++point) {
+        for (double &t : theta)
+            t = rng.uniform(-3.14159, 3.14159);
+        for (std::vector<double> probs :
+             estimator.prepare(theta).groupProbabilities) {
+            for (double &p : probs)
+                p = f * p + (1.0 - f) * uniform;
+            out.push_back(std::move(probs));
+        }
+    }
+    return out;
+}
+
+TEST(ShotSamplerExact, Table1GroupDistributionsMatchReference)
+{
+    Rng rng(2027);
+    for (int index = 1; index <= 6; ++index) {
+        SCOPED_TRACE("App" + std::to_string(index));
+        const Application app = application(index);
+        const int n = app.ansatzCircuit.numQubits();
+        const std::vector<ReadoutError> readout =
+            app.machine.staticModel().readoutErrors(n);
+        for (const std::vector<double> &probs :
+             table1GroupDistributions(app, rng))
+            expectMatchesReference(probs, n, rng, readout);
+    }
+}
+
+/**
+ * Weights 2^(−e_i) with e_i rising linearly to 1070, so the tail runs
+ * through the subnormals; `rising` puts the tail first instead. Either
+ * way most CDF entries share one guide bucket.
+ */
+std::vector<double>
+geometricTail(int n, bool rising)
+{
+    const std::size_t dim = std::size_t{1} << n;
+    std::vector<double> p(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+        const std::size_t step = rising ? dim - 1 - i : i;
+        p[i] = std::ldexp(1.0, -static_cast<int>(step * 1070 / (dim - 1)));
+    }
+    return p;
+}
+
+TEST(ShotSamplerExact, GeometricTailsToSubnormalsMatchReference)
+{
+    Rng rng(2028);
+    for (int n = 2; n <= 8; ++n) {
+        for (bool rising : {false, true}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         (rising ? " rising" : " falling"));
+            const std::vector<double> p = geometricTail(n, rising);
+            ASSERT_LT(*std::min_element(p.begin(), p.end()),
+                      std::numeric_limits<double>::min());
+            expectMatchesReference(p, n, rng);
+        }
+    }
+}
+
+TEST(ShotSamplerExact, TinyAndHugeTotalsMatchReference)
+{
+    Rng rng(2029);
+    const Application app = application(1);
+    const int n = app.ansatzCircuit.numQubits();
+    const std::vector<std::vector<double>> shapes = {
+        makeDistribution(DistKind::Uniform, n),
+        makeDistribution(DistKind::Sparse, n),
+        table1GroupDistributions(app, rng).front()};
+    for (double total : {1e-300, 1e300}) {
+        for (std::size_t si = 0; si < shapes.size(); ++si) {
+            SCOPED_TRACE(std::string(total < 1.0 ? "tiny" : "huge") +
+                         " total, shape=" + std::to_string(si));
+            double sum = 0.0;
+            for (double w : shapes[si])
+                sum += std::max(0.0, w);
+            std::vector<double> p = shapes[si];
+            for (double &w : p)
+                w = std::max(0.0, w) / sum * total;
+            expectMatchesReference(p, n, rng);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The search and the trial on their own.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kDrawLimit = std::uint64_t{1} << 53;
+
+/** std::lower_bound at the draw whose integer is k: the oracle. */
+std::size_t
+lowerBoundAt(const std::vector<double> &cdf, std::uint64_t k)
+{
+    const double u = static_cast<double>(k) * 0x1.0p-53 * cdf.back();
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+std::vector<double>
+prefixSums(const std::vector<double> &p)
+{
+    std::vector<double> cdf(p.size());
+    double acc = 0.0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        acc += std::max(0.0, p[i]);
+        cdf[i] = acc;
+    }
+    return cdf;
+}
+
+/**
+ * Draws whose u lands exactly on a CDF entry: for each entry c, the k
+ * nearest c/total·2^53 and its neighbours, kept where u(k) == c.
+ */
+std::vector<std::uint64_t>
+exactEntryDraws(const std::vector<double> &cdf)
+{
+    std::vector<std::uint64_t> out;
+    const double total = cdf.back();
+    for (double c : cdf) {
+        const double guess = std::floor(c / total * 0x1.0p53);
+        const auto k0 = static_cast<std::uint64_t>(
+            std::min(guess, static_cast<double>(kDrawLimit - 1)));
+        for (std::uint64_t k = k0 > 2 ? k0 - 2 : 0;
+             k <= k0 + 2 && k < kDrawLimit; ++k)
+            if (static_cast<double>(k) * 0x1.0p-53 * total == c)
+                out.push_back(k);
+    }
+    return out;
+}
+
+/** The CDFs the search is checked on, each with a name. */
+std::vector<std::pair<std::string, std::vector<double>>>
+searchCases()
+{
+    std::vector<std::pair<std::string, std::vector<double>>> cases;
+    for (int n : {1, 3, 6, 10}) {
+        const std::string w = " n=" + std::to_string(n);
+        for (DistKind dk : kDistKinds)
+            cases.emplace_back(
+                "dist=" + std::to_string(static_cast<int>(dk)) + w,
+                prefixSums(makeDistribution(dk, n)));
+        cases.emplace_back("falling tail" + w,
+                           prefixSums(geometricTail(n, false)));
+        cases.emplace_back("rising tail" + w,
+                           prefixSums(geometricTail(n, true)));
+    }
+    // Multiples of 2^-7 summing to exactly 1, zeros included: every
+    // entry but the last is u(k) for the integer k = entry·2^53.
+    constexpr double kUnits[] = {0.0, 2.0, 3.0, 3.0};
+    std::vector<double> dyadic(64);
+    for (std::size_t i = 0; i < dyadic.size(); ++i)
+        dyadic[i] = kUnits[i % 4] * 0x1.0p-7;
+    cases.emplace_back("dyadic", prefixSums(dyadic));
+    // Many entries packed into one bucket: 2^15 outcomes (the 2^16
+    // bucket cap), all but a few of them a hair of the mass.
+    std::vector<double> packed(std::size_t{1} << 15, 1e-12);
+    packed[7] = 1.0;
+    packed[20000] = 0.5;
+    cases.emplace_back("packed", prefixSums(packed));
+    for (double total : {1e-300, 1e300}) {
+        std::vector<double> scaled = makeDistribution(DistKind::Sparse, 6);
+        for (double &w : scaled)
+            w *= total;
+        cases.emplace_back(total < 1.0 ? "tiny total" : "huge total",
+                           prefixSums(scaled));
+    }
+    return cases;
+}
+
+TEST(ShotSamplerExact, GuidedSearchMatchesLowerBoundAtBucketEdges)
+{
+    for (const auto &[name, cdf] : searchCases()) {
+        SCOPED_TRACE(name);
+        const detail::CdfSearch search(cdf, "test");
+        const int bits = search.bucketBits();
+        const int n = static_cast<int>(std::bit_width(cdf.size() - 1));
+        EXPECT_EQ(bits, std::min(n + 2, 16));
+        const int shift = 53 - bits;
+        for (std::uint64_t j = 0; j < (std::uint64_t{1} << bits); ++j) {
+            const std::uint64_t edge = j << shift;
+            for (std::uint64_t k :
+                 {edge == 0 ? edge : edge - 1, edge, edge + 1}) {
+                ASSERT_EQ(search.find(k), lowerBoundAt(cdf, k))
+                    << "bucket " << j << " k=" << k;
+            }
+        }
+        for (std::uint64_t k : {std::uint64_t{0}, kDrawLimit - 1})
+            EXPECT_EQ(search.find(k), lowerBoundAt(cdf, k)) << "k=" << k;
+    }
+}
+
+TEST(ShotSamplerExact, GuidedSearchMatchesLowerBoundWhereDrawsHitEntries)
+{
+    std::size_t hits = 0;
+    for (const auto &[name, cdf] : searchCases()) {
+        SCOPED_TRACE(name);
+        const detail::CdfSearch search(cdf, "test");
+        for (std::uint64_t k : exactEntryDraws(cdf)) {
+            ++hits;
+            for (std::uint64_t probe : {k == 0 ? k : k - 1, k, k + 1}) {
+                if (probe < kDrawLimit) {
+                    ASSERT_EQ(search.find(probe), lowerBoundAt(cdf, probe))
+                        << "k=" << probe;
+                }
+            }
+        }
+    }
+    // The dyadic case alone puts 63 of its entries on a draw.
+    EXPECT_GE(hits, 63u);
+}
 
 TEST(ShotSamplerExact, CdfSearchMatchesLowerBound)
 {
-    const double nan = std::numeric_limits<double>::quiet_NaN();
     for (std::size_t size = 1; size <= 33; ++size) {
         // Non-decreasing with flat runs and repeated values.
         std::vector<double> cdf(size);
@@ -422,19 +692,49 @@ TEST(ShotSamplerExact, CdfSearchMatchesLowerBound)
             acc += (i % 4 == 1 || i % 5 == 3) ? 0.0 : 0.125;
             cdf[i] = acc;
         }
-        std::vector<double> probes = {-1.0, 0.0, nan, cdf.back(),
-                                      cdf.back() + 1.0};
-        for (double v : cdf) {
-            probes.push_back(v);
-            probes.push_back(std::nextafter(v, -1.0));
-            probes.push_back(std::nextafter(v, 2.0 * v + 1.0));
+        const detail::CdfSearch search(cdf, "test");
+        std::vector<std::uint64_t> probes = {0, 1, kDrawLimit - 1};
+        for (std::uint64_t k : exactEntryDraws(cdf)) {
+            probes.push_back(k - (k > 0 ? 1 : 0));
+            probes.push_back(k);
+            probes.push_back(std::min(k + 1, kDrawLimit - 1));
         }
-        for (double u : probes) {
-            const auto want = static_cast<std::size_t>(
-                std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-            EXPECT_EQ(detail::cdfLowerBound(cdf, u), want)
-                << "size=" << size << " u=" << u;
+        for (std::uint64_t k : probes)
+            EXPECT_EQ(search.find(k), lowerBoundAt(cdf, k))
+                << "size=" << size << " k=" << k;
+    }
+}
+
+TEST(ShotSamplerExact, CdfSearchRefusesTotalsItCannotSample)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const std::vector<double> &cdf :
+         {std::vector<double>{}, std::vector<double>{0.0, 0.0},
+          std::vector<double>{0.5, inf}, std::vector<double>{0.5, nan}}) {
+        EXPECT_THROW(detail::CdfSearch(cdf, "test"), std::invalid_argument);
+    }
+}
+
+TEST(ShotSamplerExact, TrialThresholdIsTheDoubleComparison)
+{
+    for (double p : {0.0, 5e-324, 1e-300, 0.03, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+        SCOPED_TRACE("p=" + std::to_string(p));
+        const std::uint64_t t = detail::trialThreshold(p);
+        EXPECT_EQ(static_cast<double>(t), std::ceil(p * 0x1.0p53));
+        EXPECT_EQ(t == 0, p == 0.0);
+        std::vector<std::uint64_t> ks = {t};
+        if (t > 0)
+            ks.push_back(t - 1);
+        for (std::uint64_t k : ks) {
+            const bool by_double = static_cast<double>(k) * 0x1.0p-53 < p;
+            EXPECT_EQ(by_double, k < t) << "k=" << k;
         }
+        // The threshold is the boundary itself.
+        if (t > 0) {
+            EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p);
+        }
+        EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p);
     }
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/statevector.hpp"
@@ -184,6 +188,29 @@ TEST(Statevector, SamplingMatchesDistribution)
     }
     EXPECT_NEAR(static_cast<double>(zeros) / 20000.0, 0.5, 0.02);
     EXPECT_NEAR(static_cast<double>(threes) / 20000.0, 0.5, 0.02);
+}
+
+TEST(Statevector, SampleRefusesTotalsThatAreNotFiniteAndPositive)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const std::vector<Complex> &amps :
+         {std::vector<Complex>{1.0, inf, 0.0, 0.0},
+          std::vector<Complex>{1.0, nan, 0.0, 0.0},
+          std::vector<Complex>(4, 0.0)}) {
+        const Statevector st(amps);
+        Rng rng(1);
+        try {
+            st.sample(rng, 10);
+            ADD_FAILURE() << "no exception";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("Statevector::sample"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("total"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Statevector, RunRejectsWidthMismatch)

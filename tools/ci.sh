@@ -58,12 +58,15 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # its sampleBatch cases fan out over the global executor. Both also
 # rerun the Table-1 known answers (bind pools, prepared states and
 # prepared points of all six apps, pinned digests) and the bind
-# battery (CompiledCircuit::bind against the slot-evaluation oracle).
+# battery (CompiledCircuit::bind against the slot-evaluation oracle),
+# and the one whole-run pin of Sampling mode
+# (GoldenTraces.TfimVqeSampling), whose groups fan out over the
+# executor; the golden replays matched by 'Kernel' run Analytic only.
 QISMET_SIMD=off ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
