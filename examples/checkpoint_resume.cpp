@@ -130,10 +130,9 @@ main(int argc, char **argv)
             return 2;
         }
         // Real process death: no destructors, no stream flushes — the
-        // only survivors are the journal frames already written (the
-        // kernel keeps them; the fsync before each snapshot covers an
-        // OS crash up to that snapshot) and the atomically replaced
-        // snapshot.
+        // only survivors are the journal and snapshot-log frames
+        // already written (the kernel keeps them; the two fsyncs of
+        // each snapshot cover an OS crash up to that snapshot).
         CrashPoints::arm(kCrashIterationBoundary, crashAfter,
                          CrashPoints::Action::Exit);
     }

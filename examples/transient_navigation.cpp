@@ -76,7 +76,6 @@ main()
                 "-", "-");
 
     // Walk through the episode, letting the controller accept/skip.
-    TransientEstimator fig8;
     while (executor.jobsExecuted() < trace.size()) {
         JobRequest req;
         req.evaluations.push_back(theta_curr); // E_m(i+1)
@@ -89,7 +88,7 @@ main()
         ctx.hasReference = true;
         ctx.eReferenceRerun = job.energies[1];
 
-        const TransientEstimate est = fig8.estimate(
+        const TransientEstimate est = estimateTransient(
             ctx.ePrev, ctx.eReferenceRerun, ctx.eCurr);
         const Decision d = controller.judgeEvaluation(ctx);
 

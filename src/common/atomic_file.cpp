@@ -164,14 +164,18 @@ DurableFile::append(std::string_view bytes)
 {
     writeAll(fd_, bytes, path_);
     offset_ += bytes.size();
+    dirty_ = true;
 }
 
 void
 DurableFile::sync()
 {
+    if (!dirty_)
+        return;
     if (::fsync(fd_) != 0)
         throwErrno("fsync", path_);
     syncedOffset_ = offset_;
+    dirty_ = false;
 }
 
 void
@@ -183,6 +187,7 @@ DurableFile::truncateTo(std::uint64_t offset)
         throwErrno("seek", path_);
     offset_ = offset;
     syncedOffset_ = std::min(syncedOffset_, offset);
+    dirty_ = true;
 }
 
 } // namespace qismet

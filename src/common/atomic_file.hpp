@@ -1,19 +1,20 @@
 /**
  * @file
  * Crash-safe file primitives: every byte the project persists (journals,
- * snapshots, bench CSVs) flows through this layer.
+ * snapshot logs, serve manifests, bench CSVs) flows through this layer.
  *
  * Two write disciplines cover every durability need:
  *
  *  - atomicWriteFile: whole-file replacement via write-temp -> fsync ->
  *    rename -> fsync(dir). Readers see either the complete old file or
  *    the complete new file, never a torn mixture — rename(2) is atomic
- *    on POSIX filesystems. Used for snapshots and CSV dumps.
+ *    on POSIX filesystems. Used for CSV dumps.
  *  - DurableFile: an append-only descriptor with explicit sync(), for
- *    write-ahead journals whose tail may legitimately be torn by a
- *    crash. Torn tails are the *reader's* problem (the journal format
- *    frames and checksums every record so a partial append is detected
- *    and discarded on recovery).
+ *    the append-only logs (journal, snapshot log, serve manifest) whose
+ *    tail may legitimately be torn by a crash. Torn tails are the
+ *    *reader's* problem (the framed-log format frames and checksums
+ *    every record so a partial append is detected and discarded on
+ *    recovery).
  *
  * The qismet-lint rule `raw-file-write` flags persistence writes under
  * src/ that bypass this layer.
@@ -99,7 +100,11 @@ class DurableFile
     /** Append bytes at the current offset. @throws FileError. */
     void append(std::string_view bytes);
 
-    /** fsync the descriptor (make all appends durable). */
+    /**
+     * fsync the descriptor (make all appends durable). Returns without
+     * an fsync when nothing was appended or truncated since the last
+     * successful sync(): there is nothing to flush.
+     */
     void sync();
 
     /**
@@ -124,6 +129,9 @@ class DurableFile
     int fd_ = -1;
     std::uint64_t offset_ = 0;
     std::uint64_t syncedOffset_ = 0;
+    /** Changed since the last sync(). A fresh handle starts dirty: the
+     *  file may hold bytes that nobody has synced yet. */
+    bool dirty_ = true;
 };
 
 } // namespace qismet

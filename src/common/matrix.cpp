@@ -115,16 +115,6 @@ Matrix::adjoint() const
 }
 
 Matrix
-Matrix::transpose() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out(c, r) = (*this)(r, c);
-    return out;
-}
-
-Matrix
 Matrix::kron(const Matrix &other) const
 {
     Matrix out(rows_ * other.rows_, cols_ * other.cols_);

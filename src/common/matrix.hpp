@@ -64,9 +64,6 @@ class Matrix
     /** Conjugate transpose. */
     Matrix adjoint() const;
 
-    /** Transpose without conjugation. */
-    Matrix transpose() const;
-
     /** Kronecker product this ⊗ other. */
     Matrix kron(const Matrix &other) const;
 

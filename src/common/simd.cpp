@@ -25,12 +25,6 @@ detectCpu()
 } // namespace
 
 bool
-simdCompiledIn()
-{
-    return QISMET_SIMD_X86 != 0;
-}
-
-bool
 simdAvailable()
 {
     static const bool available = detectCpu();

@@ -44,9 +44,6 @@
 
 namespace qismet {
 
-/** True when the AVX2 kernel bodies were compiled in at all. */
-bool simdCompiledIn();
-
 /**
  * True when the AVX2 kernels can run here: compiled in and the CPU
  * reports AVX2+FMA. Checked once, then cached.

@@ -78,8 +78,8 @@ GradientFaithfulController::judgeEvaluation(const EvalContext &ctx)
     }
 
     ++judged_;
-    const TransientEstimate est = estimator_.estimate(
-        ctx.ePrev, ctx.eReferenceRerun, ctx.eCurr);
+    const TransientEstimate est =
+        estimateTransient(ctx.ePrev, ctx.eReferenceRerun, ctx.eCurr);
 
     // Feed the adaptive threshold its observation (relative transient
     // magnitude against the current objective swing).
@@ -135,7 +135,6 @@ GradientFaithfulController::energyForOptimizer(const EvalContext &ctx)
 void
 GradientFaithfulController::reset()
 {
-    estimator_.reset();
     relativeHistory_.clear();
     relativeThreshold_ = config_.relativeThreshold;
     skips_ = 0;
@@ -148,7 +147,6 @@ void
 GradientFaithfulController::saveState(Encoder &enc) const
 {
     enc.writeF64(relativeThreshold_);
-    enc.writeVecF64(estimator_.magnitudeHistory());
     enc.writeVecF64(relativeHistory_);
     enc.writeU64(skips_);
     enc.writeU64(judged_);
@@ -160,7 +158,6 @@ void
 GradientFaithfulController::loadState(Decoder &dec)
 {
     relativeThreshold_ = dec.readF64();
-    estimator_.restoreMagnitudes(dec.readVecF64());
     relativeHistory_ = dec.readVecF64();
     skips_ = static_cast<std::size_t>(dec.readU64());
     judged_ = static_cast<std::size_t>(dec.readU64());
@@ -195,8 +192,8 @@ OnlyTransientsPolicy::judgeEvaluation(const EvalContext &ctx)
         return Decision::Accept;
 
     ++judged_;
-    const TransientEstimate est = estimator_.estimate(
-        ctx.ePrev, ctx.eReferenceRerun, ctx.eCurr);
+    const TransientEstimate est =
+        estimateTransient(ctx.ePrev, ctx.eReferenceRerun, ctx.eCurr);
 
     const double threshold =
         std::max(noiseFloor_,
@@ -212,7 +209,6 @@ OnlyTransientsPolicy::judgeEvaluation(const EvalContext &ctx)
 void
 OnlyTransientsPolicy::reset()
 {
-    estimator_.reset();
     skips_ = 0;
     judged_ = 0;
 }
@@ -220,7 +216,6 @@ OnlyTransientsPolicy::reset()
 void
 OnlyTransientsPolicy::saveState(Encoder &enc) const
 {
-    enc.writeVecF64(estimator_.magnitudeHistory());
     enc.writeU64(skips_);
     enc.writeU64(judged_);
 }
@@ -228,7 +223,6 @@ OnlyTransientsPolicy::saveState(Encoder &enc) const
 void
 OnlyTransientsPolicy::loadState(Decoder &dec)
 {
-    estimator_.restoreMagnitudes(dec.readVecF64());
     skips_ = static_cast<std::size_t>(dec.readU64());
     judged_ = static_cast<std::size_t>(dec.readU64());
 }

@@ -120,9 +120,6 @@ class GradientFaithfulController : public TuningPolicy
     /** Observed skip fraction. */
     double skipFraction() const;
 
-    /** Access the accumulated transient statistics. */
-    const TransientEstimator &estimator() const { return estimator_; }
-
     const QismetControllerConfig &config() const { return config_; }
 
     /**
@@ -142,7 +139,6 @@ class GradientFaithfulController : public TuningPolicy
 
     QismetControllerConfig config_;
     double relativeThreshold_ = 0.0;
-    TransientEstimator estimator_;
     std::vector<double> relativeHistory_;
     std::size_t skips_ = 0;
     std::size_t judged_ = 0;
@@ -183,7 +179,6 @@ class OnlyTransientsPolicy : public TuningPolicy
     double noiseFloor_;
     double mixedEnergy_;
     OnlyTransientsSkipper skipper_;
-    TransientEstimator estimator_;
     std::size_t skips_ = 0;
     std::size_t judged_ = 0;
 };

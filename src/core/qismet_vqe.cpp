@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/atomic_file.hpp"
+#include "common/format_double.hpp"
 #include "common/serial.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault_injector.hpp"
@@ -145,7 +146,7 @@ QismetVqe::run(const QismetVqeConfig &config) const
         if (!std::isfinite(t))
             throw std::invalid_argument(
                 "QismetVqe::run: initialTheta[" + std::to_string(i) +
-                "] must be finite, got " + std::to_string(t));
+                "] must be finite, got " + formatDouble(t));
     }
 
     MachineModel machine = machine_;

@@ -166,11 +166,6 @@ struct QismetVqeResult
     {
         return run.finalEstimate - exactGroundEnergy;
     }
-    /** Distance of the final *true* energy from the exact ground energy. */
-    double solutionError() const
-    {
-        return run.finalIdealEnergy - exactGroundEnergy;
-    }
 };
 
 /** Builds and runs QISMET VQE experiments for one problem + machine. */

@@ -38,8 +38,6 @@ class ThresholdCalibrator
      */
     explicit ThresholdCalibrator(double target_skip_fraction);
 
-    double targetSkipFraction() const { return target_; }
-
     /**
      * Threshold from a sample of transient magnitudes already in
      * energy units (e.g. online |T_m| history).

@@ -15,9 +15,6 @@
 #ifndef QISMET_CORE_TRANSIENT_ESTIMATOR_HPP
 #define QISMET_CORE_TRANSIENT_ESTIMATOR_HPP
 
-#include <cstddef>
-#include <vector>
-
 namespace qismet {
 
 /** All Fig.-8 quantities for one iteration. */
@@ -34,37 +31,23 @@ struct TransientEstimate
 };
 
 /**
- * Computes Fig.-8 quantities and keeps a history of transient
- * magnitudes for online threshold calibration.
+ * The Fig.-8 quantities of one iteration: a pure function of its three
+ * energies, so it keeps no state a checkpoint would have to carry.
  */
-class TransientEstimator
+inline TransientEstimate
+estimateTransient(double e_prev, double e_rerun_prev, double e_curr)
 {
-  public:
-    /** Compute the estimate for one iteration (also recorded). */
-    TransientEstimate estimate(double e_prev, double e_rerun_prev,
-                               double e_curr);
+    TransientEstimate est;
+    est.machineEnergyPrev = e_prev;
+    est.rerunEnergyPrev = e_rerun_prev;
+    est.machineEnergyCurr = e_curr;
 
-    /** |T_m| magnitudes observed so far. */
-    const std::vector<double> &magnitudeHistory() const
-    {
-        return magnitudes_;
-    }
-
-    /** Number of iterations observed. */
-    std::size_t count() const { return magnitudes_.size(); }
-
-    /** Clear the history. */
-    void reset() { magnitudes_.clear(); }
-
-    /** Crash-recovery: restore a history captured by magnitudeHistory(). */
-    void restoreMagnitudes(std::vector<double> magnitudes)
-    {
-        magnitudes_ = std::move(magnitudes);
-    }
-
-  private:
-    std::vector<double> magnitudes_;
-};
+    est.transient = e_rerun_prev - e_prev;
+    est.machineGradient = e_curr - e_prev;
+    est.predictedEnergy = e_curr - est.transient;
+    est.predictedGradient = est.predictedEnergy - e_prev;
+    return est;
+}
 
 } // namespace qismet
 

@@ -31,6 +31,8 @@ inline constexpr const char *kCrashJournalTornWrite =
     "journal:torn-write";
 inline constexpr const char *kCrashBeforeSnapshot =
     "snapshot:before-write";
+inline constexpr const char *kCrashSnapshotTornWrite =
+    "snapshot:torn-write";
 inline constexpr const char *kCrashServeJobBoundary =
     "serve:job-boundary";
 

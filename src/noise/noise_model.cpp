@@ -5,6 +5,7 @@
 #include <string>
 
 #include "circuit/metrics.hpp"
+#include "common/format_double.hpp"
 #include "sim/kraus.hpp"
 
 namespace qismet {
@@ -18,7 +19,7 @@ requireProbability(double v, const char *field)
 {
     if (!(v >= 0.0 && v <= 1.0))
         throw std::invalid_argument(std::string("StaticNoiseModel: ") +
-                                    field + " = " + std::to_string(v) +
+                                    field + " = " + formatDouble(v) +
                                     " is outside [0, 1]");
 }
 
@@ -27,7 +28,7 @@ requirePositive(double v, const char *field)
 {
     if (!(v > 0.0))
         throw std::invalid_argument(std::string("StaticNoiseModel: ") +
-                                    field + " = " + std::to_string(v) +
+                                    field + " = " + formatDouble(v) +
                                     " must be > 0");
 }
 
@@ -44,7 +45,7 @@ StaticNoiseModel::StaticNoiseModel(StaticNoiseParams params)
     requirePositive(params_.t2Us, "t2Us");
     if (params_.t2Us > 2.0 * params_.t1Us)
         throw std::invalid_argument("StaticNoiseModel: t2Us = " +
-                                    std::to_string(params_.t2Us) +
+                                    formatDouble(params_.t2Us) +
                                     " exceeds 2 * t1Us");
 }
 

@@ -61,13 +61,4 @@ TlsBurstProcess::step()
     return lastValue_;
 }
 
-double
-TlsBurstProcess::totalDepth() const
-{
-    double total = 0.0;
-    for (const Burst &b : bursts_)
-        total += b.depth;
-    return total;
-}
-
 } // namespace qismet

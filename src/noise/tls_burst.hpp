@@ -60,9 +60,6 @@ class TlsBurstProcess
     /** Realized intensity of the current step without advancing. */
     double value() const { return lastValue_; }
 
-    /** Sum of active burst depths (pre-flicker). */
-    double totalDepth() const;
-
     /** Number of currently active bursts. */
     std::size_t activeBursts() const { return bursts_.size(); }
 

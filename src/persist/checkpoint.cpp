@@ -22,16 +22,21 @@ CheckpointManager::recover()
 {
     if (!config_.resume)
         return std::nullopt;
-    const bool haveSnapshot = fileExists(snapshotPath());
     const bool haveJournal = fileExists(journalPath());
-    if (!haveSnapshot && !haveJournal)
-        // --resume on a virgin directory: "resume if possible".
-        return std::nullopt;
-    if (!haveSnapshot) {
-        // The run died before its first snapshot landed; the journal
-        // alone cannot seed component state, so start over.
-        diagnostics_ +=
-            "journal present but no snapshot; restarting from scratch\n";
+    const bool haveSnapshots = fileExists(snapshotPath());
+    SnapshotLogScan log;
+    if (haveSnapshots) {
+        log = scanSnapshotLog(snapshotPath());
+        if (log.tornTail)
+            diagnostics_ += "snapshot log " + log.diagnostic + "\n";
+    }
+    if (!log.latest) {
+        // Nothing durable yet (a virgin directory resumes "if
+        // possible"), or the run died before its first snapshot landed:
+        // the journal alone cannot seed component state, so start over.
+        if (haveJournal || haveSnapshots)
+            diagnostics_ += "no snapshot in '" + config_.dir +
+                            "' yet; restarting from scratch\n";
         return std::nullopt;
     }
     if (!haveJournal)
@@ -39,12 +44,16 @@ CheckpointManager::recover()
             "checkpoint '" + config_.dir +
             "' has a snapshot but no journal — refusing to resume");
 
-    const RunSnapshot snapshot = loadSnapshotFile(snapshotPath());
+    const RunSnapshot &snapshot = *log.latest;
     if (snapshot.configDigest != configDigest_)
         throw CheckpointError(
             "snapshot '" + snapshotPath() +
             "' belongs to a different run configuration — refusing to "
             "resume");
+    if (log.tornTail)
+        diagnostics_ += "resuming from the snapshot before the torn one "
+                        "(iteration " +
+                        std::to_string(snapshot.iteration) + ")\n";
 
     const JournalScanResult scan = scanJournal(journalPath());
     if (scan.configDigest != configDigest_)
@@ -73,6 +82,7 @@ CheckpointManager::recover()
         scan.frames.begin(),
         scan.frames.begin() +
             static_cast<std::ptrdiff_t>(snapshot.journalFrames));
+    recovered.snapshotLogOffset = log.cleanOffset;
     const std::uint64_t replayed = snapshot.journalFrames;
     if (scan.frames.size() > replayed)
         diagnostics_ +=
@@ -86,6 +96,11 @@ CheckpointManager::recover()
 void
 CheckpointManager::beginFresh()
 {
+    // The snapshot log first: a crash between the two truncations
+    // leaves a log without a snapshot, which recovery reads as a fresh
+    // start, never an old snapshot beside a new journal.
+    snapshots_.emplace(snapshotPath(), configDigest_,
+                       DurableFile::Mode::Truncate);
     journal_.emplace(journalPath(), configDigest_,
                      DurableFile::Mode::Truncate);
 }
@@ -93,6 +108,9 @@ CheckpointManager::beginFresh()
 void
 CheckpointManager::beginResumed(const Recovered &recovered)
 {
+    snapshots_.emplace(snapshotPath(), configDigest_,
+                       DurableFile::Mode::Append,
+                       recovered.snapshotLogOffset);
     journal_.emplace(journalPath(), configDigest_,
                      DurableFile::Mode::Append,
                      recovered.snapshot.journalOffset,
@@ -121,7 +139,8 @@ CheckpointManager::writeSnapshot(RunSnapshot snapshot)
     snapshot.configDigest = configDigest_;
     snapshot.journalFrames = journal_->frames();
     snapshot.journalOffset = journal_->syncedOffset();
-    saveSnapshotFile(snapshotPath(), snapshot);
+    snapshots_->append(snapshot);
+    snapshots_->sync();
 }
 
 } // namespace qismet

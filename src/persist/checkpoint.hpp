@@ -1,36 +1,40 @@
 /**
  * @file
- * CheckpointManager: the driver-facing facade over journal + snapshot.
+ * CheckpointManager: the driver-facing facade over journal + snapshots.
  *
- * A checkpoint directory holds exactly two files:
+ * A checkpoint directory holds exactly two append-only framed logs:
  *
- *     journal.qjnl    write-ahead record stream (append; fsync per
- *                     snapshot)
- *     snapshot.qsnp   latest full snapshot (atomic replace)
+ *     journal.qjnl    write-ahead record stream (fsync per snapshot)
+ *     snapshot.qsnp   snapshot log: one frame per snapshot, the last
+ *                     valid frame is the latest (fsync per snapshot)
  *
  * Protocol (driver side):
- *   1. recover(): if resuming and a valid snapshot exists, return it
- *      together with the journal frames up to the snapshot's position;
- *      the driver replays those to rebuild its history, then calls
- *      beginResumed() which truncates the journal tail. Otherwise the
- *      driver calls beginFresh().
+ *   1. recover(): if resuming and the snapshot log holds a snapshot,
+ *      return the latest one together with the journal frames up to its
+ *      position; the driver replays those to rebuild its history, then
+ *      calls beginResumed(), which cuts both logs back to the recovered
+ *      state. Otherwise the driver calls beginFresh().
  *   2. Every executed job / completed iteration is journaled *before*
  *      the driver proceeds (write-ahead, no fsync per frame).
  *   3. At iteration boundaries (cadence `snapshotEveryIters`) the
  *      driver captures a RunSnapshot; writeSnapshot() fsyncs the
  *      journal, stamps the snapshot with the now-durable journal
- *      position and atomically replaces the file. A snapshot therefore
- *      never points past durable journal bytes.
+ *      position, appends it to the snapshot log and fsyncs that. A
+ *      snapshot therefore never points past durable journal bytes.
  *
- * Crash model: after process death every written frame is still in the
- * file (page cache). After an OS crash or power loss only the journal
- * up to the last snapshot is guaranteed; the frames past it are the
- * ones recovery discards and re-executes anyway.
+ * Crash model: after process death every written frame is still in its
+ * file (page cache), at worst with one torn frame at a log's tail. After
+ * an OS crash or power loss only what the last snapshot's two fsyncs
+ * covered is guaranteed. Either way recovery drops a torn snapshot
+ * frame and falls back to the snapshot before it, and discards the
+ * journal frames past the snapshot it resumes from; they are
+ * re-executed deterministically.
  *
- * Failure policy: a missing checkpoint is a fresh start; a *corrupt*
- * one (bad snapshot, structurally corrupt journal, digest mismatch,
- * journal shorter than the snapshot claims) throws CheckpointError —
- * recovery never silently degrades to a wrong trajectory.
+ * Failure policy: a missing checkpoint, or a snapshot log without a
+ * complete snapshot, is a fresh start; a *corrupt* one (damaged
+ * snapshot log, structurally corrupt journal, digest mismatch, journal
+ * shorter than the snapshot claims) throws — recovery never silently
+ * degrades to a wrong trajectory.
  */
 
 #ifndef QISMET_PERSIST_CHECKPOINT_HPP
@@ -70,6 +74,7 @@ class CheckpointManager
     {
         RunSnapshot snapshot;
         std::vector<JournalFrame> frames; ///< prefix up to the snapshot
+        std::uint64_t snapshotLogOffset = 0; ///< end of its log frame
     };
 
     /** @throws CheckpointError on an empty directory or a zero
@@ -78,17 +83,20 @@ class CheckpointManager
                       std::uint64_t config_digest);
 
     /**
-     * Attempt recovery. Returns the snapshot + replayable journal
-     * prefix, or nullopt for a fresh start (not resuming, or nothing
-     * durable on disk yet). @throws CheckpointError on corruption or a
+     * Attempt recovery. Returns the latest snapshot + replayable
+     * journal prefix, or nullopt for a fresh start (not resuming, or no
+     * complete snapshot on disk yet). Reads only. @throws
+     * CheckpointError, JournalError or SnapshotError on corruption, a
+     * snapshot version other than kSnapshotVersion, or a
      * configuration-digest mismatch.
      */
     std::optional<Recovered> recover();
 
-    /** Start a fresh journal (truncates any previous run's files). */
+    /** Start fresh logs (truncates any previous run's files). */
     void beginFresh();
 
-    /** Continue the recovered journal, truncated at the snapshot. */
+    /** Continue the recovered logs: the journal cut back to the
+     *  snapshot's offset, the snapshot log to the snapshot's frame. */
     void beginResumed(const Recovered &recovered);
 
     /** Journal one executed job (written before return; durable at
@@ -107,8 +115,8 @@ class CheckpointManager
 
     /**
      * fsync the journal, stamp the snapshot with the synced journal
-     * position and the config digest, then atomically replace the
-     * snapshot file.
+     * position and the config digest, then append it to the snapshot
+     * log and fsync that.
      */
     void writeSnapshot(RunSnapshot snapshot);
 
@@ -133,6 +141,7 @@ class CheckpointManager
     CheckpointConfig config_;
     std::uint64_t configDigest_;
     std::optional<JournalWriter> journal_;
+    std::optional<SnapshotWriter> snapshots_;
     std::string diagnostics_;
 };
 

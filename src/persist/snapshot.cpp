@@ -1,9 +1,7 @@
 #include "persist/snapshot.hpp"
 
-#include <limits>
-
 #include "common/serial.hpp"
-#include "persist/framed_log.hpp"
+#include "fault/crash_point.hpp"
 
 namespace qismet {
 
@@ -13,12 +11,12 @@ constexpr FramedLogSpec kSnapshotLog{
     .noun = "snapshot",
     .magic = "QSNP",
     .version = kSnapshotVersion,
-    .frameTypes = 1, // the RunSnapshot
-    // No 1 MiB cap: the policy blob grows with the run, and an atomic
-    // whole-file write leaves no torn tail for a cap to guard.
-    .maxPayload = std::numeric_limits<std::uint32_t>::max(),
+    .frameTypes = 1, // one RunSnapshot per frame
     .error = &framedLogError<SnapshotError>,
+    .tornWritePoint = kCrashSnapshotTornWrite,
 };
+
+constexpr std::uint8_t kSnapshotFrame = 1;
 
 void
 encodeRng(Encoder &enc, const RngState &state)
@@ -115,18 +113,8 @@ RunSnapshot::decode(const std::string &payload)
     }
 }
 
-void
-saveSnapshotFile(const std::string &path, const RunSnapshot &snapshot)
-{
-    atomicWriteFile(path,
-                    encodeFramedLogHeader(kSnapshotLog,
-                                          snapshot.configDigest) +
-                        encodeFrame(kSnapshotLog, path, 1,
-                                    snapshot.encode()));
-}
-
-RunSnapshot
-loadSnapshotFile(const std::string &path)
+SnapshotLogScan
+scanSnapshotLog(const std::string &path)
 {
     FramedLogScan scan;
     try {
@@ -136,21 +124,46 @@ loadSnapshotFile(const std::string &path)
         throw SnapshotError(std::string("cannot read snapshot: ") +
                             err.what());
     }
-    // atomicWriteFile publishes the file whole, so a crash cannot tear
-    // it: a torn or missing frame, or a second one, is corruption.
-    if (scan.tornTail)
-        throw SnapshotError("snapshot '" + path +
-                            "' is corrupt: " + scan.tornReason);
-    if (scan.frames.size() != 1)
-        throw SnapshotError("snapshot '" + path + "' holds " +
-                            std::to_string(scan.frames.size()) +
-                            " frames instead of exactly one");
-    RunSnapshot snapshot = RunSnapshot::decode(scan.frames.front().payload);
-    if (snapshot.configDigest != scan.digest)
+    SnapshotLogScan out;
+    out.frames = scan.frames.size();
+    out.cleanOffset = scan.cleanOffset;
+    out.tornTail = scan.tornTail;
+    out.diagnostic = scan.diagnostic();
+    if (scan.frames.empty())
+        return out;
+    // Every frame is checksummed; only the latest is ever resumed from,
+    // so only it is decoded.
+    out.latest = RunSnapshot::decode(scan.frames.back().payload);
+    if (out.latest->configDigest != scan.digest)
         throw SnapshotError("snapshot '" + path +
                             "' header digest disagrees with its payload's "
                             "config digest");
-    return snapshot;
+    return out;
+}
+
+RunSnapshot
+loadSnapshotFile(const std::string &path)
+{
+    SnapshotLogScan scan = scanSnapshotLog(path);
+    if (!scan.latest)
+        throw SnapshotError("snapshot '" + path +
+                            "' holds no complete snapshot" +
+                            (scan.tornTail ? " (" + scan.diagnostic + ")"
+                                           : std::string()));
+    return std::move(*scan.latest);
+}
+
+SnapshotWriter::SnapshotWriter(const std::string &path,
+                               std::uint64_t config_digest,
+                               DurableFile::Mode mode, std::uint64_t offset)
+    : log_(kSnapshotLog, path, config_digest, mode, offset)
+{
+}
+
+void
+SnapshotWriter::append(const RunSnapshot &snapshot)
+{
+    log_.append(kSnapshotFrame, snapshot.encode());
 }
 
 } // namespace qismet

@@ -9,31 +9,36 @@
  * truncate the journal to the snapshot's offset before appending.
  *
  * Component state that the driver does not own — tuning-policy
- * calibration (thresholds, transient-estimator history, Kalman state)
- * and optimizer internals (SPSA perturbation vectors, Hessian
- * accumulators) — is carried as opaque blobs produced by each
- * component's saveState(). The RNG positions are explicit: the
- * serially-advanced optimizer stream is saved in full, while the job
- * executor and fault injector need only counters because their root
- * generators are never advanced (all per-job randomness is a
+ * calibration (thresholds, the adaptive threshold's bounded window,
+ * Kalman state) and optimizer internals (SPSA perturbation vectors,
+ * Hessian accumulators) — is carried as opaque blobs produced by each
+ * component's saveState(). None of it grows with the run, so a
+ * snapshot has the same size at any run length. The RNG positions are
+ * explicit: the serially-advanced optimizer stream is saved in full,
+ * while the job executor and fault injector need only counters because
+ * their root generators are never advanced (all per-job randomness is a
  * counter-based splitAt of an immutable root — the property that makes
  * resumed runs provably bit-identical at any thread count).
  *
- * On disk the snapshot is a framed log (persist/framed_log.hpp,
- * DESIGN.md §10) with magic "QSNP", the config digest in its header and
- * exactly one frame holding the encoded RunSnapshot, written atomically
- * (temp -> fsync -> rename). A torn or extra frame is corruption.
+ * On disk the snapshots form an append-only framed log
+ * (persist/framed_log.hpp, DESIGN.md §10) with magic "QSNP", the config
+ * digest in its header and one frame per snapshot, under the default
+ * 1 MiB frame cap. The last valid frame is the latest snapshot: a torn
+ * final frame (a crash mid-append) falls back to the one before it,
+ * and any other damage is a SnapshotError.
  */
 
 #ifndef QISMET_PERSIST_SNAPSHOT_HPP
 #define QISMET_PERSIST_SNAPSHOT_HPP
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "persist/framed_log.hpp"
 
 namespace qismet {
 
@@ -45,8 +50,10 @@ class SnapshotError : public std::runtime_error
 };
 
 /** Snapshot format version; bump on any field change. Version 1 was a
- *  bespoke container; version 2 is a one-frame framed log. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+ *  bespoke container; version 2 a one-frame framed log whose policy
+ *  blob carried the transient history; version 3 is an append-only log
+ *  of fixed-size snapshots. */
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Serializable state of one run at an optimizer-iteration boundary. */
 struct RunSnapshot
@@ -93,17 +100,54 @@ struct RunSnapshot
     static RunSnapshot decode(const std::string &payload);
 };
 
-/** Atomically write a snapshot file. */
-void saveSnapshotFile(const std::string &path,
-                      const RunSnapshot &snapshot);
+/** What a scan of a snapshot log found. */
+struct SnapshotLogScan
+{
+    std::optional<RunSnapshot> latest; ///< the last valid frame, if any
+    std::size_t frames = 0;            ///< valid frames in the log
+    std::uint64_t cleanOffset = 0;     ///< offset after the last of them
+    bool tornTail = false;
+    std::string diagnostic; ///< torn-tail note for the recovery log, or ""
+};
 
 /**
- * Load and validate a snapshot file.
- * @throws SnapshotError when missing, truncated, checksum-bad, of
- *         another version, holding other than exactly one frame, or
- *         when the header's digest is not the payload's.
+ * Read a snapshot log and decode its latest snapshot.
+ * @throws SnapshotError when the log cannot be read, is corrupt (see
+ *         framed_log.hpp), is of another version, or when the latest
+ *         snapshot's config digest is not the header's.
+ */
+SnapshotLogScan scanSnapshotLog(const std::string &path);
+
+/**
+ * The latest snapshot in a snapshot log.
+ * @throws SnapshotError as scanSnapshotLog does, and when the log holds
+ *         no complete snapshot.
  */
 RunSnapshot loadSnapshotFile(const std::string &path);
+
+/**
+ * Append side of the snapshot log: append() writes one frame without an
+ * fsync, sync() makes it durable.
+ */
+class SnapshotWriter
+{
+  public:
+    /**
+     * Mode Truncate starts a fresh log (writes the header); Append cuts
+     * an existing one back to `offset`, the end of its last valid frame.
+     */
+    SnapshotWriter(const std::string &path, std::uint64_t config_digest,
+                   DurableFile::Mode mode, std::uint64_t offset = 0);
+
+    /** Append one snapshot. @throws SnapshotError, before writing a
+     *  byte, when it is over the frame cap. */
+    void append(const RunSnapshot &snapshot);
+
+    void sync() { log_.sync(); }
+
+  private:
+    FramedLogWriter log_;
+};
 
 } // namespace qismet
 

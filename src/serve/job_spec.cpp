@@ -11,17 +11,6 @@
 
 namespace qismet {
 
-std::string
-workloadKindName(WorkloadKind kind)
-{
-    switch (kind) {
-      case WorkloadKind::H2Vqe: return "h2-vqe";
-      case WorkloadKind::TfimApp: return "tfim-app";
-      case WorkloadKind::QaoaRing: return "qaoa-ring";
-    }
-    return "?";
-}
-
 void
 ServeJobSpec::validate() const
 {

@@ -33,9 +33,6 @@ enum class WorkloadKind : std::uint8_t
     QaoaRing = 2 ///< QAOA MaxCut on the 6-ring (qaoa-maxcut golden)
 };
 
-/** Name for diagnostics ("h2-vqe", "tfim-app", "qaoa-ring"). */
-std::string workloadKindName(WorkloadKind kind);
-
 /** One tenant-submitted run request. */
 struct ServeJobSpec
 {

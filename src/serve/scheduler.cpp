@@ -245,13 +245,6 @@ ServeScheduler::backendLeases(std::size_t backend_id) const
 }
 
 std::uint64_t
-ServeScheduler::backendCalibrationDigest(std::size_t backend_id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return backendPool_.calibrationDigest(backend_id);
-}
-
-std::uint64_t
 ServeScheduler::tenantDispatches(std::uint64_t tenant_id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -263,20 +256,6 @@ ServeScheduler::fleetStats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return core_.fleetStats();
-}
-
-BackendHealth
-ServeScheduler::backendHealth(std::size_t backend_id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return backendPool_.health(backend_id);
-}
-
-BreakerState
-ServeScheduler::backendBreaker(std::size_t backend_id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return backendPool_.breaker(backend_id);
 }
 
 // The plan-cache counter reads don't take the scheduler mutex: the

@@ -156,24 +156,14 @@ class ServeScheduler
     /** All job ids in submission order. */
     std::vector<std::uint64_t> jobIds() const;
 
-    std::size_t workerCount() const { return pool_->size(); }
-    std::size_t backendCount() const { return backendPool_.size(); }
-
     /** Completed-lease count of one backend (soak telemetry). */
     std::uint64_t backendLeases(std::size_t backend_id) const;
-
-    /** Per-machine calibration digest (isolation telemetry). */
-    std::uint64_t backendCalibrationDigest(std::size_t backend_id) const;
 
     /** Legs dispatched for one tenant (fairness telemetry). */
     std::uint64_t tenantDispatches(std::uint64_t tenant_id) const;
 
     /** Fleet resilience counters (sheds, migrations, breaker trips…). */
     ServeFleetStats fleetStats() const;
-
-    /** Health / breaker state of one backend. */
-    BackendHealth backendHealth(std::size_t backend_id) const;
-    BreakerState backendBreaker(std::size_t backend_id) const;
 
     /**
      * ExpectationPlan-cache counters of one backend's lease-scoped

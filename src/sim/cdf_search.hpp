@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/format_double.hpp"
+
 namespace qismet {
 namespace detail {
 
@@ -59,7 +61,7 @@ class CdfSearch
         if (!(std::isfinite(total_) && total_ > 0.0))
             throw std::invalid_argument(
                 std::string(who) + ": distribution total " +
-                std::to_string(total_) + " is not finite and positive");
+                formatDouble(total_) + " is not finite and positive");
         if (cdf.size() > (std::size_t{1} << 32))
             throw std::invalid_argument(std::string(who) +
                                         ": more than 2^32 outcomes");

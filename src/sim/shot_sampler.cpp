@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "common/format_double.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/cdf_search.hpp"
 
@@ -22,7 +23,7 @@ checkReadout(const ReadoutError &r, const std::string &where)
                                    std::pair{r.p01, ".p01"}})
         if (!(p >= 0.0 && p <= 1.0))
             throw std::invalid_argument(where + field + " = " +
-                                        std::to_string(p) +
+                                        formatDouble(p) +
                                         " is outside [0, 1]");
 }
 
@@ -61,7 +62,7 @@ ShotSampler::sample(const std::vector<double> &probs, int num_qubits,
         if (!(probs[i] >= -1e-12) || std::isinf(probs[i]))
             throw std::invalid_argument(
                 "ShotSampler: probs[" + std::to_string(i) +
-                "] = " + std::to_string(probs[i]) +
+                "] = " + formatDouble(probs[i]) +
                 " is negative or not finite");
         acc += std::max(0.0, probs[i]);
         cdf[i] = acc;

@@ -9,9 +9,8 @@ namespace {
 
 TEST(TransientEstimator, EquationsExact)
 {
-    TransientEstimator est;
     // E_m(i) = -2.0, E_mR(i) = -1.4 (transient +0.6), E_m(i+1) = -1.1.
-    const auto e = est.estimate(-2.0, -1.4, -1.1);
+    const auto e = estimateTransient(-2.0, -1.4, -1.1);
 
     EXPECT_DOUBLE_EQ(e.transient, 0.6);            // T_m = E_mR - E_m
     EXPECT_DOUBLE_EQ(e.machineGradient, 0.9);      // G_m = E(i+1) - E(i)
@@ -21,8 +20,7 @@ TEST(TransientEstimator, EquationsExact)
 
 TEST(TransientEstimator, GpEqualsGmMinusTm)
 {
-    TransientEstimator est;
-    const auto e = est.estimate(0.3, -0.2, 1.7);
+    const auto e = estimateTransient(0.3, -0.2, 1.7);
     EXPECT_DOUBLE_EQ(e.predictedGradient,
                      e.machineGradient - e.transient);
 }
@@ -31,30 +29,16 @@ TEST(TransientEstimator, GpIsWithinJobDifference)
 {
     // The controller's key identity: G_p = E_m(i+1) - E_mR(i), a
     // within-job quantity.
-    TransientEstimator est;
-    const auto e = est.estimate(-5.0, -4.2, -3.9);
+    const auto e = estimateTransient(-5.0, -4.2, -3.9);
     EXPECT_NEAR(e.predictedGradient, -3.9 - (-4.2), 1e-12);
 }
 
 TEST(TransientEstimator, ZeroTransientPredictionIsMeasurement)
 {
-    TransientEstimator est;
-    const auto e = est.estimate(-1.0, -1.0, -1.5);
+    const auto e = estimateTransient(-1.0, -1.0, -1.5);
     EXPECT_DOUBLE_EQ(e.transient, 0.0);
     EXPECT_DOUBLE_EQ(e.predictedEnergy, -1.5);
     EXPECT_DOUBLE_EQ(e.predictedGradient, e.machineGradient);
-}
-
-TEST(TransientEstimator, HistoryAccumulatesMagnitudes)
-{
-    TransientEstimator est;
-    est.estimate(0.0, 0.5, 0.0);
-    est.estimate(0.0, -0.25, 0.0);
-    ASSERT_EQ(est.count(), 2u);
-    EXPECT_DOUBLE_EQ(est.magnitudeHistory()[0], 0.5);
-    EXPECT_DOUBLE_EQ(est.magnitudeHistory()[1], 0.25);
-    est.reset();
-    EXPECT_EQ(est.count(), 0u);
 }
 
 } // namespace

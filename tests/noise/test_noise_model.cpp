@@ -70,6 +70,44 @@ TEST(StaticNoiseModel, RejectsNaNAndOutOfRangeNamingTheField)
     }
 }
 
+TEST(StaticNoiseModel, RefusalsPrintTheRefusedValueExactly)
+{
+    // Shortest round-trip form: six fixed decimals printed -1e-9 as
+    // -0.000000 and 3e-9 as 0.000000.
+    const struct
+    {
+        double StaticNoiseParams::*member;
+        double bad;
+        const char *want;
+    } cases[] = {
+        {&StaticNoiseParams::p1q, -1e-9, "p1q = -1e-09 is outside [0, 1]"},
+        {&StaticNoiseParams::t1Us, -1e-9, "t1Us = -1e-09 must be > 0"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.want);
+        StaticNoiseParams p;
+        p.*c.member = c.bad;
+        try {
+            StaticNoiseModel model(p);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.want), std::string::npos)
+                << e.what();
+        }
+    }
+    StaticNoiseParams p;
+    p.t1Us = 1e-9;
+    p.t2Us = 3e-9;
+    try {
+        StaticNoiseModel model(p);
+        ADD_FAILURE() << "T2 > 2 T1 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("t2Us = 3e-09 exceeds"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(StaticNoiseModel, MachineWithNaNReadoutFailsAtTheEdge)
 {
     // A NaN readout error used to pass here and surface only as a NaN

@@ -1,8 +1,9 @@
 /**
  * @file
  * Crash-resume recovery suite (ctest label `recovery`): kills the VQE
- * driver at randomized iteration boundaries, mid-journal-write and just
- * before snapshot publication, resumes from the checkpoint directory,
+ * driver at randomized iteration boundaries, mid-journal-write, just
+ * before a snapshot and mid-snapshot-append, resumes from the checkpoint
+ * directory,
  * and requires the recovered trajectory to be *bit-identical* to an
  * uninterrupted straight-through run — per-job records, per-iteration
  * energies, final estimate and every resilience counter — at 1, 2, 4
@@ -13,7 +14,8 @@
  * write-ahead semantics have done whatever a real SIGKILL would have
  * allowed them to do — every written frame survives (process death
  * keeps the page cache), including a deliberately torn half-frame for
- * the mid-write case.
+ * the mid-write cases. The snapshot tear is also dealt by a genuine
+ * std::_Exit(43) in a forked child (a gtest death test).
  */
 
 #include <gtest/gtest.h>
@@ -275,6 +277,95 @@ TEST(CrashResume, H2TornWriteAndSnapshotCrash)
     expectBitIdenticalAcrossKills<H2Scenario>("h2_torn", plans);
 }
 
+TEST(CrashResume, TornSnapshotWriteRecoversBitIdentically)
+{
+    // Die halfway through a snapshot append (a torn frame lands at the
+    // snapshot log's tail), twice: recovery falls back to the snapshot
+    // before each torn one.
+    const std::vector<CrashPlan> plans = {
+        {kCrashSnapshotTornWrite, 7},
+        {kCrashSnapshotTornWrite, 4},
+    };
+    expectBitIdenticalAcrossKills<TfimScenario>("tfim_snapshot_torn",
+                                                plans);
+}
+
+TEST(CrashResume, TornSnapshotWriteByProcessExitRecoversBitIdentically)
+{
+    // The same tear by real process death: a forked child dies in
+    // std::_Exit(43) with half a snapshot frame written, and the parent
+    // resumes the directory it left.
+    GlobalThreadsGuard threadsGuard;
+    const TfimScenario scenario;
+
+    ParallelExecutor::setGlobalThreads(1);
+    const std::string want =
+        trajectoryDigest(scenario.runner.run(scenario.config()).run);
+
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        QismetVqeConfig cfg = scenario.config();
+        cfg.checkpointDir =
+            freshDir("exit_torn_t" + std::to_string(threads));
+        cfg.resume = true;
+        // No pool thread may be alive across the fork.
+        ParallelExecutor::setGlobalThreads(1);
+        EXPECT_EXIT(
+            {
+                ParallelExecutor::setGlobalThreads(threads);
+                CrashPoints::arm(kCrashSnapshotTornWrite, 5,
+                                 CrashPoints::Action::Exit);
+                (void)scenario.runner.run(cfg);
+            },
+            ::testing::ExitedWithCode(CrashPoints::kCrashExitCode), "");
+        const SnapshotLogScan log =
+            scanSnapshotLog(cfg.checkpointDir + "/snapshot.qsnp");
+        EXPECT_TRUE(log.tornTail) << threads << " threads";
+        EXPECT_EQ(log.frames, 4u) << threads << " threads";
+
+        ParallelExecutor::setGlobalThreads(threads);
+        EXPECT_EQ(trajectoryDigest(scenario.runner.run(cfg).run), want)
+            << "resume after a torn snapshot at " << threads
+            << " threads diverged from the straight-through run";
+        fs::remove_all(cfg.checkpointDir);
+    }
+}
+
+TEST(CrashResume, TornSnapshotWriteFallsBackOneSnapshot)
+{
+    // Cadence 1 snapshots before iterations 0, 1, 2, ...; tearing the
+    // fifth leaves four whole ones, the last before iteration 3. The
+    // journal was fsynced before the tear, so it runs one iteration
+    // past that snapshot; recovery discards it and re-executes it.
+    GlobalThreadsGuard threadsGuard;
+    ParallelExecutor::setGlobalThreads(1);
+    const TfimScenario scenario;
+    QismetVqeConfig cfg = scenario.config();
+    cfg.checkpointDir = freshDir("snapshot_fallback");
+    cfg.resume = true;
+    ASSERT_TRUE(runUntilCrash(scenario.runner, cfg,
+                              {kCrashSnapshotTornWrite, 5}));
+
+    CheckpointManager mgr(
+        {cfg.checkpointDir, cfg.snapshotEveryIters, true},
+        runConfigDigest(cfg, scenario.app.ansatzCircuit.numParams()));
+    const auto recovered = mgr.recover();
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(recovered->snapshot.iteration, 3u);
+    const std::string &notes = mgr.diagnostics();
+    EXPECT_NE(notes.find("snapshot log torn tail"), std::string::npos)
+        << notes;
+    EXPECT_NE(notes.find("before the torn one (iteration 3)"),
+              std::string::npos)
+        << notes;
+    EXPECT_NE(notes.find("journal frames past the last snapshot"),
+              std::string::npos)
+        << notes;
+
+    EXPECT_EQ(trajectoryDigest(scenario.runner.run(cfg).run),
+              trajectoryDigest(scenario.runner.run(scenario.config()).run));
+    fs::remove_all(cfg.checkpointDir);
+}
+
 TEST(CrashResume, SparseSnapshotCadenceStillBitIdentical)
 {
     // Snapshots every 3 iterations: a boundary kill loses up to two
@@ -301,6 +392,36 @@ TEST(CrashResume, SparseSnapshotCadenceStillBitIdentical)
             << "cadence-3 resume diverged at " << threads << " threads";
         fs::remove_all(dir);
     }
+}
+
+TEST(SnapshotSize, App1FrameIsTheSameSizeAt2000And20000Jobs)
+{
+    // Nothing in a snapshot grows with the run (the transient estimate
+    // keeps no history), so the latest snapshot has one size at the
+    // paper's 2000-job length and at ten times it, well under the
+    // snapshot log's 1 MiB frame cap.
+    GlobalThreadsGuard threadsGuard;
+    ParallelExecutor::setGlobalThreads(1);
+    const Application app = application(1);
+    const QismetVqe runner = app.makeRunner();
+    std::vector<std::size_t> sizes;
+    for (const std::size_t jobs : {2000u, 20000u}) {
+        QismetVqeConfig cfg;
+        cfg.totalJobs = jobs;
+        cfg.seed = 23;
+        cfg.scheme = Scheme::Qismet;
+        cfg.checkpointDir = freshDir("size_" + std::to_string(jobs));
+        cfg.snapshotEveryIters = 200;
+        const QismetVqeResult result = runner.run(cfg);
+        ASSERT_EQ(result.run.jobsUsed, jobs);
+        sizes.push_back(loadSnapshotFile(cfg.checkpointDir +
+                                         "/snapshot.qsnp")
+                            .encode()
+                            .size());
+        fs::remove_all(cfg.checkpointDir);
+    }
+    EXPECT_EQ(sizes[0], sizes[1]);
+    EXPECT_LT(sizes[0], 2048u);
 }
 
 TEST(CrashResume, SurvivesAKillAtEveryIterationBoundary)

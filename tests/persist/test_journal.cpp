@@ -140,6 +140,29 @@ RunSnapshot sampleSnapshot()
     return snap;
 }
 
+/** Three successive snapshots of one run, for a multi-frame log. */
+std::vector<RunSnapshot> sampleSnapshots()
+{
+    std::vector<RunSnapshot> snaps(3, sampleSnapshot());
+    for (std::size_t i = 1; i < snaps.size(); ++i) {
+        snaps[i].iteration += i;
+        snaps[i].journalFrames += 3 * i;
+        snaps[i].journalOffset += 200 * i;
+        snaps[i].theta[0] += 0.5 * static_cast<double>(i);
+    }
+    return snaps;
+}
+
+/** Write `snapshots` as a fresh snapshot log and return its bytes. */
+std::string writeSnapshotLog(const std::string &path,
+                             const std::vector<RunSnapshot> &snapshots)
+{
+    SnapshotWriter writer(path, kDigest, DurableFile::Mode::Truncate);
+    for (const RunSnapshot &snapshot : snapshots)
+        writer.append(snapshot);
+    return readFile(path);
+}
+
 ServeJobSpec sampleSpec(std::uint64_t tenant)
 {
     ServeJobSpec spec;
@@ -224,13 +247,13 @@ struct Format
     std::function<ReadOutcome()> read;
 };
 
-/** The journal, the manifest and the snapshot, each written to `dir`. */
+/** The journal, the manifest and a three-frame snapshot log, each
+ *  written to `dir`. */
 std::vector<Format> sampleFormats(const fs::path &dir)
 {
     const std::string journal = (dir / "journal.qjnl").string();
     const std::string manifest = (dir / "manifest.qsvm").string();
     const std::string snapshot = (dir / "snapshot.qsnp").string();
-    saveSnapshotFile(snapshot, sampleSnapshot());
     return {
         {"journal", kJournalVersion, journal, writeSampleJournal(journal),
          [journal] {
@@ -253,12 +276,13 @@ std::vector<Format> sampleFormats(const fs::path &dir)
                      s.cleanOffset, s.tornTail};
              });
          }},
-        {"snapshot", kSnapshotVersion, snapshot, readFile(snapshot),
+        {"snapshot", kSnapshotVersion, snapshot,
+         writeSnapshotLog(snapshot, sampleSnapshots()),
          [snapshot] {
              return readAs<SnapshotError>([&] {
-                 (void)loadSnapshotFile(snapshot);
-                 return ReadOutcome{false, "", 1, fs::file_size(snapshot),
-                                    false};
+                 const SnapshotLogScan s = scanSnapshotLog(snapshot);
+                 return ReadOutcome{false, "", s.frames, s.cleanOffset,
+                                    s.tornTail};
              });
          }},
     };
@@ -327,6 +351,19 @@ std::string version1Snapshot(const RunSnapshot &snapshot)
     const std::string payload = snapshot.encode();
     return "QSNP" + u32le(1) + u64le(payload.size()) + payload +
            u64le(fnv1a64(payload));
+}
+
+/** A snapshot in the version-2 layout: a framed log holding exactly one
+ *  frame, which is the version-3 log's layout at version 2. */
+std::string version2Snapshot(const RunSnapshot &snapshot)
+{
+    const FramedLogSpec v2{.noun = "snapshot",
+                           .magic = "QSNP",
+                           .version = 2,
+                           .frameTypes = 1,
+                           .error = &framedLogError<SnapshotError>};
+    return encodeFramedLogHeader(v2, snapshot.configDigest) +
+           encodeFrame(v2, "version-2 snapshot", 1, snapshot.encode());
 }
 
 // ---- round trip ----------------------------------------------------------
@@ -436,6 +473,12 @@ TEST_F(JournalTest, UnsupportedVersionIsAnError)
     const std::string v1 = version1Snapshot(sampleSnapshot());
     EXPECT_EQ(fnv1a64(v1), 0xa2bbc18c05afe7e7ull);
     rows.push_back({&formats.back(), v1, 1});
+    // And in the version-2 layout: size and digest are the version-2
+    // writer's pinned answer for sampleSnapshot().
+    const std::string v2 = version2Snapshot(sampleSnapshot());
+    EXPECT_EQ(v2.size(), 311u);
+    EXPECT_EQ(fnv1a64(v2), 0xce9bc1a5fb0f8471ull);
+    rows.push_back({&formats.back(), v2, 2});
 
     for (const Row &row : rows) {
         atomicWriteFile(row.format->path, row.bytes);
@@ -643,12 +686,13 @@ TEST_F(JournalTest, OnDiskBytesMatchKnownAnswers)
     // until it bumps its format's version and re-pins the constant. The
     // journal and manifest constants were captured before the three
     // formats shared one codec, which writes them byte for byte as
-    // before; the snapshot's is its version-2 layout.
+    // before; the snapshot's is its version-3 layout, a three-frame log
+    // (the version-2 answer is pinned in UnsupportedVersionIsAnError).
     const std::map<std::string, std::pair<std::size_t, std::uint64_t>>
         pinned = {
             {"journal", {792, 0xf6adcd0928e0100dull}},
             {"manifest", {672, 0x747734119288224aull}},
-            {"snapshot", {311, 0xce9bc1a5fb0f8471ull}},
+            {"snapshot", {885, 0x62374873d24bd68bull}},
         };
     for (const Format &format : sampleFormats(dir_)) {
         EXPECT_EQ(format.bytes.size(), pinned.at(format.name).first)
@@ -664,7 +708,7 @@ TEST_F(JournalTest, SnapshotRoundTripsBitExactly)
 {
     const std::string p = path("snapshot.qsnp");
     const RunSnapshot snap = sampleSnapshot();
-    saveSnapshotFile(p, snap);
+    writeSnapshotLog(p, {snap});
     const RunSnapshot back = loadSnapshotFile(p);
 
     EXPECT_EQ(back.configDigest, snap.configDigest);
@@ -700,11 +744,11 @@ TEST_F(JournalTest, SnapshotRoundTripsBitExactly)
 TEST_F(JournalTest, SnapshotEveryBitFlipFailsClosed)
 {
     const std::string p = path("snapshot.qsnp");
-    saveSnapshotFile(p, sampleSnapshot());
-    const std::string bytes = readFile(p);
+    const std::string bytes = writeSnapshotLog(p, {sampleSnapshot()});
 
     // Every byte of the file is covered by a structural check or the
-    // payload checksum, so every single-bit flip must be rejected. The
+    // payload checksum, and a one-frame log has no earlier snapshot to
+    // fall back to, so every single-bit flip must be rejected. The
     // error names the file and, past the header, the frame's offset.
     const std::string frameAt =
         "at offset " + std::to_string(kFramedLogHeaderSize);
@@ -725,9 +769,10 @@ TEST_F(JournalTest, SnapshotEveryBitFlipFailsClosed)
 
 TEST_F(JournalTest, SnapshotTruncationsFailClosed)
 {
+    // A one-frame log cut anywhere short of its end holds no complete
+    // snapshot (a header alone means none was ever written).
     const std::string p = path("snapshot.qsnp");
-    saveSnapshotFile(p, sampleSnapshot());
-    const std::string bytes = readFile(p);
+    const std::string bytes = writeSnapshotLog(p, {sampleSnapshot()});
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         atomicWriteFile(p, std::string_view(bytes).substr(0, cut));
         EXPECT_THROW((void)loadSnapshotFile(p), SnapshotError)
@@ -737,25 +782,42 @@ TEST_F(JournalTest, SnapshotTruncationsFailClosed)
                  SnapshotError);
 }
 
-TEST_F(JournalTest, SnapshotWithASecondOrTornFrameFailsClosed)
+TEST_F(JournalTest, SnapshotLogReadsItsLastValidFrame)
 {
-    // atomicWriteFile publishes a snapshot whole, so anything past its
-    // one frame is corruption, even bytes a log would drop as torn.
+    // The log is appended to, so a later frame is a newer snapshot, and
+    // a torn final frame (a crash mid-append) falls back to the one
+    // before it, reported as torn. A damaged frame with a valid one
+    // after it cannot come from a crash and is corruption.
     const std::string p = path("snapshot.qsnp");
-    saveSnapshotFile(p, sampleSnapshot());
-    const std::string bytes = readFile(p);
-    const std::string frame = bytes.substr(kFramedLogHeaderSize);
-    const std::vector<std::pair<std::string, std::string>> tails = {
-        {frame, "holds 2 frames"},
-        {frame.substr(0, frame.size() / 2),
-         "at offset " + std::to_string(bytes.size())},
-    };
-    for (const auto &[tail, want] : tails) {
-        atomicWriteFile(p, bytes + tail);
-        const ReadOutcome got = readSnapshot(p);
-        ASSERT_TRUE(got.failedClosed) << "tail of " << tail.size();
-        EXPECT_NE(got.error.find(want), std::string::npos) << got.error;
-    }
+    const std::vector<RunSnapshot> snaps = sampleSnapshots();
+    const std::string bytes = writeSnapshotLog(p, snaps);
+    EXPECT_EQ(loadSnapshotFile(p).iteration, snaps[2].iteration);
+
+    const std::vector<std::uint64_t> ends = frameEnds(bytes);
+    ASSERT_EQ(ends.size(), 4u);
+    atomicWriteFile(p, std::string_view(bytes).substr(
+                           0, (ends[2] + ends[3]) / 2));
+    const SnapshotLogScan scan = scanSnapshotLog(p);
+    ASSERT_TRUE(scan.latest.has_value());
+    EXPECT_EQ(scan.latest->iteration, snaps[1].iteration);
+    EXPECT_EQ(scan.latest->theta, snaps[1].theta);
+    EXPECT_EQ(scan.frames, 2u);
+    EXPECT_EQ(scan.cleanOffset, ends[2]);
+    EXPECT_TRUE(scan.tornTail);
+    EXPECT_NE(scan.diagnostic.find("at offset " + std::to_string(ends[2])),
+              std::string::npos)
+        << scan.diagnostic;
+    EXPECT_EQ(loadSnapshotFile(p).iteration, snaps[1].iteration);
+
+    std::string damaged = bytes;
+    damaged[ends[1] - 1] = static_cast<char>(damaged[ends[1] - 1] ^ 0x01);
+    atomicWriteFile(p, damaged);
+    const ReadOutcome got = readSnapshot(p);
+    ASSERT_TRUE(got.failedClosed);
+    EXPECT_NE(got.error.find("at offset " +
+                             std::to_string(kFramedLogHeaderSize)),
+              std::string::npos)
+        << got.error;
 }
 
 TEST_F(JournalTest, SnapshotHeaderDigestMustMatchItsPayload)
@@ -763,8 +825,7 @@ TEST_F(JournalTest, SnapshotHeaderDigestMustMatchItsPayload)
     // The config digest is written twice, in the header and in the
     // payload; a checksum-valid header naming another run is refused.
     const std::string p = path("snapshot.qsnp");
-    saveSnapshotFile(p, sampleSnapshot());
-    std::string bytes = readFile(p);
+    std::string bytes = writeSnapshotLog(p, {sampleSnapshot()});
     bytes.replace(8, 8, u64le(kDigest + 1));
     bytes.replace(16, 8,
                   u64le(fnv1a64(std::string_view(bytes).substr(0, 16))));
@@ -775,20 +836,14 @@ TEST_F(JournalTest, SnapshotHeaderDigestMustMatchItsPayload)
         << got.error;
 }
 
-TEST_F(JournalTest, SnapshotLargerThanTheLogFrameCapRoundTrips)
+TEST_F(JournalTest, SnapshotOverTheFrameCapIsRefusedBeforeAnyByte)
 {
-    // The transient estimator's history grows by one double per judged
-    // evaluation and rides in the policy blob, so a long run's snapshot
-    // passes the 1 MiB cap that bounds journal and manifest frames.
+    // A snapshot does not grow with the run, so the log keeps the
+    // default 1 MiB frame cap. A larger snapshot is refused before a
+    // byte of it is written, and recovery still finds the last one.
     RunSnapshot big = sampleSnapshot();
-    Encoder history;
-    history.writeVecF64(std::vector<double>(140000, 0.125));
-    big.policyState = history.take();
+    big.policyState.assign(kMaxFramePayload, 'x');
     ASSERT_GT(big.encode().size(), kMaxFramePayload);
-
-    const std::string p = path("snapshot.qsnp");
-    saveSnapshotFile(p, big);
-    EXPECT_EQ(loadSnapshotFile(p).policyState, big.policyState);
 
     CheckpointConfig cfg;
     cfg.dir = path("ckpt");
@@ -797,13 +852,26 @@ TEST_F(JournalTest, SnapshotLargerThanTheLogFrameCapRoundTrips)
         CheckpointManager writer(cfg, kDigest);
         writer.beginFresh();
         writer.appendJob(sampleJob(0));
-        writer.writeSnapshot(big);
+        writer.writeSnapshot(sampleSnapshot());
+        const std::string before = readFile(writer.snapshotPath());
+        writer.appendJob(sampleJob(1));
+        try {
+            writer.writeSnapshot(big);
+            FAIL() << "a snapshot over the frame cap was written";
+        }
+        catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("1048576"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(readFile(writer.snapshotPath()), before);
     }
     cfg.resume = true;
     CheckpointManager resumer(cfg, kDigest);
     const auto recovered = resumer.recover();
     ASSERT_TRUE(recovered.has_value());
-    EXPECT_EQ(recovered->snapshot.policyState, big.policyState);
+    EXPECT_EQ(recovered->snapshot.policyState,
+              sampleSnapshot().policyState);
     EXPECT_EQ(recovered->frames.size(), 1u);
 }
 
@@ -879,6 +947,14 @@ TEST_F(JournalTest, JournalWithoutSnapshotRestartsWithDiagnostic)
     writeSampleJournal(mgr.journalPath(), 2);
     EXPECT_FALSE(mgr.recover().has_value());
     EXPECT_NE(mgr.diagnostics().find("no snapshot"), std::string::npos);
+
+    // A snapshot log holding only its header: the run died before its
+    // first snapshot landed, which is a restart too.
+    writeSnapshotLog(mgr.snapshotPath(), {});
+    CheckpointManager headerOnly(cfg, kDigest);
+    EXPECT_FALSE(headerOnly.recover().has_value());
+    EXPECT_NE(headerOnly.diagnostics().find("no snapshot"),
+              std::string::npos);
 }
 
 TEST_F(JournalTest, SnapshotWithoutJournalRefusesToResume)
@@ -887,7 +963,7 @@ TEST_F(JournalTest, SnapshotWithoutJournalRefusesToResume)
     cfg.dir = path("ckpt");
     cfg.resume = true;
     CheckpointManager mgr(cfg, kDigest);
-    saveSnapshotFile(mgr.snapshotPath(), sampleSnapshot());
+    writeSnapshotLog(mgr.snapshotPath(), {sampleSnapshot()});
     EXPECT_THROW((void)mgr.recover(), CheckpointError);
 }
 
@@ -908,10 +984,16 @@ TEST_F(JournalTest, DigestMismatchRefusesToResume)
     EXPECT_THROW((void)other.recover(), CheckpointError);
 }
 
-TEST_F(JournalTest, ResumeRefusesAVersion1SnapshotUnread)
+/**
+ * Resume a checkpoint whose snapshot file has been replaced by `old`, a
+ * snapshot of version `found`: it must be refused with an error naming
+ * both versions, before anything is replayed or truncated.
+ */
+void expectResumeRefusesUnread(const std::string &dir,
+                               const std::string &old, std::uint32_t found)
 {
     CheckpointConfig cfg;
-    cfg.dir = path("ckpt");
+    cfg.dir = dir;
     cfg.resume = false;
     {
         CheckpointManager writer(cfg, kDigest);
@@ -921,24 +1003,36 @@ TEST_F(JournalTest, ResumeRefusesAVersion1SnapshotUnread)
         writer.appendJob(sampleJob(1));
     }
     CheckpointManager resumer({cfg.dir, 1, true}, kDigest);
-    const std::string v1 = version1Snapshot(sampleSnapshot());
-    atomicWriteFile(resumer.snapshotPath(), v1);
+    atomicWriteFile(resumer.snapshotPath(), old);
     const std::string journal = readFile(resumer.journalPath());
     try {
         (void)resumer.recover();
-        FAIL() << "a version-1 snapshot was resumed";
+        FAIL() << "a version-" << found << " snapshot was resumed";
     }
     catch (const SnapshotError &e) {
         EXPECT_NE(std::string(e.what()).find(
-                      "unsupported version 1 (expected " +
-                      std::to_string(kSnapshotVersion) + ")"),
+                      "unsupported version " + std::to_string(found) +
+                      " (expected " + std::to_string(kSnapshotVersion) +
+                      ")"),
                   std::string::npos)
             << e.what();
     }
     // Refused before anything was replayed or truncated.
     EXPECT_TRUE(resumer.diagnostics().empty());
     EXPECT_EQ(readFile(resumer.journalPath()), journal);
-    EXPECT_EQ(readFile(resumer.snapshotPath()), v1);
+    EXPECT_EQ(readFile(resumer.snapshotPath()), old);
+}
+
+TEST_F(JournalTest, ResumeRefusesAVersion1SnapshotUnread)
+{
+    expectResumeRefusesUnread(path("ckpt"),
+                              version1Snapshot(sampleSnapshot()), 1);
+}
+
+TEST_F(JournalTest, ResumeRefusesAVersion2SnapshotUnread)
+{
+    expectResumeRefusesUnread(path("ckpt"),
+                              version2Snapshot(sampleSnapshot()), 2);
 }
 
 TEST_F(JournalTest, JournalShorterThanSnapshotClaimsIsAnError)
@@ -949,7 +1043,7 @@ TEST_F(JournalTest, JournalShorterThanSnapshotClaimsIsAnError)
     CheckpointManager mgr(cfg, kDigest);
     writeSampleJournal(mgr.journalPath(), 1); // 1 frame on disk
     RunSnapshot snap = sampleSnapshot();      // claims 9 frames
-    saveSnapshotFile(mgr.snapshotPath(), snap);
+    writeSnapshotLog(mgr.snapshotPath(), {snap});
     EXPECT_THROW((void)mgr.recover(), CheckpointError);
 }
 
@@ -1023,6 +1117,66 @@ TEST_F(JournalTest, RecoveryDropsTornTailPastSnapshot)
     EXPECT_EQ(recovered->frames.size(), 1u);
     EXPECT_NE(resumer.diagnostics().find("torn tail"),
               std::string::npos);
+}
+
+TEST_F(JournalTest, RecoveryFallsBackPastATornSnapshotFrame)
+{
+    // Die halfway through appending the third snapshot: recovery drops
+    // the torn frame, resumes from the second snapshot and says so,
+    // and beginResumed cuts the log back to that snapshot's frame.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    cfg.resume = false;
+    {
+        CheckpointManager writer(cfg, kDigest);
+        writer.beginFresh();
+        CrashPointGuard guard(kCrashSnapshotTornWrite, 3);
+        try {
+            for (std::uint64_t i = 0; i < 4; ++i) {
+                writer.appendJob(sampleJob(i));
+                RunSnapshot snap;
+                snap.iteration = i;
+                writer.writeSnapshot(snap);
+            }
+            FAIL() << "the torn snapshot write never fired";
+        }
+        catch (const SimulatedCrash &crash) {
+            EXPECT_EQ(crash.point(), kCrashSnapshotTornWrite);
+        }
+    }
+    const std::string torn =
+        readFile(cfg.dir + "/snapshot.qsnp");
+
+    cfg.resume = true;
+    CheckpointManager resumer(cfg, kDigest);
+    const auto recovered = resumer.recover();
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(recovered->snapshot.iteration, 1u);
+    EXPECT_EQ(recovered->frames.size(), 2u);
+    EXPECT_NE(resumer.diagnostics().find("snapshot log torn tail"),
+              std::string::npos)
+        << resumer.diagnostics();
+    EXPECT_NE(resumer.diagnostics().find("before the torn one "
+                                         "(iteration 1)"),
+              std::string::npos)
+        << resumer.diagnostics();
+    EXPECT_NE(resumer.diagnostics().find("discarding 1 journal frame"),
+              std::string::npos)
+        << resumer.diagnostics();
+    EXPECT_EQ(readFile(resumer.snapshotPath()), torn); // recover() reads
+
+    resumer.beginResumed(*recovered);
+    EXPECT_EQ(fs::file_size(resumer.snapshotPath()),
+              recovered->snapshotLogOffset);
+    RunSnapshot next;
+    next.iteration = 2;
+    resumer.writeSnapshot(next);
+    const SnapshotLogScan scan = scanSnapshotLog(resumer.snapshotPath());
+    EXPECT_FALSE(scan.tornTail);
+    EXPECT_EQ(scan.frames, 3u);
+    ASSERT_TRUE(scan.latest.has_value());
+    EXPECT_EQ(scan.latest->iteration, 2u);
+    EXPECT_EQ(scan.latest->journalFrames, 2u);
 }
 
 } // namespace

@@ -146,6 +146,22 @@ TEST(ShotSampler, RefusesWidthsOutsideTheShift)
     EXPECT_EQ(sampler.sample(probs, 0, 10, rng).at(0), 10u);
 }
 
+TEST(ShotSampler, RefusalsPrintTheRefusedValueExactly)
+{
+    // Refusals print a value in its shortest round-trip form: six fixed
+    // decimals printed -1e-9 as -0.000000.
+    expectInvalidNaming([] { ReadoutError{-1e-9, 0.02}.check(); },
+                        {"p10 = -1e-09 is outside"});
+    expectInvalidNaming(
+        [] { ShotSampler({ReadoutError{1e-9, -1e-9}}); },
+        {"readout[0].p01 = -1e-09 is outside"});
+    const ShotSampler sampler;
+    Rng rng(1);
+    expectInvalidNaming(
+        [&] { sampler.sample(std::vector<double>{-1e-9, 1.0}, 1, 10, rng); },
+        {"probs[0] = -1e-09 is negative"});
+}
+
 TEST(ShotSampler, ErrorFreeSamplingMatchesDistribution)
 {
     ShotSampler sampler;

@@ -716,6 +716,19 @@ TEST(ShotSamplerExact, CdfSearchRefusesTotalsItCannotSample)
     }
 }
 
+TEST(ShotSamplerExact, CdfSearchRefusalPrintsTheTotalExactly)
+{
+    try {
+        detail::CdfSearch(std::vector<double>{-1e-9}, "test");
+        ADD_FAILURE() << "a negative total was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "test: distribution total -1e-09 is not finite"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ShotSamplerExact, TrialThresholdIsTheDoubleComparison)
 {
     for (double p : {0.0, 5e-324, 1e-300, 0.03, 0.5, 1.0 - 0x1.0p-53, 1.0}) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Single-command CI driver: configure -> build -> tier1 tests -> golden
 # traces -> crash-resume recovery (in-process suite plus a scripted
-# kill-mid-run + resume + trajectory-diff smoke) -> serve-layer soak
+# kill-mid-run + resume + trajectory-diff smoke) -> fsync economy of a
+# checkpointed run (LD_PRELOAD call counter) -> serve-layer soak
 # (multi-tenant multiplex + scheduler kill/resume) -> fleet chaos tier
 # (replay equivalence + kill/resume under injected fleet faults +
 # CLI digest identity across worker counts) -> kernel-bench
@@ -110,6 +111,25 @@ for cadence in 1 4; do
     fi
     echo "resume digest (snapshot every $cadence) matches straight run: $got"
 done
+
+stage "fsync economy of a checkpointed run (LD_PRELOAD counter)"
+# A process-death test cannot see a missing or a redundant fsync, so
+# count them with the tools/fsync_count.cpp shim. The run takes 18
+# snapshots, each one journal fsync and one snapshot-log fsync, plus
+# one fsync per log header, less the first snapshot's journal fsync,
+# which has nothing to flush: 37. Snapshots are appended, never
+# renamed into place: 0 renames.
+counts=$(LD_PRELOAD=./build/tools/libfsync_count.so "$smoke" \
+    --app 1 --jobs 400 --faults --seed 23 --snapshot-every 10 \
+    --checkpoint-dir "$ckpt_root/fsync" 2>&1 >/dev/null |
+    grep '^fsync_count:' || true)
+want_counts="fsync_count: fsync 37 fdatasync 0 rename 0"
+if [[ "$counts" != "$want_counts" ]]; then
+    echo "ci: checkpointed run counted '$counts', expected" \
+        "'$want_counts'" >&2
+    exit 1
+fi
+echo "$counts"
 
 stage "serve-layer soak (multiplexed runs + scheduler kill/resume)"
 # The `soak` label holds the 1000-run multi-tenant soak (every digest
