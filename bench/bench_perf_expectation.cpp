@@ -110,7 +110,7 @@ setThroughputCounters(benchmark::State &state, int n,
     const double amps = static_cast<double>(std::size_t{1} << n);
     // The quantity the single-sweep engine optimizes: (amplitude,
     // term) pairs touched per second. Legacy does one full amplitude
-    // walk per term; batched does one walk per xmask group.
+    // walk per term; batched does one walk for the whole sum.
     state.counters["amp_terms_per_sec"] = benchmark::Counter(
         amps * static_cast<double>(num_terms),
         benchmark::Counter::kIsIterationInvariantRate);

@@ -72,7 +72,8 @@ quantile(std::vector<double> sample, double p)
 {
     if (sample.empty())
         throw std::invalid_argument("quantile: empty sample");
-    if (p < 0.0 || p > 1.0)
+    // Negated, so that NaN fails too: it would reach the size_t cast.
+    if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("quantile: p outside [0, 1]");
     std::sort(sample.begin(), sample.end());
     const double idx = p * static_cast<double>(sample.size() - 1);

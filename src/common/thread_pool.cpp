@@ -114,7 +114,7 @@ ParallelExecutor::setThreads(std::size_t threads)
 }
 
 void
-ParallelExecutor::parallelFor(
+ParallelExecutor::forEachIndex(
     std::size_t n, const std::function<void(std::size_t)> &fn) const
 {
     if (n == 0)

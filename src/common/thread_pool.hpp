@@ -119,10 +119,15 @@ class ParallelExecutor
      * Run fn(i) for every i in [0, n), blocking until all complete.
      * Tasks must be independent; the scheduling order is unspecified
      * (which is why the determinism contract forbids shared mutable
-     * state, including shared Rngs, inside fn).
+     * state, including shared Rngs, inside fn). `fn` is passed on by
+     * reference (a std::reference_wrapper, which std::function holds
+     * in place), so the call allocates nothing on the inline path.
      */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn) const;
+    template <typename Fn>
+    void parallelFor(std::size_t n, Fn &&fn) const
+    {
+        forEachIndex(n, std::ref(fn));
+    }
 
     /**
      * Map [0, n) through fn into a vector ordered by index — the
@@ -154,6 +159,9 @@ class ParallelExecutor
     static void setGlobalThreads(std::size_t threads);
 
   private:
+    void forEachIndex(std::size_t n,
+                      const std::function<void(std::size_t)> &fn) const;
+
     std::size_t threads_ = 1;
     /** Lazily (re)created when threads_ > 1. */
     mutable std::unique_ptr<ThreadPool> pool_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "common/atomic_file.hpp"
 #include "common/format_double.hpp"
@@ -79,6 +80,87 @@ schemeName(Scheme scheme)
     return "?";
 }
 
+namespace {
+
+/** Throws naming `field` unless `ok`; `value` is printed round-trip. */
+void
+require(bool ok, const char *field, const char *rule, double value)
+{
+    if (!ok)
+        throw std::invalid_argument(std::string("QismetVqe::run: ") +
+                                    field + " must be " + rule + ", got " +
+                                    formatDouble(value));
+}
+
+/**
+ * Every numeric field of a run's config, checked before anything is
+ * built: each check is negated, so that NaN fails too. The fault
+ * policy and the retry backoff name their own fields.
+ */
+void
+validateConfig(const QismetVqeConfig &config)
+{
+    auto count = [](auto v) { return static_cast<double>(v); };
+    auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
+    auto nonNegative = [](double v) {
+        return v >= 0.0 && std::isfinite(v);
+    };
+    require(config.totalJobs >= 1, "totalJobs", ">= 1",
+            count(config.totalJobs));
+    require(config.traceVersion >= 1, "traceVersion", ">= 1",
+            count(config.traceVersion));
+    require(config.estimator.shots >= 1, "estimator.shots", ">= 1",
+            count(config.estimator.shots));
+    require(std::isfinite(config.transientScale), "transientScale",
+            "finite (< 0 keeps the machine's default)",
+            config.transientScale);
+    require(config.retryBudget >= 1, "retryBudget", ">= 1",
+            count(config.retryBudget));
+    require(std::isfinite(config.kalman.transition), "kalman.transition",
+            "finite", config.kalman.transition);
+    require(positive(config.kalman.measurementVariance),
+            "kalman.measurementVariance", "a finite number > 0",
+            config.kalman.measurementVariance);
+    require(nonNegative(config.kalman.processVariance),
+            "kalman.processVariance", "a finite number >= 0",
+            config.kalman.processVariance);
+    require(positive(config.kalman.initialVariance),
+            "kalman.initialVariance", "a finite number > 0",
+            config.kalman.initialVariance);
+    require(config.onlyTransientsSkipTarget > 0.0 &&
+                config.onlyTransientsSkipTarget < 1.0,
+            "onlyTransientsSkipTarget", "in (0, 1)",
+            config.onlyTransientsSkipTarget);
+    require(nonNegative(config.intraJobJitter), "intraJobJitter",
+            "a finite number >= 0", config.intraJobJitter);
+    require(nonNegative(config.intraJobRelativeJitter),
+            "intraJobRelativeJitter", "a finite number >= 0",
+            config.intraJobRelativeJitter);
+    require(positive(config.spsaInitialStep), "spsaInitialStep",
+            "a finite number > 0", config.spsaInitialStep);
+    require(positive(config.spsaPerturbation), "spsaPerturbation",
+            "a finite number > 0", config.spsaPerturbation);
+    // θ reaches CompiledCircuit::bind unchecked: a non-finite entry
+    // would run every job and return a NaN estimate.
+    for (std::size_t i = 0; i < config.initialTheta.size(); ++i) {
+        const double t = config.initialTheta[i];
+        if (!std::isfinite(t))
+            throw std::invalid_argument(
+                "QismetVqe::run: initialTheta[" + std::to_string(i) +
+                "] must be finite, got " + formatDouble(t));
+    }
+    config.faults.validate();
+    RetryPolicy retry = config.faultRetry;
+    retry.maxRetries = config.retryBudget;
+    retry.validate();
+    require(config.snapshotEveryIters >= 1, "snapshotEveryIters", ">= 1",
+            count(config.snapshotEveryIters));
+    require(config.deadlineSimSeconds >= 0.0, "deadlineSimSeconds",
+            "a number >= 0 (0 = none)", config.deadlineSimSeconds);
+}
+
+} // namespace
+
 QismetVqe::QismetVqe(PauliSum hamiltonian, Circuit ansatz_circuit,
                      MachineModel machine, double exact_ground_energy)
     : hamiltonian_(std::move(hamiltonian)),
@@ -106,6 +188,9 @@ double
 QismetVqe::calibratedThreshold(double skip_target, int trace_version,
                                double transient_scale) const
 {
+    if (std::isnan(transient_scale))
+        throw std::invalid_argument(
+            "QismetVqe::calibratedThreshold: transient_scale is NaN");
     MachineModel m = machine_;
     if (transient_scale >= 0.0)
         m.transient.scale = transient_scale;
@@ -139,15 +224,7 @@ QismetVqe::runEnsemble(const QismetVqeConfig &config,
 QismetVqeResult
 QismetVqe::run(const QismetVqeConfig &config) const
 {
-    // θ reaches CompiledCircuit::bind unchecked: a non-finite entry
-    // would run every job and return a NaN estimate.
-    for (std::size_t i = 0; i < config.initialTheta.size(); ++i) {
-        const double t = config.initialTheta[i];
-        if (!std::isfinite(t))
-            throw std::invalid_argument(
-                "QismetVqe::run: initialTheta[" + std::to_string(i) +
-                "] must be finite, got " + formatDouble(t));
-    }
+    validateConfig(config);
 
     MachineModel machine = machine_;
     if (config.transientScale >= 0.0)

@@ -58,7 +58,10 @@ struct QismetVqeConfig
     int traceVersion = 1;
     /** Energy-estimation mode and shots. */
     EstimatorConfig estimator;
-    /** Transient-scale override; <0 keeps the machine's default. */
+    /**
+     * Transient-scale override; < 0 keeps the machine's default. A
+     * non-finite value is refused.
+     */
     double transientScale = -1.0;
     /** QISMET retry budget (Section 8.1 fixes 5). */
     int retryBudget = 5;
@@ -181,7 +184,12 @@ class QismetVqe
     QismetVqe(PauliSum hamiltonian, Circuit ansatz_circuit,
               MachineModel machine, double exact_ground_energy);
 
-    /** Run one experiment. */
+    /**
+     * Run one experiment.
+     * @throws std::invalid_argument naming the field when a numeric
+     *         config field is NaN, negative or out of range; the check
+     *         runs before anything is built, so no job runs.
+     */
     QismetVqeResult run(const QismetVqeConfig &config) const;
 
     /**

@@ -11,7 +11,8 @@ namespace qismet {
 ThresholdCalibrator::ThresholdCalibrator(double target_skip_fraction)
     : target_(target_skip_fraction)
 {
-    if (target_ <= 0.0 || target_ >= 1.0)
+    // Negated, so that NaN fails too.
+    if (!(target_ > 0.0 && target_ < 1.0))
         throw std::invalid_argument(
             "ThresholdCalibrator: target must be in (0, 1)");
 }
@@ -34,7 +35,7 @@ ThresholdCalibrator::fromTrace(const TransientTrace &trace,
     if (trace.size() == 0)
         throw std::invalid_argument(
             "ThresholdCalibrator::fromTrace: empty trace");
-    if (energy_scale <= 0.0)
+    if (!(energy_scale > 0.0))
         throw std::invalid_argument(
             "ThresholdCalibrator::fromTrace: energy scale must be > 0");
 
@@ -54,17 +55,26 @@ ThresholdCalibrator::fromTraceDifferences(const TransientTrace &trace,
     if (trace.size() < 2)
         throw std::invalid_argument(
             "ThresholdCalibrator::fromTraceDifferences: trace too short");
-    if (energy_scale <= 0.0)
+    if (!(energy_scale > 0.0))
         throw std::invalid_argument(
             "ThresholdCalibrator::fromTraceDifferences: bad energy scale");
-    if (noise_sigma < 0.0)
+    if (!(noise_sigma >= 0.0))
         throw std::invalid_argument(
-            "ThresholdCalibrator::fromTraceDifferences: negative sigma");
+            "ThresholdCalibrator::fromTraceDifferences: sigma must be a "
+            "number >= 0");
 
-    Rng rng(seed);
     const auto &v = trace.values();
     std::vector<double> mags;
     mags.reserve(v.size() - 1);
+    if (noise_sigma == 0.0) {
+        // normal(0, 0) is exactly +0.0, and |x + 0.0| is |x| bit for
+        // bit, so the draws (from a local stream that is then thrown
+        // away) are skipped without moving a bit.
+        for (std::size_t i = 0; i + 1 < v.size(); ++i)
+            mags.push_back(std::abs((v[i + 1] - v[i]) * energy_scale));
+        return quantile(std::move(mags), 1.0 - target_);
+    }
+    Rng rng(seed);
     for (std::size_t i = 0; i + 1 < v.size(); ++i) {
         const double dtau = v[i + 1] - v[i];
         mags.push_back(std::abs(dtau * energy_scale +

@@ -1,17 +1,21 @@
 #include "filter/kalman.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace qismet {
 
 KalmanFilter1D::KalmanFilter1D(KalmanParams params) : params_(params)
 {
-    if (params_.measurementVariance <= 0.0)
+    // Negated, so that NaN fails too.
+    if (!(params_.measurementVariance > 0.0))
         throw std::invalid_argument("KalmanFilter1D: MV must be > 0");
-    if (params_.processVariance < 0.0)
+    if (!(params_.processVariance >= 0.0))
         throw std::invalid_argument("KalmanFilter1D: Q must be >= 0");
-    if (params_.initialVariance <= 0.0)
+    if (!(params_.initialVariance > 0.0))
         throw std::invalid_argument("KalmanFilter1D: P0 must be > 0");
+    if (!std::isfinite(params_.transition))
+        throw std::invalid_argument("KalmanFilter1D: T must be finite");
 }
 
 double

@@ -31,7 +31,8 @@ SpsaGains::forHorizon(std::size_t horizon, double initial_step, double c)
 
 Spsa::Spsa(SpsaGains gains) : gains_(gains)
 {
-    if (gains_.a <= 0.0 || gains_.c <= 0.0)
+    // Negated, so that NaN fails too.
+    if (!(gains_.a > 0.0 && gains_.c > 0.0))
         throw std::invalid_argument("Spsa: gains must be positive");
 }
 
@@ -58,15 +59,17 @@ Spsa::pairGradient(const std::vector<double> &delta, double e_plus,
 std::vector<std::vector<double>>
 Spsa::plan(const std::vector<double> &theta, int k, Rng &rng)
 {
-    delta_ = rademacher(theta.size(), rng);
+    // delta_ is redrawn in place; the only allocations are the points.
+    delta_.resize(theta.size());
+    for (auto &d : delta_)
+        d = static_cast<double>(rng.sign());
     const double c_k = gains_.perturbation(k);
-    std::vector<double> plus = theta;
-    std::vector<double> minus = theta;
+    std::vector<std::vector<double>> points(2, theta);
     for (std::size_t i = 0; i < theta.size(); ++i) {
-        plus[i] += c_k * delta_[i];
-        minus[i] -= c_k * delta_[i];
+        points[0][i] += c_k * delta_[i];
+        points[1][i] -= c_k * delta_[i];
     }
-    return {plus, minus};
+    return points;
 }
 
 std::vector<double>
@@ -78,13 +81,13 @@ Spsa::propose(const std::vector<double> &theta, int k,
     if (delta_.size() != theta.size())
         throw std::logic_error("Spsa::propose: plan() not called");
 
-    const std::vector<double> g =
-        pairGradient(delta_, energies[0], energies[1],
-                     gains_.perturbation(k));
+    // pairGradient's g[i] = diff / delta[i], formed in place.
+    const double diff =
+        (energies[0] - energies[1]) / (2.0 * gains_.perturbation(k));
     const double a_k = gains_.stepSize(k);
     std::vector<double> next = theta;
     for (std::size_t i = 0; i < theta.size(); ++i)
-        next[i] -= a_k * g[i];
+        next[i] -= a_k * (diff / delta_[i]);
     return next;
 }
 

@@ -21,7 +21,7 @@ double expectation(const Statevector &state, const PauliString &pauli);
 
 /**
  * Exact <ψ|H|ψ>, evaluated as ExpectationPlan(H).evaluate(ψ): one
- * amplitude walk per xmask group, bit-identical to folding
+ * amplitude walk for the whole sum, bit-identical to folding
  * c_t · expectation(ψ, P_t) over the terms in order. An empty sum is
  * 0.0. Repeated evaluations of one sum should hold an ExpectationPlan
  * instead of calling this per iteration.
@@ -31,7 +31,7 @@ double expectation(const Statevector &state, const PauliSum &hamiltonian);
 /** Tr(ρ P) without materializing the Pauli matrix. */
 double expectation(const DensityMatrix &rho, const PauliString &pauli);
 
-/** Tr(ρ H); batched per xmask group like the statevector overload. */
+/** Tr(ρ H) through an ExpectationPlan, like the statevector overload. */
 double expectation(const DensityMatrix &rho, const PauliSum &hamiltonian);
 
 /**

@@ -1,6 +1,8 @@
 #include "pauli/expectation_plan.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -11,16 +13,39 @@
 
 namespace qismet {
 
+namespace {
+
+std::size_t
+roundUpToFour(std::size_t n)
+{
+    return (n + 3) & ~std::size_t{3};
+}
+
+/**
+ * Per-thread sweep scratch, grown to the largest request the thread
+ * has made, so a warm sweep allocates nothing.
+ */
+double *
+threadScratch(std::size_t doubles)
+{
+    thread_local std::vector<double> buffer;
+    if (buffer.size() < doubles)
+        buffer.resize(doubles);
+    return buffer.data();
+}
+
+} // namespace
+
 ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
     : numQubits_(hamiltonian.numQubits()),
       fingerprint_(hamiltonian.fingerprint())
 {
     const auto &terms = hamiltonian.terms();
     coefficients_.reserve(terms.size());
+    termLanes_.reserve(terms.size());
 
     // First-seen xmask order; every term (identity included) lands in
-    // exactly one group, so the group-local accumulators tile a
-    // numTerms-sized array via groupOffsets_.
+    // exactly one group and owns exactly one lane.
     std::map<std::uint64_t, std::size_t> groupOf;
     for (std::size_t k = 0; k < terms.size(); ++k) {
         const PauliTerm &t = terms[k];
@@ -29,47 +54,35 @@ ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
         const std::uint64_t xmask = t.pauli.xMask();
         auto it = groupOf.find(xmask);
         if (it == groupOf.end()) {
-            it = groupOf.emplace(xmask, groups_.size()).first;
-            groups_.push_back(Group{xmask, {}, {}});
+            it = groupOf.emplace(xmask, groupXmasks_.size()).first;
+            groupXmasks_.push_back(xmask);
         }
-        Group &g = groups_[it->second];
 
-        // Pre-fold the ±i^nY phase constants through the exact op
-        // sequence the legacy per-amplitude pauliPhase() executed
-        // (start from ±1, multiply by i^nY), so every stored component
-        // — signed zeros included — matches what the term-by-term path
-        // multiplies with at run time.
-        kern::PauliTermSpec spec;
-        spec.zmask = t.pauli.zMask();
-        Complex plus(1.0, 0.0);
-        Complex minus(-1.0, 0.0);
-        switch (t.pauli.countY() & 3) {
-          case 0:
-            break;
-          case 1:
-            plus *= Complex(0.0, 1.0);
-            minus *= Complex(0.0, 1.0);
-            break;
-          case 2:
-            plus *= Complex(-1.0, 0.0);
-            minus *= Complex(-1.0, 0.0);
-            break;
-          case 3:
-            plus *= Complex(0.0, -1.0);
-            minus *= Complex(0.0, -1.0);
-            break;
-        }
-        spec.phasePlus = plus;
-        spec.phaseMinus = minus;
-        g.specs.push_back(spec);
-        g.termIndices.push_back(k);
+        // i^nY is +1, +i, -1, -i for nY mod 4 = 0..3: real for even nY,
+        // and the addend's sign is minus for nY mod 4 = 1 (the +i
+        // phase reads -E) and 2.
+        const int n_y = t.pauli.countY() & 3;
+        termLanes_.push_back(TermLane{it->second, (n_y & 1) != 0,
+                                      n_y == 1 || n_y == 2,
+                                      t.pauli.zMask()});
     }
 
-    groupOffsets_.reserve(groups_.size());
-    std::size_t offset = 0;
-    for (const Group &g : groups_) {
-        groupOffsets_.push_back(offset);
-        offset += g.specs.size();
+    // The kernel's layout: lanes padded to fours. A pad lane sums group
+    // 0's D and is never read back.
+    const std::size_t num_lanes = roundUpToFour(termLanes_.size());
+    laneBase_.assign(num_lanes, 0);
+    laneZmasks_.assign(num_lanes, 0);
+    laneLowSigns_.assign(kern::kPauliTile * num_lanes, 0);
+    for (std::size_t l = 0; l < termLanes_.size(); ++l) {
+        const TermLane &lane = termLanes_[l];
+        laneBase_[l] = static_cast<std::int32_t>(2 * lane.group +
+                                                 (lane.imaginary ? 1 : 0));
+        laneZmasks_[l] = lane.zmask;
+        for (std::size_t j = 0; j < kern::kPauliTile; ++j) {
+            const bool odd = (std::popcount(j & lane.zmask) & 1) != 0;
+            laneLowSigns_[j * num_lanes + l] =
+                static_cast<std::uint64_t>(lane.negated != odd) << 63;
+        }
     }
 
     // Sampling layout: the measurement grouping plus flat per-group
@@ -85,6 +98,17 @@ ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
     }
 }
 
+kern::PauliLanes
+ExpectationPlan::lanes() const
+{
+    return kern::PauliLanes{.xmasks = groupXmasks_.data(),
+                            .numGroups = groupXmasks_.size(),
+                            .base = laneBase_.data(),
+                            .zmasks = laneZmasks_.data(),
+                            .lowSigns = laneLowSigns_.data(),
+                            .numLanes = laneBase_.size()};
+}
+
 void
 ExpectationPlan::termExpectations(const Statevector &state,
                                   double *out) const
@@ -98,53 +122,41 @@ ExpectationPlan::termExpectations(const Statevector &state,
     const std::span<const Complex> amps = state.amplitudes();
     const std::size_t dim = amps.size();
     const bool simd = simdEnabled();
-    const std::size_t n = coefficients_.size();
+    const kern::PauliLanes layout = lanes();
+    const std::size_t num_lanes = layout.numLanes;
+    const std::size_t row_doubles = kern::pauliRowScratch(layout);
 
     if (dim < intraStateParallelThreshold()) {
-        // Serial path: one full-range sweep per group, exactly the
-        // below-threshold branch of the legacy ordered reduction.
-        std::vector<double> local(n, 0.0);
-        for (std::size_t g = 0; g < groups_.size(); ++g)
-            kern::pauliGroupSums(amps, groups_[g].xmask,
-                                 groups_[g].specs.data(),
-                                 groups_[g].specs.size(), simd, 0, dim,
-                                 local.data() + groupOffsets_[g]);
-        for (std::size_t g = 0; g < groups_.size(); ++g)
-            for (std::size_t k = 0; k < groups_[g].termIndices.size();
-                 ++k)
-                out[groups_[g].termIndices[k]] =
-                    local[groupOffsets_[g] + k];
+        // Serial path: one full-range pass, exactly the below-threshold
+        // branch of the legacy ordered reduction.
+        double *acc = threadScratch(num_lanes + row_doubles);
+        std::fill(acc, acc + num_lanes, 0.0);
+        kern::pauliLaneSums(amps, layout, simd, 0, dim, acc,
+                            acc + num_lanes);
+        std::copy(acc, acc + coefficients_.size(), out);
         return;
     }
 
     // Blocked path: the fixed 16-block partition of the legacy
-    // reduction, with one partial vector per block. Each block sweeps
-    // every group over its own unit range; the fold below adds all 16
-    // slots per term serially in block order — empty (zero) blocks
-    // included — reproducing orderedBlockReduceComplex's grouping at
-    // every thread count.
-    std::vector<double> partials(kIntraStateBlocks * n, 0.0);
+    // reduction, with one lane vector per block. The fold below adds
+    // all 16 slots per term serially in block order — empty (zero)
+    // blocks included — reproducing orderedBlockReduceComplex's
+    // grouping at every thread count.
+    std::vector<double> partials(kIntraStateBlocks * num_lanes, 0.0);
     ParallelExecutor::global().parallelFor(
         kIntraStateBlocks, [&](std::size_t b) {
             const BlockRange r = intraStateBlock(dim, b);
             if (r.begin >= r.end)
                 return;
-            double *slot = partials.data() + b * n;
-            for (std::size_t g = 0; g < groups_.size(); ++g)
-                kern::pauliGroupSums(amps, groups_[g].xmask,
-                                     groups_[g].specs.data(),
-                                     groups_[g].specs.size(), simd,
-                                     r.begin, r.end,
-                                     slot + groupOffsets_[g]);
+            kern::pauliLaneSums(amps, layout, simd, r.begin, r.end,
+                                partials.data() + b * num_lanes,
+                                threadScratch(row_doubles));
         });
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-        for (std::size_t k = 0; k < groups_[g].termIndices.size(); ++k) {
-            const std::size_t off = groupOffsets_[g] + k;
-            double total = 0.0;
-            for (std::size_t b = 0; b < kIntraStateBlocks; ++b)
-                total += partials[b * n + off];
-            out[groups_[g].termIndices[k]] = total;
-        }
+    for (std::size_t t = 0; t < coefficients_.size(); ++t) {
+        double total = 0.0;
+        for (std::size_t b = 0; b < kIntraStateBlocks; ++b)
+            total += partials[b * num_lanes + t];
+        out[t] = total;
     }
 }
 
@@ -158,29 +170,26 @@ ExpectationPlan::termExpectations(const DensityMatrix &rho,
         throw std::invalid_argument(
             "ExpectationPlan::termExpectations: width mismatch");
 
+    // Re(ρ[i, i^x] · phase) is ±Re or ±Im of the element by the same
+    // lane rule as the statevector sweep. One term at a time, in
+    // ascending i from +0.0; the sign flips by XOR, as a branch on the
+    // parity would mispredict half the time.
     const std::size_t dim = rho.dim();
-    const std::size_t n = coefficients_.size();
-    std::vector<double> local(n, 0.0);
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-        const Group &grp = groups_[g];
-        double *acc = local.data() + groupOffsets_[g];
+    for (std::size_t t = 0; t < coefficients_.size(); ++t) {
+        const TermLane &lane = termLanes_[t];
+        const std::uint64_t xmask = groupXmasks_[lane.group];
+        const std::uint64_t negated = lane.negated ? 1 : 0;
+        double acc = 0.0;
         for (std::uint64_t i = 0; i < dim; ++i) {
-            // One diagonal-band load per group instead of per term.
-            const Complex r = rho.element(i, i ^ grp.xmask);
-            for (std::size_t k = 0; k < grp.specs.size(); ++k) {
-                const int parity =
-                    std::popcount(i & grp.specs[k].zmask) & 1;
-                const Complex ph = parity ? grp.specs[k].phaseMinus
-                                          : grp.specs[k].phasePlus;
-                // Re(ρ[i, i^x] · phase), the legacy multiply's real
-                // component with its imaginary side dropped.
-                acc[k] += r.real() * ph.real() - r.imag() * ph.imag();
-            }
+            const Complex r = rho.element(i, i ^ xmask);
+            const double v = lane.imaginary ? r.imag() : r.real();
+            const auto odd =
+                static_cast<std::uint64_t>(std::popcount(i & lane.zmask) & 1);
+            acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^
+                                         ((negated ^ odd) << 63));
         }
+        out[t] = acc;
     }
-    for (std::size_t g = 0; g < groups_.size(); ++g)
-        for (std::size_t k = 0; k < groups_[g].termIndices.size(); ++k)
-            out[groups_[g].termIndices[k]] = local[groupOffsets_[g] + k];
 }
 
 double

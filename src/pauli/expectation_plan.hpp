@@ -1,30 +1,31 @@
 /**
  * @file
- * Compiled expectation plans: the batched single-sweep Pauli-sum
- * evaluator and its cross-iteration cache.
+ * Compiled expectation plans: the lane-per-term Pauli-sum evaluator and
+ * its cross-iteration cache.
  *
  * The legacy path walks the full 2^n amplitude array once **per term**
- * of a PauliSum. A plan compiles the sum once — grouping terms by
- * shared xmask and pre-folding each term's constant ±i^nY phase into a
- * two-entry table — and then evaluates with one sweep **per group**,
- * accumulating every term of the group from the same
- * `conj(ψ[i^xmask])·ψ[i]` amplitude loads (kern::pauliGroupSums, with
- * scalar/AVX2 runtime dispatch). The Hamiltonian is loop-invariant
- * across optimizer iterations, so EnergyEstimator compiles (or leases
- * from an ExpectationPlanCache) one plan per run and reuses it for
- * every estimate.
+ * of a PauliSum. A plan compiles the sum once into a lane layout and
+ * then evaluates every term in **one** pass over the amplitudes
+ * (kern::pauliLaneSums, scalar and AVX2). Every Pauli phase i^nY is ±1
+ * or ±i, so a term's addend at basis state i is ±D or ±E of its xmask
+ * group — the real and imaginary parts of conj(ψ[i^x])·ψ[i], formed
+ * once per group — and each term owns one accumulator lane. The
+ * Hamiltonian is loop-invariant across optimizer iterations, so
+ * EnergyEstimator compiles (or leases from an ExpectationPlanCache) one
+ * plan per run and reuses it for every estimate.
  *
  * Determinism contract (DESIGN.md §16): plan evaluation is
- * bit-identical to the legacy term-by-term path — same per-amplitude
- * complex-multiply op sequence, same ascending-i per-term accumulation,
- * the same fixed 16-block partition and serial block fold above the
- * intra-state parallel threshold, and a final coefficient fold in
- * original term order. A plan is a pure function of its PauliSum, so
- * cache hits and misses are indistinguishable in every output bit. The
- * term-by-term fold over expectation(state, PauliString) is not a
- * runtime path; the differential battery
- * (tests/pauli/test_expectation_batched.cpp) keeps it as the reference
- * the plan is compared against.
+ * bit-identical to the legacy term-by-term path. ±D and ±E equal the
+ * legacy complex product's real part up to the sign of an exact zero,
+ * and a per-term sum that starts at +0.0 absorbs that difference; each
+ * lane adds in ascending i, over the same fixed 16-block partition and
+ * serial block fold above the intra-state parallel threshold, and the
+ * coefficient fold runs in original term order. A plan is a pure
+ * function of its PauliSum, so cache hits and misses are
+ * indistinguishable in every output bit. The term-by-term fold over
+ * expectation(state, PauliString) is not a runtime path; the
+ * differential battery (tests/pauli/test_expectation_batched.cpp) keeps
+ * it as the reference the plan is compared against.
  */
 
 #ifndef QISMET_PAULI_EXPECTATION_PLAN_HPP
@@ -61,14 +62,17 @@ batchedExpectationEnabled()
 class ExpectationPlan
 {
   public:
-    /** Terms sharing one xmask, lowered to the kernel table layout. */
-    struct Group
+    /**
+     * How one term is read off its group: its addend at basis state i
+     * is ±E_g(i) when `imaginary` (i^nY = ±i), else ±D_g(i) (i^nY =
+     * ±1), negated when `negated` XOR parity(i & zmask).
+     */
+    struct TermLane
     {
-        std::uint64_t xmask = 0;
-        /** Per-term zmask + pre-folded ±i^nY phase constants. */
-        std::vector<kern::PauliTermSpec> specs;
-        /** Original term index per spec (scatter target). */
-        std::vector<std::size_t> termIndices;
+        std::size_t group = 0;
+        bool imaginary = false;
+        bool negated = false;
+        std::uint64_t zmask = 0;
     };
 
     /** Compile `hamiltonian` as-is (no simplification is applied). */
@@ -76,8 +80,19 @@ class ExpectationPlan
 
     int numQubits() const { return numQubits_; }
     std::size_t numTerms() const { return coefficients_.size(); }
-    std::size_t numGroups() const { return groups_.size(); }
-    const std::vector<Group> &groups() const { return groups_; }
+    std::size_t numGroups() const { return groupXmasks_.size(); }
+    /** The xmask of each group of terms sharing one, first-seen order. */
+    const std::vector<std::uint64_t> &groupXmasks() const
+    {
+        return groupXmasks_;
+    }
+    /** One lane per term, in original term order. */
+    const std::vector<TermLane> &termLanes() const { return termLanes_; }
+    /**
+     * The kernel's view of the lane layout (kern::pauliLaneSums): lane
+     * t is term t, padded to a multiple of 4 lanes.
+     */
+    kern::PauliLanes lanes() const;
     /** Coefficients in original term order (the final fold order). */
     const std::vector<double> &coefficients() const
     {
@@ -108,12 +123,13 @@ class ExpectationPlan
     /**
      * Per-term <P_t> sums into out[numTerms()], bit-identical to the
      * legacy expectation(state, terms[t].pauli) for every t (identity
-     * terms included — their sweep reproduces the legacy norm² walk).
+     * terms included — their lane sums the legacy norm² walk). A warm
+     * call on a state below the parallel threshold allocates nothing.
      * @throws std::invalid_argument on a width mismatch.
      */
     void termExpectations(const Statevector &state, double *out) const;
 
-    /** Tr(ρ P_t) per term; serial sweep, one pass per group. */
+    /** Tr(ρ P_t) per term: serial, one pass over ρ's band per term. */
     void termExpectations(const DensityMatrix &rho, double *out) const;
 
     /** Σ_t c_t <P_t>, folded in original term order (== legacy sum). */
@@ -123,12 +139,15 @@ class ExpectationPlan
   private:
     int numQubits_ = 0;
     std::vector<double> coefficients_;
-    std::vector<Group> groups_;
+    std::vector<std::uint64_t> groupXmasks_;
+    std::vector<TermLane> termLanes_;
+    /** The rest of the kernel's layout (kern::PauliLanes), padded. */
+    std::vector<std::int32_t> laneBase_;
+    std::vector<std::uint64_t> laneZmasks_;
+    std::vector<std::uint64_t> laneLowSigns_;
     std::vector<MeasurementGroup> measurementGroups_;
     std::vector<std::vector<std::uint64_t>> samplingMasks_;
     std::vector<std::vector<double>> samplingCoefficients_;
-    /** Group-local accumulator offset per group (prefix sums). */
-    std::vector<std::size_t> groupOffsets_;
     std::uint64_t fingerprint_ = 0;
 };
 

@@ -63,8 +63,9 @@ encodeFrame(const FramedLogSpec &spec, const std::string &path,
 FramedLogScan
 scanFramedLog(const FramedLogSpec &spec, const std::string &path)
 {
-    const std::string file = readFile(path);
-    const std::string_view bytes(file);
+    FramedLogScan scan;
+    scan.bytes = std::make_unique<const std::string>(readFile(path));
+    const std::string_view bytes(*scan.bytes);
     if (bytes.size() < kFramedLogHeaderSize)
         fail(spec, path,
              " is shorter than its header (" +
@@ -77,7 +78,6 @@ scanFramedLog(const FramedLogSpec &spec, const std::string &path)
         fail(spec, path,
              " has unsupported version " + std::to_string(version) +
                  " (expected " + std::to_string(spec.version) + ")");
-    FramedLogScan scan;
     scan.digest = header.readU64();
     if (header.readU64() != fnv1a64(bytes.substr(0, 16)))
         fail(spec, path, " header checksum mismatch");
@@ -125,7 +125,7 @@ scanFramedLog(const FramedLogSpec &spec, const std::string &path)
                      " with valid data after it — refusing to skip");
         }
         scan.cleanOffset += frameSize;
-        scan.frames.push_back({type, std::string(payload), scan.cleanOffset});
+        scan.frames.push_back({type, payload, scan.cleanOffset});
     }
     // Every break above leaves the tail from cleanOffset torn.
     scan.tornTail = !scan.tornReason.empty();

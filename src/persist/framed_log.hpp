@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,7 +67,8 @@ framedLogError(const std::string &message)
 struct FramedLogFrame
 {
     std::uint8_t type = 0;
-    std::string payload;
+    /** A view into the scan's `bytes`: copy it to keep it. */
+    std::string_view payload;
     std::uint64_t endOffset = 0; ///< byte offset just past this frame
 };
 
@@ -74,6 +76,8 @@ struct FramedLogFrame
 struct FramedLogScan
 {
     std::uint64_t digest = 0;
+    /** The whole file as read; every frame's payload points into it. */
+    std::unique_ptr<const std::string> bytes;
     std::vector<FramedLogFrame> frames;
     std::uint64_t cleanOffset = 0; ///< offset after the last valid frame
     bool tornTail = false;
@@ -95,8 +99,9 @@ std::string encodeFrame(const FramedLogSpec &spec, const std::string &path,
                         std::uint8_t type, std::string_view payload);
 
 /**
- * Read and validate a whole file. @throws FileError when it cannot be
- * read, the spec's error when it is corrupt (see the file comment).
+ * Read and validate a whole file: every frame is checksummed, and no
+ * payload is copied. @throws FileError when it cannot be read, the
+ * spec's error when it is corrupt (see the file comment).
  */
 FramedLogScan scanFramedLog(const FramedLogSpec &spec,
                             const std::string &path);

@@ -76,11 +76,13 @@ JournalIterationRecord::decode(Decoder &dec)
 JournalScanResult
 scanJournal(const std::string &path)
 {
-    FramedLogScan scan = scanFramedLog(kJournalLog, path);
+    const FramedLogScan scan = scanFramedLog(kJournalLog, path);
+    // A JournalFrame outlives the scan, so here the payloads are copied.
     std::vector<JournalFrame> frames;
-    for (FramedLogFrame &frame : scan.frames)
+    frames.reserve(scan.frames.size());
+    for (const FramedLogFrame &frame : scan.frames)
         frames.push_back({static_cast<JournalFrameType>(frame.type),
-                          std::move(frame.payload), frame.endOffset});
+                          std::string(frame.payload), frame.endOffset});
     return {.configDigest = scan.digest,
             .frames = std::move(frames),
             .cleanOffset = scan.cleanOffset,

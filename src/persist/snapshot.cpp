@@ -72,7 +72,7 @@ RunSnapshot::encode() const
 }
 
 RunSnapshot
-RunSnapshot::decode(const std::string &payload)
+RunSnapshot::decode(std::string_view payload)
 {
     try {
         Decoder dec(payload);

@@ -35,6 +35,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -97,7 +98,7 @@ struct RunSnapshot
     std::string encode() const;
 
     /** @throws SnapshotError on truncated or malformed payload. */
-    static RunSnapshot decode(const std::string &payload);
+    static RunSnapshot decode(std::string_view payload);
 };
 
 /** What a scan of a snapshot log found. */

@@ -97,52 +97,61 @@ double expectationZMask(std::span<const Complex> amps, std::uint64_t mask);
 /** @} */
 
 /**
- * @name Grouped Pauli-sum expectation sweep
+ * @name Lane-per-term Pauli-sum expectation sweep
  *
- * One Hamiltonian term lowered for the batched single-sweep evaluator
- * (pauli/expectation_plan.hpp): terms sharing an xmask are swept
- * together so the `conj(a[i^xmask])·a[i]` amplitude loads are paid once
- * per group instead of once per term. The per-basis-state phase of a
- * term is ±i^nY — a constant selected by the parity of
- * popcount(i & zmask) — so it is pre-folded into two Complex constants
- * at plan-compile time (computed through the exact op sequence the
- * legacy pauliPhase() used, keeping the products bit-identical).
+ * The sweep behind ExpectationPlan::termExpectations (DESIGN.md §16).
+ * Every Pauli phase i^nY is ±1 or ±i, so term t's addend at basis state
+ * i is ±D_g(i) or ±E_g(i) of its xmask group g:
+ *
+ *   D_g(i) = Re a[i^x]·Re a[i] + Im a[i^x]·Im a[i]
+ *   E_g(i) = Re a[i^x]·Im a[i] − Im a[i^x]·Re a[i]
+ *
+ * with the sign set by the phase and by parity(i & z_t). One pass over
+ * the amplitudes forms D and E of every group, then adds each term's
+ * base, sign-flipped, into the term's own accumulator lane, in
+ * ascending i.
  * @{
  */
-struct PauliTermSpec
+
+/** Low bits of i whose sign pattern is tabled (a tile of 16 states). */
+inline constexpr unsigned kPauliSignBits = 4;
+inline constexpr std::size_t kPauliTile = std::size_t{1} << kPauliSignBits;
+
+/** A compiled sum's lane layout (pauli/expectation_plan.hpp). */
+struct PauliLanes
 {
-    std::uint64_t zmask = 0;
-    /** Phase for even parity of popcount(i & zmask): i^nY. */
-    Complex phasePlus{1.0, 0.0};
-    /** Phase for odd parity: -(i^nY). */
-    Complex phaseMinus{-1.0, 0.0};
+    /** xmask per group. */
+    const std::uint64_t *xmasks = nullptr;
+    std::size_t numGroups = 0;
+    /** Per lane: its base, 2g for D_g or 2g + 1 for E_g. */
+    const std::int32_t *base = nullptr;
+    /** Per lane: zmask (its bits above kPauliSignBits sign a tile). */
+    const std::uint64_t *zmasks = nullptr;
+    /**
+     * [j·numLanes + l]: lane l's sign bit (bit 63) at states i with
+     * i mod kPauliTile == j — the phase's sign XOR parity(j & z_l).
+     */
+    const std::uint64_t *lowSigns = nullptr;
+    /** A multiple of 4; pad lanes read base 0 and are never read back. */
+    std::size_t numLanes = 0;
 };
 
-/**
- * Most terms the AVX2 group core takes per call (it builds per-term
- * phase-select tables on the stack). The dispatch wrapper slabs larger
- * groups along the term axis — harmless for determinism, since each
- * term owns an independent accumulator.
- */
-inline constexpr std::size_t kPauliGroupSlab = 32;
+/** Doubles of scratch pauliLaneSums needs: a tile of every base. */
+inline std::size_t
+pauliRowScratch(const PauliLanes &lanes)
+{
+    return kPauliTile * 2 * lanes.numGroups;
+}
 
 /**
- * Accumulate, for every term t of one xmask group,
- *
- *   acc[t] += Σ_{i in [u0,u1)} Re( conj(a[i^xmask]) · phase_t(i) · a[i] )
- *
- * with phase_t(i) = terms[t].phasePlus/Minus by parity of
- * popcount(i & zmask). Each contribution is formed with the legacy
- * std::complex operation order (two naive complex multiplies, real
- * component kept), and per-term accumulation runs in ascending i, so
- * the result is bit-identical to the term-by-term path. `simd` is the
- * dispatch decision (pass simdEnabled()). Only the real parts are
- * accumulated — the legacy path discards the imaginary accumulator
- * after the sweep, so dropping it cannot change bits.
+ * acc[l] += Σ_{i in [u0,u1)} ±base_l(i), per lane l in ascending i.
+ * `rows` is pauliRowScratch(lanes) doubles of scratch. Scalar and AVX2
+ * add the same values in the same order, so the sums are bit-identical
+ * at every `simd` setting and every range split.
  */
-void pauliGroupSums(std::span<const Complex> amps, std::uint64_t xmask,
-                    const PauliTermSpec *terms, std::size_t num_terms,
-                    bool simd, std::size_t u0, std::size_t u1, double *acc);
+void pauliLaneSums(std::span<const Complex> amps, const PauliLanes &lanes,
+                   bool simd, std::size_t u0, std::size_t u1, double *acc,
+                   double *rows);
 
 /** @} */
 
@@ -247,10 +256,9 @@ std::size_t dense2RunAvx2(Complex *p0, Complex *p1, Complex *p2, Complex *p3,
                           std::size_t count, const Complex *m);
 std::size_t conjPhaseRowAvx2(Complex *row, const Complex *phases,
                              Complex rowPhase, std::size_t count);
-std::size_t pauliGroupSumsAvx2(const Complex *a, std::uint64_t xmask,
-                               const PauliTermSpec *terms,
-                               std::size_t num_terms, std::size_t u0,
-                               std::size_t u1, double *acc);
+void pauliLaneSumsAvx2(const Complex *a, const PauliLanes &lanes,
+                       std::size_t u0, std::size_t u1, double *acc,
+                       double *rows);
 
 /**
  * AVX2 unit walks: one call covers a whole [k0, k1) range of the

@@ -405,76 +405,152 @@ swapPairUnitsAvx2(Complex *a, std::size_t bA, std::size_t bB,
     }
 }
 
+namespace {
+
 /**
- * Grouped Pauli expectation core: two basis states per iteration. The
- * pair (i, i+1), i even, always maps under ^xmask onto the aligned
- * pair at (i^xmask) & ~1 — in order when xmask is even, swapped when
- * odd — so every load is a whole 2-complex vector. Per term the ±i^nY
- * phase constant is picked from a 4-entry table indexed by the two
- * parities, the two contributions are formed with the same mul/addsub
- * chain as the scalar code (cmulVec + mul + hsub: each product and the
- * final subtraction round individually), and the accumulator adds run
- * as scalar SSE adds in ascending i order — the exact legacy grouping.
- * The popcnt target feature is for the per-term parity of basis state
- * i; every AVX2 CPU has it, and the dispatch check already gates on
- * AVX2+FMA. Requires an even u0 and num_terms <= kPauliGroupSlab;
- * returns 0 otherwise (the wrapper's scalar path covers those calls).
+ * vpermps controls that put a 4-state block's deinterleaved parts, which
+ * unpacklo/hi leave in state order (0, 2, 1, 3), into the order
+ * (m ^ x) for m = 0..3, one control per x = 0..3.
  */
-QISMET_TARGET_AVX2_POPCNT std::size_t
-pauliGroupSumsAvx2(const Complex *a, std::uint64_t xmask,
-                   const PauliTermSpec *terms, std::size_t num_terms,
-                   std::size_t u0, std::size_t u1, double *acc)
+alignas(32) constexpr std::int32_t kBlockOrder[4][8] = {
+    {0, 1, 4, 5, 2, 3, 6, 7},
+    {4, 5, 0, 1, 6, 7, 2, 3},
+    {2, 3, 6, 7, 0, 1, 4, 5},
+    {6, 7, 2, 3, 4, 5, 0, 1},
+};
+
+/**
+ * Re and Im of a[p .. p+3] (p a multiple of 4) reordered so slot m holds
+ * a[p + (m ^ x)]: the partners of states 4k..4k+3 for group xmask x,
+ * when p = (4k ^ x) & ~3.
+ */
+QISMET_TARGET_AVX2 inline void
+loadBlock(const double *d, std::size_t p, std::uint64_t x, __m256d &re,
+          __m256d &im)
 {
-    if ((u0 & 1) != 0 || u1 - u0 < 2 || num_terms > kPauliGroupSlab)
-        return 0;
-    const double *d = reinterpret_cast<const double *>(a);
-    // conj via sign-flip of the imaginary lanes: exact.
-    const __m256d conjMask = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-    const bool swapHalves = (xmask & 1) != 0;
+    const __m256i order = _mm256_load_si256(
+        reinterpret_cast<const __m256i *>(kBlockOrder[x & 3]));
+    const __m256d lo = _mm256_loadu_pd(d + 2 * p);
+    const __m256d hi = _mm256_loadu_pd(d + 2 * p + 4);
+    re = _mm256_castps_pd(_mm256_permutevar8x32_ps(
+        _mm256_castpd_ps(_mm256_unpacklo_pd(lo, hi)), order));
+    im = _mm256_castps_pd(_mm256_permutevar8x32_ps(
+        _mm256_castpd_ps(_mm256_unpackhi_pd(lo, hi)), order));
+}
 
-    // Per-term phase vectors indexed by (parity(i), parity(i+1)):
-    // tab[p0 + 2*p1] = [ph(p0).re, ph(p0).im, ph(p1).re, ph(p1).im].
-    __m256d phaseTab[kPauliGroupSlab][4];
-    for (std::size_t t = 0; t < num_terms; ++t) {
-        const Complex pp = terms[t].phasePlus;
-        const Complex pm = terms[t].phaseMinus;
-        phaseTab[t][0] =
-            _mm256_set_pd(pp.imag(), pp.real(), pp.imag(), pp.real());
-        phaseTab[t][1] =
-            _mm256_set_pd(pp.imag(), pp.real(), pm.imag(), pm.real());
-        phaseTab[t][2] =
-            _mm256_set_pd(pm.imag(), pm.real(), pp.imag(), pp.real());
-        phaseTab[t][3] =
-            _mm256_set_pd(pm.imag(), pm.real(), pm.imag(), pm.real());
+/**
+ * Adds one tile's states [t0, t1) into V lane vectors starting at lane
+ * l: per state, each vector gathers its four bases from the tile's rows
+ * and adds them, sign-flipped by XOR, into its own accumulator. V
+ * independent chains keep the adds from waiting on one another.
+ */
+template <int V>
+QISMET_TARGET_AVX2_POPCNT inline void
+addLaneBlock(const PauliLanes &lanes, std::size_t l, std::size_t tb,
+             std::size_t t0, std::size_t t1, const double *rows,
+             double *acc)
+{
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    __m256i high[V];
+    __m128i index[V];
+    __m256d sum[V];
+    for (int v = 0; v < V; ++v) {
+        const std::uint64_t *z = lanes.zmasks + l + 4 * v;
+        auto sign = [tb](std::uint64_t zmask) {
+            return static_cast<long long>(
+                static_cast<std::uint64_t>(std::popcount(tb & zmask) & 1)
+                << 63);
+        };
+        high[v] = _mm256_set_epi64x(sign(z[3]), sign(z[2]), sign(z[1]),
+                                    sign(z[0]));
+        // Base b of a lane sits at rows[b·kPauliTile + (i - tb)].
+        index[v] = _mm_slli_epi32(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(lanes.base + l + 4 * v)),
+            kPauliSignBits);
+        sum[v] = _mm256_loadu_pd(acc + l + 4 * v);
     }
-
-    std::size_t i = u0;
-    for (; i + 2 <= u1; i += 2) {
-        const __m256d va = _mm256_loadu_pd(d + 2 * i);
-        const std::size_t j = (i ^ xmask) & ~std::size_t{1};
-        __m256d vx = _mm256_loadu_pd(d + 2 * j);
-        if (swapHalves)
-            vx = _mm256_permute2f128_pd(vx, vx, 0x01);
-        const __m256d vc = _mm256_xor_pd(vx, conjMask);
-        for (std::size_t t = 0; t < num_terms; ++t) {
-            const std::uint64_t z = terms[t].zmask;
-            // parity(i+1) flips parity(i) iff bit 0 of z is set.
-            const unsigned p0 =
-                static_cast<unsigned>(std::popcount(i & z)) & 1u;
-            const unsigned p1 = p0 ^ (static_cast<unsigned>(z) & 1u);
-            const __m256d t1 = cmulVec(vc, phaseTab[t][p0 + 2 * p1]);
-            // [t1r*u, t1i*v | ...]; hsub forms Re(t1 * a) per complex.
-            const __m256d prod = _mm256_mul_pd(t1, va);
-            const __m256d re = _mm256_hsub_pd(prod, prod);
-            // Two single rounded adds, in i order, through the SSE
-            // scalar-add path (no contraction is possible).
-            __m128d av = _mm_load_sd(acc + t);
-            av = _mm_add_sd(av, _mm256_castpd256_pd128(re));
-            av = _mm_add_sd(av, _mm256_extractf128_pd(re, 1));
-            _mm_store_sd(acc + t, av);
+    for (std::size_t i = t0; i < t1; ++i) {
+        const double *r = rows + (i - tb);
+        const std::uint64_t *low =
+            lanes.lowSigns + (i - tb) * lanes.numLanes + l;
+        for (int v = 0; v < V; ++v) {
+            // The masked form with every lane set: the unmasked
+            // intrinsic reads an uninitialized source vector.
+            const __m256d base = _mm256_mask_i32gather_pd(
+                _mm256_setzero_pd(), r, index[v], all, 8);
+            const __m256i s = _mm256_xor_si256(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(low + 4 * v)),
+                high[v]);
+            sum[v] = _mm256_add_pd(
+                sum[v], _mm256_xor_pd(base, _mm256_castsi256_pd(s)));
         }
     }
-    return i - u0;
+    for (int v = 0; v < V; ++v)
+        _mm256_storeu_pd(acc + l + 4 * v, sum[v]);
+}
+
+} // namespace
+
+/**
+ * Lane-per-term Pauli expectation core, one tile of kPauliTile aligned
+ * states at a time. First the rows: per group and per aligned block of
+ * four states, D and E of the four states at once — the block's and
+ * its partners' amplitudes are split into real and imaginary vectors in
+ * state order, then D = re·ar + im·ai and E = re·ai − im·ar, each
+ * product and sum rounded once (the scalar formula, lane for lane).
+ * A block may reach past [u0, u1); its extra states are never added.
+ * Then the lanes, four vectors at a time (addLaneBlock). The whole
+ * range runs here; the caller guarantees at least four amplitudes.
+ */
+QISMET_TARGET_AVX2_POPCNT void
+pauliLaneSumsAvx2(const Complex *a, const PauliLanes &lanes, std::size_t u0,
+                  std::size_t u1, double *acc, double *rows)
+{
+    const double *d = reinterpret_cast<const double *>(a);
+    for (std::size_t t0 = u0; t0 < u1;) {
+        const std::size_t tb = t0 & ~(kPauliTile - 1);
+        const std::size_t t1 = std::min(u1, tb + kPauliTile);
+
+        const std::size_t b1 = (t1 + 3) & ~std::size_t{3};
+        for (std::size_t b = t0 & ~std::size_t{3}; b < b1; b += 4) {
+            __m256d ar;
+            __m256d ai;
+            loadBlock(d, b, 0, ar, ai);
+            double *row = rows + (b - tb);
+            for (std::size_t g = 0; g < lanes.numGroups; ++g) {
+                const std::uint64_t x = lanes.xmasks[g];
+                __m256d re;
+                __m256d im;
+                loadBlock(d, (b ^ x) & ~std::uint64_t{3}, x, re, im);
+                _mm256_storeu_pd(row + 2 * g * kPauliTile,
+                                 _mm256_add_pd(_mm256_mul_pd(re, ar),
+                                               _mm256_mul_pd(im, ai)));
+                _mm256_storeu_pd(row + (2 * g + 1) * kPauliTile,
+                                 _mm256_sub_pd(_mm256_mul_pd(re, ai),
+                                               _mm256_mul_pd(im, ar)));
+            }
+        }
+
+        std::size_t l = 0;
+        for (; l + 16 <= lanes.numLanes; l += 16)
+            addLaneBlock<4>(lanes, l, tb, t0, t1, rows, acc);
+        switch ((lanes.numLanes - l) / 4) {
+          case 3:
+            addLaneBlock<3>(lanes, l, tb, t0, t1, rows, acc);
+            break;
+          case 2:
+            addLaneBlock<2>(lanes, l, tb, t0, t1, rows, acc);
+            break;
+          case 1:
+            addLaneBlock<1>(lanes, l, tb, t0, t1, rows, acc);
+            break;
+          default:
+            break;
+        }
+        t0 = t1;
+    }
 }
 
 } // namespace detail

@@ -595,67 +595,40 @@ expectationZMask(std::span<const Complex> amps, std::uint64_t mask)
         });
 }
 
-namespace {
-
-/**
- * Scalar grouped-expectation sweep: the legacy per-term loop with the
- * amplitude loads hoisted out of the term loop and the (discarded)
- * imaginary accumulator dropped. Every multiply/subtract below is one
- * of the individually rounded ops the std::complex chain
- * `conj(a[i^x]) * phase * a[i]` performed, in the same order, so the
- * per-term sums are bit-identical to the term-by-term path.
- */
-inline void
-pauliGroupSumsScalar(std::span<const Complex> amps, std::uint64_t xmask,
-                     const PauliTermSpec *terms, std::size_t num_terms,
-                     std::size_t u0, std::size_t u1, double *acc)
-{
-    for (std::size_t i = u0; i < u1; ++i) {
-        const Complex a = amps[i];
-        const Complex ax = amps[i ^ xmask];
-        // conj(ax): the sign flip is exact.
-        const double cr = ax.real();
-        const double ci = -ax.imag();
-        for (std::size_t t = 0; t < num_terms; ++t) {
-            const int parity = std::popcount(i & terms[t].zmask) & 1;
-            const Complex ph =
-                parity ? terms[t].phaseMinus : terms[t].phasePlus;
-            // t1 = conj(ax) * phase, then Re(t1 * a).
-            const double t1r = cr * ph.real() - ci * ph.imag();
-            const double t1i = cr * ph.imag() + ci * ph.real();
-            acc[t] += t1r * a.real() - t1i * a.imag();
-        }
-    }
-}
-
-} // namespace
-
 void
-pauliGroupSums(std::span<const Complex> amps, std::uint64_t xmask,
-               const PauliTermSpec *terms, std::size_t num_terms,
-               bool simd, std::size_t u0, std::size_t u1, double *acc)
+pauliLaneSums(std::span<const Complex> amps, const PauliLanes &lanes,
+              bool simd, std::size_t u0, std::size_t u1, double *acc,
+              double *rows)
 {
 #if QISMET_SIMD_X86
-    if (simd) {
-        // The AVX2 core caps its per-call term slab (stack phase
-        // tables); slabs split the *term* axis only, so each term's
-        // ascending-i accumulation order is untouched.
-        for (std::size_t t0 = 0; t0 < num_terms; t0 += kPauliGroupSlab) {
-            const std::size_t n =
-                std::min(kPauliGroupSlab, num_terms - t0);
-            const std::size_t done =
-                u0 + detail::pauliGroupSumsAvx2(amps.data(), xmask,
-                                                terms + t0, n, u0, u1,
-                                                acc + t0);
-            pauliGroupSumsScalar(amps, xmask, terms + t0, n, done, u1,
-                                 acc + t0);
-        }
+    // The AVX2 core reads whole aligned blocks of four states.
+    if (simd && amps.size() >= 4) {
+        detail::pauliLaneSumsAvx2(amps.data(), lanes, u0, u1, acc, rows);
         return;
     }
 #else
     (void)simd;
 #endif
-    pauliGroupSumsScalar(amps, xmask, terms, num_terms, u0, u1, acc);
+    // One state at a time: rows[2g] and rows[2g + 1] hold its D_g, E_g.
+    for (std::size_t i = u0; i < u1; ++i) {
+        const double ar = amps[i].real();
+        const double ai = amps[i].imag();
+        for (std::size_t g = 0; g < lanes.numGroups; ++g) {
+            const Complex ax = amps[i ^ lanes.xmasks[g]];
+            rows[2 * g] = ax.real() * ar + ax.imag() * ai;
+            rows[2 * g + 1] = ax.real() * ai - ax.imag() * ar;
+        }
+        const std::uint64_t *low =
+            lanes.lowSigns + (i & (kPauliTile - 1)) * lanes.numLanes;
+        const std::uint64_t high = i & ~(kPauliTile - 1);
+        for (std::size_t l = 0; l < lanes.numLanes; ++l) {
+            const auto parity = static_cast<std::uint64_t>(
+                std::popcount(high & lanes.zmasks[l]) & 1);
+            const std::uint64_t sign = low[l] ^ (parity << 63);
+            acc[l] += std::bit_cast<double>(
+                std::bit_cast<std::uint64_t>(rows[lanes.base[l]]) ^ sign);
+        }
+    }
 }
 
 } // namespace kern

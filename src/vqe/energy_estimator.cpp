@@ -32,6 +32,9 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
 
     hamiltonian_.simplify();
     mixedEnergy_ = hamiltonian_.identityCoefficient();
+    for (std::size_t k = 0; k < hamiltonian_.terms().size(); ++k)
+        if (!hamiltonian_.terms()[k].pauli.isIdentity())
+            nonIdentityTerms_.push_back(k);
 
     // Lease the compiled plan from the caller's cross-run cache when
     // one is wired in (the serve layer scopes one cache per backend
@@ -102,26 +105,54 @@ EnergyEstimator::effectiveShots(double shot_fraction) const
     return std::max<std::size_t>(1, static_cast<std::size_t>(scaled));
 }
 
+namespace {
+
+/**
+ * This thread's state for prepare(), reset rather than reallocated per
+ * call; its bind pool stays warm with it. One per thread, because
+ * concurrent points of a job prepare on pool threads.
+ */
+Statevector &
+preparedState(int num_qubits)
+{
+    thread_local std::optional<Statevector> state;
+    if (!state || state->numQubits() != num_qubits)
+        state.emplace(num_qubits);
+    else
+        state->reset();
+    return *state;
+}
+
+} // namespace
+
 PreparedPoint
 EnergyEstimator::prepare(const std::vector<double> &theta) const
 {
     PreparedPoint point;
+    prepare(theta, point);
+    return point;
+}
+
+void
+EnergyEstimator::prepare(const std::vector<double> &theta,
+                         PreparedPoint &point) const
+{
     if (config_.mode == EstimatorMode::Ideal) {
         point.idealEnergy = idealEnergy(theta);
-        return point;
+        return;
     }
 
-    Statevector state(ansatz_.numQubits());
+    Statevector &state = preparedState(ansatz_.numQubits());
     state.run(compiledAnsatz_, theta);
     point.sensitivity = transientSensitivity(state);
 
     if (config_.mode == EstimatorMode::Analytic) {
-        // The plan sweeps once per xmask group and writes each term's
-        // expectation into its own slot (the identity term's slot holds
-        // the state's norm²); finishAnalytic folds them in term order.
-        point.termExpectations.assign(hamiltonian_.terms().size(), 0.0);
+        // The plan sweeps once and writes each term's expectation into
+        // its own slot (the identity term's slot holds the state's
+        // norm²); finishAnalytic folds them in term order.
+        point.termExpectations.resize(hamiltonian_.terms().size());
         plan_->termExpectations(state, point.termExpectations.data());
-        return point;
+        return;
     }
 
     // Rotate into each group's measurement basis. The basis changes are
@@ -134,7 +165,6 @@ EnergyEstimator::prepare(const std::vector<double> &theta) const
             rotated.run(compiledBasisChanges_[gi]);
             point.groupProbabilities[gi] = rotated.probabilities();
         });
-    return point;
 }
 
 double
@@ -180,10 +210,8 @@ EnergyEstimator::finishAnalytic(const PreparedPoint &point, double tau,
         static_cast<double>(effectiveShots(shot_fraction));
     double e = mixedEnergy_;
     double var = 0.0;
-    for (std::size_t k = 0; k < terms.size(); ++k) {
+    for (const std::size_t k : nonIdentityTerms_) {
         const auto &t = terms[k];
-        if (t.pauli.isIdentity())
-            continue;
         const double p_noisy = f * point.termExpectations[k];
         e += t.coefficient * p_noisy;
         var += t.coefficient * t.coefficient * (1.0 - p_noisy * p_noisy) /

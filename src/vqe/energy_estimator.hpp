@@ -155,6 +155,14 @@ class EnergyEstimator
     PreparedPoint prepare(const std::vector<double> &theta) const;
 
     /**
+     * prepare(θ) into `point`, reusing its buffers: a warm Analytic-mode
+     * call on a state below the parallel threshold allocates nothing.
+     * `point` must be empty or come from this estimator.
+     */
+    void prepare(const std::vector<double> &theta,
+                 PreparedPoint &point) const;
+
+    /**
      * The noisy half of an estimate: the survival factor at τ·κ(θ),
      * then Gaussian shot noise (Analytic) or depolarization, sampling
      * and mitigation per group (Sampling). Ideal mode returns the exact
@@ -232,6 +240,8 @@ class EnergyEstimator
     std::optional<MeasurementMitigator> mitigator_;
     double mixedEnergy_ = 0.0;
     double staticSurvival_ = 1.0;
+    /** Indices of the non-identity terms, ascending (finishAnalytic). */
+    std::vector<std::size_t> nonIdentityTerms_;
 };
 
 } // namespace qismet

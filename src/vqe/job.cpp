@@ -1,10 +1,10 @@
 #include "vqe/job.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -47,17 +47,34 @@ JobExecutor::JobExecutor(const EnergyEstimator &estimator,
         throw std::invalid_argument("JobExecutor: negative mitigation count");
 }
 
-std::shared_ptr<const JobExecutor::CachedPoint>
-JobExecutor::previousPointAt(const std::vector<double> &theta) const
+std::size_t
+JobExecutor::previousSlotAt(const std::vector<double> &theta) const
 {
     // Exact bits, not ==: -0.0 and 0.0 are different points to reuse.
-    for (const auto &cached : previousJob_)
-        if (cached->theta.size() == theta.size() &&
+    for (const std::size_t slot : previousJob_) {
+        const std::vector<double> &cached = pool_[slot].theta;
+        if (cached.size() == theta.size() &&
             (theta.empty() ||
-             std::memcmp(cached->theta.data(), theta.data(),
+             std::memcmp(cached.data(), theta.data(),
                          theta.size() * sizeof(double)) == 0))
-            return cached;
-    return nullptr;
+            return slot;
+    }
+    return kNoSlot;
+}
+
+std::size_t
+JobExecutor::freeSlot()
+{
+    // Never a slot of the previous job: if preparing this job throws,
+    // the previous job's points are still what previousJob_ says.
+    auto used = [](const std::vector<std::size_t> &slots, std::size_t s) {
+        return std::find(slots.begin(), slots.end(), s) != slots.end();
+    };
+    for (std::size_t s = 0; s < pool_.size(); ++s)
+        if (!used(previousJob_, s) && !used(slots_, s))
+            return s;
+    pool_.emplace_back();
+    return pool_.size() - 1;
 }
 
 double
@@ -69,12 +86,22 @@ JobExecutor::peekNextIntensity() const
 JobResult
 JobExecutor::execute(const JobRequest &request)
 {
+    JobResult result;
+    execute(request, result);
+    return result;
+}
+
+void
+JobExecutor::execute(const JobRequest &request, JobResult &result)
+{
     if (request.evaluations.empty())
         throw std::invalid_argument("JobExecutor: empty job");
 
-    JobResult result;
+    result.energies.clear();
     result.jobIndex = jobCount_;
     result.transientIntensity = trace_.at(jobCount_);
+    result.status = JobStatus::Completed;
+    result.shotFraction = 1.0;
 
     // Fault injection first: a timed-out or errored job never runs its
     // circuits, but it did occupy the machine slot — the job index
@@ -96,7 +123,7 @@ JobExecutor::execute(const JobRequest &request)
                             : JobStatus::Failed;
         circuitCount_ += job_circuits;
         ++jobCount_;
-        return result;
+        return;
     }
     if (fault.kind == FaultKind::PartialResult) {
         result.status = JobStatus::PartialResult;
@@ -110,43 +137,46 @@ JobExecutor::execute(const JobRequest &request)
 
     // Every circuit in the job sees the job's transient instance plus a
     // little intra-job drift. The jitter draws and the per-circuit
-    // sub-streams are taken serially in evaluation order; only the
-    // (independent) circuit executions fan out.
+    // sub-streams are taken serially in evaluation order.
     const std::size_t n_evals = request.evaluations.size();
-    std::vector<double> taus(n_evals);
-    for (auto &tau : taus)
+    taus_.resize(n_evals);
+    for (auto &tau : taus_)
         tau = result.transientIntensity +
               jobRng.normal(0.0,
                             intraJobJitter_ +
                                 relativeJitter_ *
                                     std::abs(result.transientIntensity));
-    std::vector<Rng> evalRngs;
-    evalRngs.reserve(n_evals);
+    evalRngs_.clear();
     for (std::size_t i = 0; i < n_evals; ++i)
-        evalRngs.push_back(jobRng.split());
+        evalRngs_.push_back(jobRng.split());
 
     // Reuse the previous executed job's points where θ repeats (the
-    // QISMET reference rerun, a retry). Lookups are serial; each miss
-    // is prepared inside the fan-out into its own slot.
-    std::vector<std::shared_ptr<const CachedPoint>> points(n_evals);
-    std::size_t misses = 0;
+    // QISMET reference rerun, a retry): every lookup first, then a free
+    // slot for each miss. The misses are prepared in a fan-out, each
+    // into its own slot; the finishes then run in evaluation order.
+    slots_.clear();
+    misses_.clear();
+    for (std::size_t i = 0; i < n_evals; ++i)
+        slots_.push_back(previousSlotAt(request.evaluations[i]));
     for (std::size_t i = 0; i < n_evals; ++i) {
-        points[i] = previousPointAt(request.evaluations[i]);
-        if (!points[i])
-            ++misses;
+        if (slots_[i] != kNoSlot)
+            continue;
+        slots_[i] = freeSlot();
+        pool_[slots_[i]].theta = request.evaluations[i];
+        misses_.push_back(i);
     }
-
-    result.energies.assign(n_evals, 0.0);
-    ParallelExecutor::global().parallelFor(n_evals, [&](std::size_t i) {
-        if (!points[i])
-            points[i] = std::make_shared<const CachedPoint>(CachedPoint{
-                request.evaluations[i],
-                estimator_.prepare(request.evaluations[i])});
-        result.energies[i] = estimator_.finish(
-            points[i]->point, taus[i], evalRngs[i], result.shotFraction);
-    });
-    pointCount_ += misses;
-    previousJob_ = std::move(points);
+    ParallelExecutor::global().parallelFor(
+        misses_.size(), [&](std::size_t m) {
+            CachedPoint &slot = pool_[slots_[misses_[m]]];
+            estimator_.prepare(slot.theta, slot.point);
+        });
+    result.energies.resize(n_evals);
+    for (std::size_t i = 0; i < n_evals; ++i)
+        result.energies[i] =
+            estimator_.finish(pool_[slots_[i]].point, taus_[i],
+                              evalRngs_[i], result.shotFraction);
+    pointCount_ += misses_.size();
+    previousJob_.assign(slots_.begin(), slots_.end());
 
     // Reference loss: the machine ran the whole batch, but the results
     // of everything past the primary evaluation were dropped on the way
@@ -161,7 +191,6 @@ JobExecutor::execute(const JobRequest &request)
     // plus any standing mitigation circuits.
     circuitCount_ += job_circuits;
     ++jobCount_;
-    return result;
 }
 
 } // namespace qismet

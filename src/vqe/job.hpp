@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,12 +115,13 @@ class JobExecutor
     /**
      * Execute the next job in sequence.
      *
-     * The job's circuits run in parallel over the global
-     * ParallelExecutor. Randomness is scheduling-independent: the job
-     * derives a counter-based sub-stream from its index
-     * (Rng::splitAt), draws the intra-job jitter serially, and hands
-     * every circuit its own child stream before the fan-out — so
-     * results are bit-identical for every thread count.
+     * The points the job must prepare fan out over the global
+     * ParallelExecutor; the noisy finishes then run in evaluation
+     * order. Randomness is scheduling-independent: the job derives a
+     * counter-based sub-stream from its index (Rng::splitAt), draws the
+     * intra-job jitter serially, and hands every circuit its own child
+     * stream before the fan-out — so results are bit-identical for
+     * every thread count.
      *
      * An evaluation whose θ is bit-equal (memcmp) to one of the
      * previous executed job's reuses that job's PreparedPoint. Lookups
@@ -130,6 +130,13 @@ class JobExecutor
      * that timed out or failed ran nothing and leaves them untouched.
      */
     JobResult execute(const JobRequest &request);
+
+    /**
+     * execute(request) into `result`, reusing its buffers: a warm
+     * Analytic-mode job whose points fit the kept slots allocates
+     * nothing.
+     */
+    void execute(const JobRequest &request, JobResult &result);
 
     /** Jobs executed so far. */
     std::size_t jobsExecuted() const { return jobCount_; }
@@ -189,9 +196,14 @@ class JobExecutor
         PreparedPoint point;
     };
 
-    /** The previous executed job's point at bit-equal θ, if any. */
-    std::shared_ptr<const CachedPoint>
-    previousPointAt(const std::vector<double> &theta) const;
+    /** No slot (previousSlotAt found no bit-equal θ). */
+    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+    /** The previous executed job's slot at bit-equal θ, or kNoSlot. */
+    std::size_t previousSlotAt(const std::vector<double> &theta) const;
+
+    /** A slot neither job references, grown into the pool if need be. */
+    std::size_t freeSlot();
 
     const EnergyEstimator &estimator_;
     TransientTrace trace_;
@@ -203,8 +215,19 @@ class JobExecutor
     std::size_t jobCount_ = 0;
     std::size_t circuitCount_ = 0;
     std::size_t pointCount_ = 0;
-    /** The previous executed job's points, in evaluation order. */
-    std::vector<std::shared_ptr<const CachedPoint>> previousJob_;
+    /**
+     * Point slots, reused job after job: a slot keeps its buffers, so
+     * preparing into it allocates nothing once they are sized.
+     */
+    std::vector<CachedPoint> pool_;
+    /** The previous executed job's slots, in evaluation order. */
+    std::vector<std::size_t> previousJob_;
+    /** This job's slot per evaluation, and the evaluations it prepares. */
+    std::vector<std::size_t> slots_;
+    std::vector<std::size_t> misses_;
+    /** This job's τ and sub-stream per evaluation. */
+    std::vector<double> taus_;
+    std::vector<Rng> evalRngs_;
 };
 
 } // namespace qismet

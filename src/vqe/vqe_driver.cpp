@@ -77,6 +77,12 @@ VqeDriver::run(const std::vector<double> &initial_theta)
     Rng opt_rng(config_.seed);
 
     VqeRunResult result;
+    // Records never reallocate below this many jobs; a larger budget
+    // may end early at its deadline, so its records grow as they go.
+    constexpr std::size_t kReservedJobs = std::size_t{1} << 16;
+    const std::size_t reserved = std::min(config_.totalJobs, kReservedJobs);
+    result.history.reserve(reserved);
+    result.iterationEnergies.reserve(reserved);
     // Simulated-time base of the run. The serve layer's breakers and
     // chaos windows run on their own fleet SimClock in ticks; this one
     // counts the run's seconds and is a pure function of the config,
@@ -254,6 +260,9 @@ VqeDriver::run(const std::vector<double> &initial_theta)
     // the job budget. On success fills the optimizer-facing energy
     // (possibly policy-corrected) and the raw measured energy. Returns
     // false when the budget ran out before an accepted measurement.
+    // Every job reuses one request and one result.
+    JobRequest request;
+    JobResult job;
     auto evaluate_point = [&](const std::vector<double> &point,
                               double &energy_out,
                               double &measured_out) -> bool {
@@ -261,12 +270,12 @@ VqeDriver::run(const std::vector<double> &initial_theta)
             policy_.wantsReferenceRerun() && have_prev;
         int retry = 0;
         while (result.jobsUsed < config_.totalJobs) {
-            JobRequest request;
-            request.evaluations.push_back(point);
+            request.evaluations.resize(with_reference ? 2 : 1);
+            request.evaluations[0] = point;
             if (with_reference)
-                request.evaluations.push_back(prev_point);
+                request.evaluations[1] = prev_point;
 
-            const JobResult job = executor_.execute(request);
+            executor_.execute(request, job);
             ++result.jobsUsed;
             simClock.advanceSeconds(config_.jobDurationSeconds);
             result.simTimeSeconds = simClock.seconds();
@@ -359,6 +368,7 @@ VqeDriver::run(const std::vector<double> &initial_theta)
         return false;
     };
 
+    std::vector<double> energies;
     while (result.jobsUsed < config_.totalJobs) {
         // Deadline budget, checked only at iteration boundaries so the
         // truncation point is a pure function of the configuration. The
@@ -380,8 +390,7 @@ VqeDriver::run(const std::vector<double> &initial_theta)
 
         const auto points = optimizer_.plan(theta, k, opt_rng);
 
-        std::vector<double> energies;
-        energies.reserve(points.size());
+        energies.clear();
         double measured_sum = 0.0;
         bool complete = true;
         for (const auto &p : points) {

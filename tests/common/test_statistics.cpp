@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
@@ -97,6 +98,10 @@ TEST(Quantile, Errors)
     EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
     EXPECT_THROW(quantile({1.0}, -0.1), std::invalid_argument);
     EXPECT_THROW(quantile({1.0}, 1.1), std::invalid_argument);
+    // NaN would reach the cast of p·(n-1) to an index (UB).
+    EXPECT_THROW(quantile({1.0, 2.0},
+                          std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
 }
 
 class QuantileMonotoneTest : public ::testing::TestWithParam<double>

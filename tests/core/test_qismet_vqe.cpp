@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/applications.hpp"
+#include "common/scratch_dir.hpp"
 #include "core/qismet_vqe.hpp"
 
 namespace qismet {
@@ -78,6 +82,153 @@ TEST(QismetVqe, NonFiniteInitialThetaThrowsNamingTheEntry)
                 << what;
         }
     }
+}
+
+TEST(QismetVqe, EveryNumericConfigFieldRefusesBadValuesBeforeAnyJob)
+{
+    // One row per bad value of every numeric QismetVqeConfig field
+    // (seed and crashAfterIters have no bad values; faultRetry's
+    // maxRetries is replaced by retryBudget). Each run has a checkpoint
+    // directory, which a run creates before its first job: a refused
+    // config must leave none behind.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    using Set = std::function<void(QismetVqeConfig &)>;
+    struct Row
+    {
+        const char *field; ///< the name the refusal must carry
+        Set set;
+    };
+    std::vector<Row> rows = {
+        {"totalJobs", [](QismetVqeConfig &c) { c.totalJobs = 0; }},
+        {"traceVersion", [](QismetVqeConfig &c) { c.traceVersion = 0; }},
+        {"traceVersion", [](QismetVqeConfig &c) { c.traceVersion = -1; }},
+        {"estimator.shots",
+         [](QismetVqeConfig &c) { c.estimator.shots = 0; }},
+        {"retryBudget", [](QismetVqeConfig &c) { c.retryBudget = 0; }},
+        {"retryBudget", [](QismetVqeConfig &c) { c.retryBudget = -1; }},
+        {"initialTheta[0]",
+         [nan](QismetVqeConfig &c) { c.initialTheta.assign(40, nan); }},
+        {"snapshotEveryIters",
+         [](QismetVqeConfig &c) { c.snapshotEveryIters = 0; }},
+    };
+    auto add = [&rows](const char *field, Set set) {
+        rows.push_back({field, std::move(set)});
+    };
+    const struct
+    {
+        const char *field;
+        double QismetVqeConfig::*member;
+        std::vector<double> bad;
+    } doubles[] = {
+        {"transientScale", &QismetVqeConfig::transientScale, {nan, inf}},
+        {"onlyTransientsSkipTarget",
+         &QismetVqeConfig::onlyTransientsSkipTarget,
+         {nan, 0.0, 1.0, -0.1, 1.5}},
+        {"intraJobJitter", &QismetVqeConfig::intraJobJitter,
+         {nan, -0.01, inf}},
+        {"intraJobRelativeJitter", &QismetVqeConfig::intraJobRelativeJitter,
+         {nan, -0.15, inf}},
+        {"spsaInitialStep", &QismetVqeConfig::spsaInitialStep,
+         {nan, 0.0, -0.25, inf}},
+        {"spsaPerturbation", &QismetVqeConfig::spsaPerturbation,
+         {nan, 0.0, -0.12, inf}},
+        {"deadlineSimSeconds", &QismetVqeConfig::deadlineSimSeconds,
+         {nan, -1.0}},
+    };
+    for (const auto &d : doubles)
+        for (double v : d.bad)
+            add(d.field, [m = d.member, v](QismetVqeConfig &c) { c.*m = v; });
+    const struct
+    {
+        const char *field;
+        double KalmanParams::*member;
+        std::vector<double> bad;
+    } kalman[] = {
+        {"kalman.transition", &KalmanParams::transition, {nan, inf}},
+        {"kalman.measurementVariance", &KalmanParams::measurementVariance,
+         {nan, 0.0, -0.1, inf}},
+        {"kalman.processVariance", &KalmanParams::processVariance,
+         {nan, -1e-9, inf}},
+        {"kalman.initialVariance", &KalmanParams::initialVariance,
+         {nan, 0.0, -1.0}},
+    };
+    for (const auto &d : kalman)
+        for (double v : d.bad)
+            add(d.field, [m = d.member, v](QismetVqeConfig &c) {
+                c.kalman.*m = v;
+            });
+    const struct
+    {
+        const char *field;
+        double FaultPolicy::*member;
+        std::vector<double> bad;
+    } faults[] = {
+        {"timeoutRate", &FaultPolicy::timeoutRate, {nan, -0.1, 1.5}},
+        {"errorRate", &FaultPolicy::errorRate, {nan, -0.1, 1.5}},
+        {"partialRate", &FaultPolicy::partialRate, {nan, -0.1}},
+        {"referenceLossRate", &FaultPolicy::referenceLossRate, {nan, 2.0}},
+        {"burstCoupling", &FaultPolicy::burstCoupling, {nan, -1.0}},
+        {"burstScale", &FaultPolicy::burstScale, {nan, 0.0, -1.0}},
+        {"minShotFraction", &FaultPolicy::minShotFraction, {nan, 0.0, 1.5}},
+        {"maxFaultProbability", &FaultPolicy::maxFaultProbability,
+         {nan, 0.0, 1.0}},
+    };
+    for (const auto &d : faults)
+        for (double v : d.bad)
+            add(d.field, [m = d.member, v](QismetVqeConfig &c) {
+                c.faults.*m = v;
+            });
+    const struct
+    {
+        const char *field;
+        double RetryPolicy::*member;
+        std::vector<double> bad;
+    } retry[] = {
+        {"baseBackoffSeconds", &RetryPolicy::baseBackoffSeconds,
+         {nan, -1.0}},
+        {"maxBackoffSeconds", &RetryPolicy::maxBackoffSeconds, {nan, -1.0}},
+        {"backoffMultiplier", &RetryPolicy::backoffMultiplier, {nan, 0.5}},
+    };
+    for (const auto &d : retry)
+        for (double v : d.bad)
+            add(d.field, [m = d.member, v](QismetVqeConfig &c) {
+                c.faultRetry.*m = v;
+            });
+
+    const Application app = application(1);
+    const QismetVqe runner = app.makeRunner();
+    const std::filesystem::path dir =
+        test::scratchDir("config_refusal", /*create=*/false);
+    auto base = [&dir] {
+        QismetVqeConfig cfg;
+        cfg.scheme = Scheme::Kalman;
+        cfg.totalJobs = 20;
+        cfg.checkpointDir = dir.string();
+        return cfg;
+    };
+
+    // The control: the unmodified config runs and journals its jobs.
+    runner.run(base());
+    ASSERT_TRUE(std::filesystem::exists(dir / "journal.qjnl"));
+    std::filesystem::remove_all(dir);
+
+    for (const Row &row : rows) {
+        QismetVqeConfig cfg = base();
+        row.set(cfg);
+        try {
+            runner.run(cfg);
+            ADD_FAILURE() << row.field << ": a bad value ran";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(row.field), std::string::npos)
+                << row.field << ": " << what;
+        }
+        EXPECT_FALSE(std::filesystem::exists(dir))
+            << row.field << ": the refused run touched its checkpoint";
+        std::filesystem::remove_all(dir);
+    }
+    EXPECT_GT(rows.size(), 60u);
 }
 
 TEST(QismetVqe, EnergyScalePositive)

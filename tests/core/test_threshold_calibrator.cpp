@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "apps/applications.hpp"
 #include "common/rng.hpp"
 #include "core/threshold_calibrator.hpp"
 
@@ -110,6 +114,48 @@ TEST(ThresholdCalibrator, FromTraceDifferencesValidation)
     EXPECT_THROW(
         ThresholdCalibrator(0.1).fromTraceDifferences(ok, 1.0, -0.1),
         std::invalid_argument);
+}
+
+TEST(ThresholdCalibrator, Table1ThresholdsArePinned)
+{
+    // QismetVqe::calibratedThreshold at the three skip targets for each
+    // Table-1 app, pinned bit for bit: the zero-sigma calibration it
+    // runs draws no noise, and skipping those draws moves no bit.
+    const std::uint64_t pinned[6][3] = {
+        {0x3feb29da4214d9ebull, 0x3f7bda33b8604a6full, 0x3f70db65f54a59f2ull},
+        {0x3fef7c7e133061d5ull, 0x3fc49995eadf85c7ull, 0x3f734179b2757d46ull},
+        {0x3fef7e5dbb37f54eull, 0x3fc2deafda9d2c21ull, 0x3f730d3f79e841a3ull},
+        {0x3fedbf60f4fbdf3bull, 0x3faea0acb09393c4ull, 0x3f71b5242a9ff093ull},
+        {0x3fefa4fc1bdec265ull, 0x3fc5f6d2e69b7024ull, 0x3f714d5817139e71ull},
+        {0x3fefc482bbe86b1eull, 0x3fd2eaef7f51cdf4ull, 0x3f80e8e0d95ffb32ull},
+    };
+    const double targets[3] = {SkipTargets::kConservative,
+                               SkipTargets::kDefault,
+                               SkipTargets::kAggressive};
+    for (int index = 1; index <= 6; ++index) {
+        const Application app = application(index);
+        const QismetVqe runner = app.makeRunner();
+        for (int t = 0; t < 3; ++t)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(runner.calibratedThreshold(
+                          targets[t], app.spec.traceVersion)),
+                      pinned[index - 1][t])
+                << "App" << index << " target " << targets[t];
+    }
+}
+
+TEST(ThresholdCalibrator, RefusesNaNTargetsAndSigmas)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(ThresholdCalibrator{nan}, std::invalid_argument);
+    TransientTrace trace({0.1, 0.3, 0.2});
+    EXPECT_THROW(ThresholdCalibrator(0.1).fromTraceDifferences(trace, 1.0,
+                                                               nan),
+                 std::invalid_argument);
+    EXPECT_THROW(ThresholdCalibrator(0.1).fromTraceDifferences(trace, nan,
+                                                               0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(ThresholdCalibrator(0.1).fromTrace(trace, nan),
+                 std::invalid_argument);
 }
 
 TEST(SkipTargets, PaperValues)

@@ -6,7 +6,10 @@
  * expectation(state, PauliString) — on random states and sums with
  * forced xmask collisions, with SIMD on and off, serial and blocked, at
  * 1/2/4/8 threads, for Statevector and DensityMatrix, through the
- * EnergyEstimator paths, and on cache hits vs misses.
+ * EnergyEstimator paths, and on cache hits vs misses. The lane layout
+ * (DESIGN.md §16) adds its own cases: groups mixing ±D and ±E terms,
+ * groups wider than a vector block, odd and even xmasks, kernel ranges
+ * that start at an odd state, widths 1–14, and non-finite amplitudes.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +17,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <complex>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,10 +29,12 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
+#include "hamiltonian/h2_molecule.hpp"
 #include "hamiltonian/tfim.hpp"
 #include "noise/machine_model.hpp"
 #include "pauli/expectation.hpp"
 #include "pauli/expectation_plan.hpp"
+#include "sim/kernels.hpp"
 #include "vqe/energy_estimator.hpp"
 
 namespace qismet {
@@ -247,6 +255,252 @@ TEST(BatchedExpectation, WidthMismatchStillThrows)
     EXPECT_THROW(expectation(st, h), std::invalid_argument);
     const ExpectationPlan plan(h);
     EXPECT_THROW(plan.evaluate(st), std::invalid_argument);
+}
+
+/** Fully random strings over n qubits plus an identity term. */
+PauliSum
+randomSum(int num_qubits, int num_terms, Rng &rng)
+{
+    const char ops[] = {'I', 'X', 'Y', 'Z'};
+    PauliSum h(num_qubits);
+    h.add(rng.normal(), std::string(static_cast<std::size_t>(num_qubits), 'I'));
+    for (int t = 1; t < num_terms; ++t) {
+        std::string label;
+        for (int q = 0; q < num_qubits; ++q)
+            label += ops[rng.uniformInt(4)];
+        h.add(rng.normal(), label);
+    }
+    return h;
+}
+
+/** The reference per term, folded over the whole state. */
+std::vector<double>
+legacyTerms(const Statevector &st, const PauliSum &h)
+{
+    std::vector<double> out;
+    for (const PauliTerm &t : h.terms())
+        out.push_back(expectation(st, t.pauli));
+    return out;
+}
+
+/**
+ * The legacy per-term addend Re(conj(a[i^x]) · phase(i) · a[i]) summed
+ * over [u0, u1) from +0.0 in ascending i — the serial reference a
+ * kernel range is compared against.
+ */
+double
+legacyRangeSum(std::span<const Complex> amps, const PauliString &p,
+               std::size_t u0, std::size_t u1)
+{
+    Complex unit(1.0, 0.0);
+    for (int k = 0; k < (p.countY() & 3); ++k)
+        unit *= Complex(0.0, 1.0);
+    double acc = 0.0;
+    for (std::size_t i = u0; i < u1; ++i) {
+        const bool odd = (std::popcount(i & p.zMask()) & 1) != 0;
+        const Complex phase = odd ? -unit : unit;
+        acc += (std::conj(amps[i ^ p.xMask()]) * phase * amps[i]).real();
+    }
+    return acc;
+}
+
+/** Plan sums against the per-term reference, bit for bit. */
+void
+expectTermsMatch(const ExpectationPlan &plan, const Statevector &st,
+                 const PauliSum &h, const std::string &what)
+{
+    std::vector<double> sums(h.numTerms(), 0.0);
+    plan.termExpectations(st, sums.data());
+    const std::vector<double> legacy = legacyTerms(st, h);
+    for (std::size_t k = 0; k < h.numTerms(); ++k)
+        EXPECT_EQ(bits(legacy[k]), bits(sums[k]))
+            << what << " term " << k << " (" << h.terms()[k].pauli.label()
+            << ") legacy=" << legacy[k] << " plan=" << sums[k];
+}
+
+TEST(BatchedExpectation, GroupsMixingRealAndImaginaryPhases)
+{
+    SimdGuard simd_guard;
+    ThresholdGuard threshold_guard;
+    Rng rng(1717);
+
+    // XX, XY, YX and YY share one xmask and read +D, -E, -E and -D.
+    PauliSum mixed(4);
+    for (const char *label :
+         {"IIXX", "IIXY", "IIYX", "IIYY", "ZZXY", "XYXY", "YYYY", "IXYI"})
+        mixed.add(rng.normal(), label);
+    PauliSum h2 = h2Problem(0.735).hamiltonian;
+
+    for (const PauliSum *h : {&mixed, &h2}) {
+        const ExpectationPlan plan(*h);
+        for (int rep = 0; rep < 20; ++rep) {
+            const Statevector st = randomState(h->numQubits(), rng);
+            for (std::size_t threshold : {std::size_t{0}, std::size_t{1}}) {
+                setIntraStateParallelThreshold(threshold);
+                for (bool simd : {false, true}) {
+                    setSimdEnabled(simd);
+                    expectTermsMatch(plan, st, *h,
+                                     "simd=" + std::to_string(simd) +
+                                         " threshold=" +
+                                         std::to_string(threshold));
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchedExpectation, GroupWiderThanTheOldSlab)
+{
+    SimdGuard simd_guard;
+    ThresholdGuard threshold_guard;
+    Rng rng(3232);
+
+    // X or Y on qubit 0 (one odd xmask) times every Z/I pattern on
+    // qubits 1..5: 64 terms in one group, half of them ±E.
+    PauliSum wide(6);
+    for (int pattern = 0; pattern < 64; ++pattern) {
+        std::string label(6, 'I');
+        for (int q = 1; q < 6; ++q)
+            if ((pattern >> q) & 1)
+                label[static_cast<std::size_t>(5 - q)] = 'Z';
+        label[5] = (pattern & 1) ? 'Y' : 'X';
+        wide.add(rng.normal(), label);
+    }
+    const ExpectationPlan plan(wide);
+    ASSERT_EQ(plan.numGroups(), 1u);
+    ASSERT_GT(plan.numTerms(), 32u);
+    for (int rep = 0; rep < 10; ++rep) {
+        const Statevector st = randomState(6, rng);
+        for (std::size_t threshold : {std::size_t{0}, std::size_t{1}}) {
+            setIntraStateParallelThreshold(threshold);
+            for (bool simd : {false, true}) {
+                setSimdEnabled(simd);
+                expectTermsMatch(plan, st, wide,
+                                 "simd=" + std::to_string(simd));
+            }
+        }
+    }
+}
+
+TEST(BatchedExpectation, OddAndEvenXmasks)
+{
+    SimdGuard simd_guard;
+    Rng rng(4545);
+
+    // Every xmask of 5 qubits, odd and even alike, with a Z/Y mix on
+    // top, so each of the block orders of a partner load is used.
+    PauliSum h(5);
+    for (std::uint64_t x = 0; x < 32; ++x) {
+        std::string label(5, 'I');
+        for (int q = 0; q < 5; ++q) {
+            const auto c = static_cast<std::size_t>(4 - q);
+            if ((x >> q) & 1)
+                label[c] = rng.uniform() < 0.5 ? 'X' : 'Y';
+            else if (rng.uniform() < 0.5)
+                label[c] = 'Z';
+        }
+        h.add(rng.normal(), label);
+    }
+    const ExpectationPlan plan(h);
+    ASSERT_EQ(plan.numGroups(), 32u);
+    for (int rep = 0; rep < 10; ++rep) {
+        const Statevector st = randomState(5, rng);
+        for (bool simd : {false, true}) {
+            setSimdEnabled(simd);
+            expectTermsMatch(plan, st, h, "simd=" + std::to_string(simd));
+        }
+    }
+}
+
+TEST(BatchedExpectation, KernelRangesStartingAtOddStates)
+{
+    Rng rng(6161);
+    for (int n : {3, 5, 7}) {
+        const Statevector st = randomState(n, rng);
+        const PauliSum h = randomSum(n, 13, rng);
+        const ExpectationPlan plan(h);
+        const kern::PauliLanes lanes = plan.lanes();
+        const std::span<const Complex> amps = st.amplitudes();
+        const std::size_t dim = amps.size();
+        std::vector<double> rows(kern::pauliRowScratch(lanes));
+        for (const auto &[u0, u1] :
+             std::vector<std::pair<std::size_t, std::size_t>>{
+                 {1, dim}, {3, dim - 1}, {5, 6}, {7, dim}, {dim - 3, dim},
+                 {17 % dim, dim}}) {
+            if (u0 >= u1)
+                continue;
+            for (bool simd : {false, true}) {
+                std::vector<double> acc(lanes.numLanes, 0.0);
+                kern::pauliLaneSums(amps, lanes, simd, u0, u1, acc.data(),
+                                    rows.data());
+                for (std::size_t k = 0; k < h.numTerms(); ++k)
+                    EXPECT_EQ(bits(legacyRangeSum(amps, h.terms()[k].pauli,
+                                                  u0, u1)),
+                              bits(acc[k]))
+                        << "n=" << n << " [" << u0 << ", " << u1
+                        << ") simd=" << simd << " term " << k;
+            }
+        }
+    }
+}
+
+TEST(BatchedExpectation, WidthsOneToFourteenAtEveryThreadCount)
+{
+    SimdGuard simd_guard;
+    GlobalThreadsGuard threads_guard;
+    Rng rng(1414);
+
+    for (int n = 1; n <= 14; ++n) {
+        const Statevector st = randomState(n, rng);
+        const PauliSum h = randomSum(n, 18, rng);
+        const ExpectationPlan plan(h);
+        for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+            ParallelExecutor::global().setThreads(threads);
+            for (bool simd : {false, true}) {
+                setSimdEnabled(simd);
+                expectTermsMatch(plan, st, h,
+                                 "n=" + std::to_string(n) + " threads=" +
+                                     std::to_string(threads) +
+                                     " simd=" + std::to_string(simd));
+            }
+        }
+    }
+}
+
+TEST(BatchedExpectation, NonFiniteAmplitudesStayNonFinite)
+{
+    SimdGuard simd_guard;
+    ThresholdGuard threshold_guard;
+    Rng rng(999);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    const PauliSum h = randomSum(5, 16, rng);
+    const ExpectationPlan plan(h);
+    for (const Complex bad : {Complex(inf, 0.0), Complex(0.0, -inf),
+                              Complex(nan, 0.0), Complex(1.0, nan)}) {
+        for (std::size_t at : {std::size_t{0}, std::size_t{13}}) {
+            std::vector<Complex> amps = randomState(5, rng).amplitudes();
+            amps[at] = bad;
+            const Statevector st(std::move(amps));
+            for (std::size_t threshold : {std::size_t{0}, std::size_t{1}}) {
+                setIntraStateParallelThreshold(threshold);
+                for (bool simd : {false, true}) {
+                    setSimdEnabled(simd);
+                    std::vector<double> sums(h.numTerms(), 0.0);
+                    plan.termExpectations(st, sums.data());
+                    for (std::size_t k = 0; k < h.numTerms(); ++k) {
+                        EXPECT_FALSE(std::isfinite(sums[k]))
+                            << "term " << k << " amp[" << at
+                            << "] simd=" << simd << " = " << sums[k];
+                        EXPECT_FALSE(std::isfinite(
+                            expectation(st, h.terms()[k].pauli)))
+                            << "legacy term " << k;
+                    }
+                }
+            }
+        }
+    }
 }
 
 struct EstimatorFixture

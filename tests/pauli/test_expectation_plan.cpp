@@ -1,15 +1,16 @@
 /**
  * @file
  * Structural tests of ExpectationPlan compilation: xmask grouping,
- * pre-folded phase constants, fingerprints, and the cross-iteration
+ * the lane each term is read through, fingerprints, and the cross-iteration
  * plan cache (hits, misses, tenant isolation, clear).
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "pauli/expectation.hpp"
@@ -39,15 +40,6 @@ referencePhase(int n_y, bool minus)
     return phase;
 }
 
-bool
-bitEqual(Complex a, Complex b)
-{
-    return std::bit_cast<std::uint64_t>(a.real()) ==
-               std::bit_cast<std::uint64_t>(b.real()) &&
-           std::bit_cast<std::uint64_t>(a.imag()) ==
-               std::bit_cast<std::uint64_t>(b.imag());
-}
-
 PauliSum
 sharedXmaskSum()
 {
@@ -74,25 +66,25 @@ TEST(ExpectationPlan, GroupsTermsBySharedXmask)
     // XII is alone.
     EXPECT_EQ(plan.numGroups(), 3u);
 
-    std::set<std::uint64_t> xmasks;
-    std::set<std::size_t> covered;
-    std::size_t total = 0;
-    for (const auto &g : plan.groups()) {
-        EXPECT_TRUE(xmasks.insert(g.xmask).second)
-            << "duplicate group xmask " << g.xmask;
-        EXPECT_EQ(g.specs.size(), g.termIndices.size());
-        total += g.specs.size();
-        for (std::size_t ti : g.termIndices) {
-            EXPECT_TRUE(covered.insert(ti).second)
-                << "term " << ti << " in two groups";
-            EXPECT_EQ(h.terms()[ti].pauli.xMask(), g.xmask);
-        }
+    const std::vector<std::uint64_t> &xmasks = plan.groupXmasks();
+    EXPECT_EQ(std::set<std::uint64_t>(xmasks.begin(), xmasks.end()).size(),
+              xmasks.size())
+        << "duplicate group xmask";
+    // Every term reads exactly one group (its lane's), the one of its
+    // own xmask.
+    ASSERT_EQ(plan.termLanes().size(), plan.numTerms());
+    std::vector<std::size_t> members(plan.numGroups(), 0);
+    for (std::size_t t = 0; t < plan.numTerms(); ++t) {
+        const std::size_t g = plan.termLanes()[t].group;
+        ASSERT_LT(g, plan.numGroups());
+        EXPECT_EQ(xmasks[g], h.terms()[t].pauli.xMask()) << "term " << t;
+        ++members[g];
     }
-    EXPECT_EQ(total, plan.numTerms());
-    EXPECT_EQ(covered.size(), plan.numTerms());
+    for (std::size_t g = 0; g < plan.numGroups(); ++g)
+        EXPECT_GT(members[g], 0u) << "group " << g << " is empty";
 }
 
-TEST(ExpectationPlan, PhaseConstantsMatchLegacySequenceBitwise)
+TEST(ExpectationPlan, LanesReadTheLegacyPhaseSequence)
 {
     Rng rng(2024);
     const char ops[] = {'I', 'X', 'Y', 'Z'};
@@ -104,19 +96,25 @@ TEST(ExpectationPlan, PhaseConstantsMatchLegacySequenceBitwise)
         h.add(rng.normal(), label);
     }
     const ExpectationPlan plan(h);
-    for (const auto &g : plan.groups()) {
-        for (std::size_t k = 0; k < g.specs.size(); ++k) {
-            const auto &term = h.terms()[g.termIndices[k]];
-            const int n_y = term.pauli.countY();
-            EXPECT_EQ(g.specs[k].zmask, term.pauli.zMask());
-            // Signed zeros matter (−0.0 in a product flips downstream
-            // bits), hence the bit-level comparison.
-            EXPECT_TRUE(bitEqual(g.specs[k].phasePlus,
-                                 referencePhase(n_y, false)))
-                << "plus phase, nY=" << n_y;
-            EXPECT_TRUE(bitEqual(g.specs[k].phaseMinus,
-                                 referencePhase(n_y, true)))
-                << "minus phase, nY=" << n_y;
+    ASSERT_EQ(plan.termLanes().size(), h.numTerms());
+    for (std::size_t t = 0; t < h.numTerms(); ++t) {
+        const auto &term = h.terms()[t];
+        const auto &lane = plan.termLanes()[t];
+        const int n_y = term.pauli.countY();
+        EXPECT_EQ(lane.zmask, term.pauli.zMask());
+        EXPECT_EQ(plan.groupXmasks()[lane.group], term.pauli.xMask());
+        // At even parity the addend is Re(phase · (D + iE)) =
+        // Re(phase)·D − Im(phase)·E, so a real phase reads ±D with its
+        // own sign and an imaginary one reads ∓E.
+        const Complex phase = referencePhase(n_y, false);
+        if (lane.imaginary) {
+            EXPECT_EQ(phase.real(), 0.0) << "nY=" << n_y;
+            EXPECT_EQ(phase.imag(), lane.negated ? 1.0 : -1.0)
+                << "nY=" << n_y;
+        } else {
+            EXPECT_EQ(phase.imag(), 0.0) << "nY=" << n_y;
+            EXPECT_EQ(phase.real(), lane.negated ? -1.0 : 1.0)
+                << "nY=" << n_y;
         }
     }
 }
@@ -137,12 +135,14 @@ TEST(ExpectationPlan, IdentityTermJoinsXmaskZeroGroup)
     h.add(0.5, "ZZ");
     const ExpectationPlan plan(h);
     ASSERT_EQ(plan.numGroups(), 1u);
-    EXPECT_EQ(plan.groups()[0].xmask, 0u);
-    EXPECT_EQ(plan.groups()[0].specs.size(), 2u);
-    // Identity: zmask 0, phase +1 — its sweep is the norm² walk.
-    EXPECT_EQ(plan.groups()[0].specs[0].zmask, 0u);
-    EXPECT_TRUE(
-        bitEqual(plan.groups()[0].specs[0].phasePlus, Complex(1.0, 0.0)));
+    EXPECT_EQ(plan.groupXmasks()[0], 0u);
+    EXPECT_EQ(plan.termLanes()[1].group, 0u);
+    // Identity: zmask 0, +D — its lane sums the norm² walk.
+    const auto &identity = plan.termLanes()[0];
+    EXPECT_EQ(identity.group, 0u);
+    EXPECT_EQ(identity.zmask, 0u);
+    EXPECT_FALSE(identity.imaginary);
+    EXPECT_FALSE(identity.negated);
 }
 
 TEST(ExpectationPlan, SamplingLayoutMatchesMeasurementGroups)

@@ -63,11 +63,15 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # and the one whole-run pin of Sampling mode
 # (GoldenTraces.TfimVqeSampling), whose groups fan out over the
 # executor; the golden replays matched by 'Kernel' run Analytic only.
+# 'BatchedExpectation' includes the lane-layout cases of the expectation
+# battery (widths 1-14 at 1/2/4/8 threads among them), and both legs
+# rerun the warm-job allocation count (WarmJobAllocations), which must
+# read the same at either setting.
 QISMET_SIMD=off ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|GoldenTraces\.TfimVqeSampling' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|WarmJobAllocations|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism|GoldenTraces\.TfimVqeSampling' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism|WarmJobAllocations|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
