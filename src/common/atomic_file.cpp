@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream> // qismet-lint: allow-file(raw-file-write) — this IS the atomic layer
-#include <sstream>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -94,14 +92,48 @@ fileExists(const std::string &path)
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         throw FileError("cannot open '" + path + "' for reading");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
+    // read() into `into` until it is full or the file ends, retrying
+    // short reads and EINTR; false on a read error.
+    auto readInto = [fd](char *into, std::size_t size, std::size_t &done) {
+        done = 0;
+        while (done < size) {
+            const ssize_t n = ::read(fd, into + done, size - done);
+            if (n < 0) {
+                if (errno == EINTR)
+                    continue;
+                return false;
+            }
+            if (n == 0)
+                break;
+            done += static_cast<std::size_t>(n);
+        }
+        return true;
+    };
+    // One buffer sized from fstat and read straight into; then on to
+    // the end in chunks, for a file that grew after the fstat (an
+    // unchanged one costs one more read, which returns 0).
+    struct stat st = {};
+    std::string bytes(::fstat(fd, &st) == 0 && st.st_size > 0
+                          ? static_cast<std::size_t>(st.st_size)
+                          : 0,
+                      '\0');
+    std::size_t done = 0;
+    bool ok = readInto(bytes.data(), bytes.size(), done);
+    bool more = ok && done == bytes.size();
+    bytes.resize(done);
+    char chunk[4096];
+    while (more) {
+        ok = readInto(chunk, sizeof chunk, done);
+        bytes.append(chunk, done);
+        more = ok && done == sizeof chunk;
+    }
+    ::close(fd);
+    if (!ok)
         throw FileError("read error on '" + path + "'");
-    return std::move(buf).str();
+    return bytes;
 }
 
 void

@@ -168,13 +168,19 @@ Rng::exponential(double rate)
 std::uint64_t
 Rng::poisson(double mean)
 {
+    return poisson(mean, std::exp(-mean));
+}
+
+std::uint64_t
+Rng::poisson(double mean, double expNegMean)
+{
     if (mean < 0.0)
         throw std::invalid_argument("Rng::poisson: mean must be non-negative");
     if (mean == 0.0)
         return 0;
     if (mean < 30.0) {
         // Knuth's multiplication method.
-        const double limit = std::exp(-mean);
+        const double limit = expNegMean;
         std::uint64_t k = 0;
         double p = 1.0;
         do {

@@ -200,6 +200,13 @@ class Rng
     /** Poisson deviate with the given mean (Knuth for small, PTRS-lite via normal approx for large). */
     std::uint64_t poisson(double mean);
 
+    /**
+     * poisson(mean) given expNegMean = std::exp(-mean), for a caller that
+     * draws at one mean many times: the same draws and the same value,
+     * without the exp per call.
+     */
+    std::uint64_t poisson(double mean, double expNegMean);
+
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
 

@@ -19,9 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace qismet {
@@ -71,6 +73,25 @@ checkedEnum(const char *field, std::uint64_t value, Enum last)
                           std::to_string(static_cast<std::uint64_t>(last)) +
                           ")");
     return static_cast<Enum>(value);
+}
+
+/**
+ * A decoded integer narrowed to `To`, checked against [lo, hi] (by
+ * default the whole range of `To`): a value outside it is corruption,
+ * never a value to wrap into range.
+ * @throws SerialError naming `field`, the value and the range.
+ */
+template <typename To, typename From>
+To
+checkedInt(const char *field, From value,
+           To lo = std::numeric_limits<To>::min(),
+           To hi = std::numeric_limits<To>::max())
+{
+    if (std::cmp_less(value, lo) || std::cmp_greater(value, hi))
+        throw SerialError(std::string(field) + " " + std::to_string(value) +
+                          " is out of range (" + std::to_string(lo) + ".." +
+                          std::to_string(hi) + ")");
+    return static_cast<To>(value);
 }
 
 /** Reads fields in the order the Encoder wrote them. */

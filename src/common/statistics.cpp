@@ -75,12 +75,22 @@ quantile(std::vector<double> sample, double p)
     // Negated, so that NaN fails too: it would reach the size_t cast.
     if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("quantile: p outside [0, 1]");
-    std::sort(sample.begin(), sample.end());
+    // A NaN has no place in the order the selection below relies on.
+    for (const double x : sample)
+        if (std::isnan(x))
+            throw std::invalid_argument("quantile: NaN in sample");
     const double idx = p * static_cast<double>(sample.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(idx);
-    const std::size_t hi = std::min(lo + 1, sample.size() - 1);
     const double frac = idx - static_cast<double>(lo);
-    return sample[lo] * (1.0 - frac) + sample[hi] * frac;
+    // The two order statistics by selection, not a full sort: the lo-th
+    // smallest in place, then the next is the smallest of what lies
+    // above it.
+    const auto lower = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(sample.begin(), lower, sample.end());
+    const double upper =
+        lower + 1 == sample.end() ? *lower
+                                  : *std::min_element(lower + 1, sample.end());
+    return *lower * (1.0 - frac) + upper * frac;
 }
 
 double

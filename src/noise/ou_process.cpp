@@ -26,11 +26,17 @@ OuProcess::step(double dt, Rng &rng)
     if (dt < 0.0)
         throw std::invalid_argument("OuProcess::step: negative dt");
     // Exact transition: x' = μ + (x - μ) e^{-θ dt} + N(0, v),
-    // v = σ²(1 - e^{-2θ dt}) / (2θ).
-    const double decay = std::exp(-reversion_ * dt);
-    const double var =
-        sigma_ * sigma_ * (1.0 - decay * decay) / (2.0 * reversion_);
-    x_ = mean_ + (x_ - mean_) * decay + rng.normal(0.0, std::sqrt(var));
+    // v = σ²(1 - e^{-2θ dt}) / (2θ). Both depend on dt alone, so a run
+    // of equal steps computes them once.
+    if (!(dt == stepDt_)) {
+        stepDt_ = dt;
+        stepDecay_ = std::exp(-reversion_ * dt);
+        const double var = sigma_ * sigma_ *
+                           (1.0 - stepDecay_ * stepDecay_) /
+                           (2.0 * reversion_);
+        stepStddev_ = std::sqrt(var);
+    }
+    x_ = mean_ + (x_ - mean_) * stepDecay_ + rng.normal(0.0, stepStddev_);
     return x_;
 }
 

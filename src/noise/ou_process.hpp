@@ -11,6 +11,8 @@
 #ifndef QISMET_NOISE_OU_PROCESS_HPP
 #define QISMET_NOISE_OU_PROCESS_HPP
 
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace qismet {
@@ -50,6 +52,10 @@ class OuProcess
     double reversion_;
     double sigma_;
     double x_;
+    /** The last step's dt and the decay and noise stddev it implies. */
+    double stepDt_ = std::numeric_limits<double>::quiet_NaN();
+    double stepDecay_ = 0.0;
+    double stepStddev_ = 0.0;
 };
 
 } // namespace qismet

@@ -18,23 +18,24 @@ TlsBurstProcess::TlsBurstProcess(TlsBurstParams params, Rng rng)
             "TlsBurstProcess: decay must be in (0, 1]");
     if (params_.magnitudeMedian < 0.0)
         throw std::invalid_argument("TlsBurstProcess: negative magnitude");
+    arrivalExp_ = std::exp(-params_.ratePerStep);
 }
 
 double
 TlsBurstProcess::step()
 {
-    // Age existing bursts.
-    std::vector<Burst> alive;
-    alive.reserve(bursts_.size());
+    // Age existing bursts in place, keeping their order.
+    std::size_t alive = 0;
     for (Burst b : bursts_) {
         b.depth *= params_.decayPerStep;
         if (--b.remainingSteps > 0 && b.depth > 1e-6)
-            alive.push_back(b);
+            bursts_[alive++] = b;
     }
-    bursts_ = std::move(alive);
+    bursts_.resize(alive);
 
     // New arrivals this step.
-    const std::uint64_t arrivals = rng_.poisson(params_.ratePerStep);
+    const std::uint64_t arrivals =
+        rng_.poisson(params_.ratePerStep, arrivalExp_);
     for (std::uint64_t k = 0; k < arrivals; ++k) {
         Burst b;
         b.depth = params_.magnitudeMedian *

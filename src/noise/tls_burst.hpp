@@ -73,6 +73,8 @@ class TlsBurstProcess
     };
 
     TlsBurstParams params_;
+    /** std::exp(-params_.ratePerStep), for the arrival draws. */
+    double arrivalExp_ = 0.0;
     Rng rng_;
     std::vector<Burst> bursts_;
     double lastValue_ = 0.0;

@@ -190,7 +190,7 @@ SecondOrderSpsa::loadState(Decoder &dec)
 {
     Spsa::loadState(dec);
     delta2_ = dec.readVecF64();
-    hessianSamples_ = static_cast<int>(dec.readI64());
+    hessianSamples_ = checkedInt<int>("hessianSamples", dec.readI64(), 0);
     const std::uint64_t rows = dec.readU64();
     hessian_.clear();
     for (std::uint64_t i = 0; i < rows; ++i)

@@ -60,9 +60,9 @@ ServeJobSpec::decode(Decoder &dec)
 {
     ServeJobSpec spec;
     spec.tenantId = dec.readU64();
-    spec.priority = static_cast<int>(dec.readI64());
+    spec.priority = checkedInt<int>("priority", dec.readI64());
     spec.kind = checkedEnum("kind", dec.readU8(), WorkloadKind::QaoaRing);
-    spec.appIndex = static_cast<int>(dec.readI64());
+    spec.appIndex = checkedInt<int>("appIndex", dec.readI64());
     spec.seed = dec.readU64();
     spec.totalJobs = static_cast<std::size_t>(dec.readU64());
     spec.scheme = checkedEnum("scheme", dec.readU32(), Scheme::Kalman);

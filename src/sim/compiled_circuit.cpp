@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace qismet {
@@ -92,23 +92,41 @@ matrixSize(CompiledOpKind kind, std::uint64_t mask)
 }
 
 /**
+ * sin a and cos a, bit for bit as std::sin and std::cos return them.
+ * glibc computes both in one sincos call, which GCC picks for a sin and
+ * a cos of one argument only where it sees both in one branch.
+ */
+void
+sinCos(double a, double &s, double &c)
+{
+#if defined(__GLIBC__)
+    ::sincos(a, &s, &c);
+#else
+    s = std::sin(a);
+    c = std::cos(a);
+#endif
+}
+
+/**
  * RZ's diagonal for half-angle `a`: minus = e^{-ia}, plus = e^{ia},
  * bit for bit what Gate::matrixInto's std::exp(∓i·a) returns. The
  * argument's real part is ±0 there, and for a finite imaginary part y
- * with |y| > DBL_MIN glibc's cexp returns (exp(±0)·cos y, exp(±0)·sin y)
- * with sin y and cos y from its own sincos(y); exp(±0) is exactly 1.
- * Other angles, where cexp branches differently, keep std::exp.
+ * glibc's cexp returns (exp(±0)·cos y, exp(±0)·sin y) with sin y and
+ * cos y from its own sincos(y), or (exp(±0), exp(±0)·y) where
+ * |y| <= DBL_MIN, which is what sincos returns there too; exp(±0) is
+ * exactly 1. glibc's sincos is odd in sin and even in cos, bit for bit
+ * (pinned by RzPhases.GlibcSincosIsOddAndEven), so one call at `a`
+ * gives both phases. Non-finite angles keep std::exp.
  */
 void
 rzPhases(double a, Complex &minus, Complex &plus)
 {
 #if defined(__GLIBC__)
-    if (std::isfinite(a) && std::fabs(a) > DBL_MIN) {
+    if (std::isfinite(a)) {
         double s = 0.0;
         double c = 0.0;
-        ::sincos(-a, &s, &c);
-        minus = Complex(c, s);
-        ::sincos(a, &s, &c);
+        sinCos(a, s, c);
+        minus = Complex(c, -s);
         plus = Complex(c, s);
         return;
     }
@@ -118,30 +136,95 @@ rzPhases(double a, Complex &minus, Complex &plus)
     plus = std::exp(i * a);
 }
 
+/**
+ * What multiplying a rotation with a non-finite angle onto the identity
+ * leaves in every entry: each row of the factor holds a NaN entry, and
+ * a complex product with a NaN operand is NaN in both lanes.
+ */
+void
+fillNaN(Complex *out, std::size_t n)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::fill(out, out + n, Complex(nan, nan));
+}
+
 } // namespace
+
+double
+CompiledCircuit::halfAngle(const FactorRecipe &r, const double *params)
+{
+    // The angle Gate::resolvedAngle would resolve, halved as
+    // Gate::matrixInto halves it.
+    return (r.scale * params[r.param] + r.offset) / 2.0;
+}
 
 void
 CompiledCircuit::rotationInto(const FactorRecipe &r, const double *params,
                               Complex *m)
 {
-    // Gate::matrixInto's formulas, from the angle Gate::resolvedAngle
-    // would resolve.
-    const double a = (r.scale * params[r.param] + r.offset) / 2.0;
+    // Gate::matrixInto's formulas.
+    const double a = halfAngle(r, params);
     const Complex i(0.0, 1.0);
+    double s = 0.0;
+    double c = 0.0;
     switch (r.kind) {
       case FactorRecipe::Kind::RX:
-        m[0] = m[3] = std::cos(a);
-        m[1] = m[2] = -i * std::sin(a);
+        sinCos(a, s, c);
+        m[0] = m[3] = c;
+        m[1] = m[2] = -i * s;
         return;
       case FactorRecipe::Kind::RY:
-        m[0] = m[3] = std::cos(a);
-        m[1] = -std::sin(a);
-        m[2] = std::sin(a);
+        sinCos(a, s, c);
+        m[0] = m[3] = c;
+        m[1] = -s;
+        m[2] = s;
         return;
       default:
         m[1] = m[2] = Complex(0.0, 0.0);
         rzPhases(a, m[0], m[3]);
         return;
+    }
+}
+
+void
+CompiledCircuit::firstRotationInto(const FactorRecipe &r,
+                                   const double *params, Complex *m)
+{
+    // The product with the identity, entry by entry, is a sum of two
+    // products with (1, 0) and (0, 0). For a finite half-angle a, with
+    // s = sin a and c = cos a, those reduce to the closed forms below:
+    // c is never zero, so c - 0*y and c + 0*y are c; a sum of signed
+    // zeros is kept where its sign can differ from the plain entry's
+    // (c*0 - s is +0 at s = +0, where -s is -0); 0 - s and y + 0 turn
+    // a -0 into the +0 the product gives. DESIGN.md §11 derives them.
+    const double a = halfAngle(r, params);
+    if (!std::isfinite(a)) {
+        fillNaN(m, 4);
+        return;
+    }
+    double s = 0.0;
+    double c = 0.0;
+    switch (r.kind) {
+      case FactorRecipe::Kind::RX:
+        sinCos(a, s, c);
+        m[0] = m[3] = Complex(c, 0.0);
+        m[1] = m[2] = Complex(0.0, 0.0 - s);
+        return;
+      case FactorRecipe::Kind::RY:
+        sinCos(a, s, c);
+        m[0] = m[3] = Complex(c, 0.0);
+        m[1] = Complex(c * 0.0 - s, 0.0);
+        m[2] = Complex(s + c * 0.0, 0.0);
+        return;
+      default: {
+        Complex minus;
+        Complex plus;
+        rzPhases(a, minus, plus);
+        m[0] = Complex(minus.real(), minus.imag() + 0.0);
+        m[1] = m[2] = Complex(0.0, 0.0);
+        m[3] = Complex(plus.real(), plus.imag() + 0.0);
+        return;
+      }
     }
 }
 
@@ -363,9 +446,11 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
 
     // Lay out each factor's bind-time recipe. A constant factor is
     // evaluated here, by the same Gate::matrixInto bind would call, and
-    // widened the way the op's product consumes it.
-    auto recipeFor = [this](const CompiledOp &op,
-                            const CompiledFactor &f) {
+    // widened the way the op's product consumes it. An op's first
+    // constant factor is stored as it stands after multiplying onto the
+    // identity, by the same products, so bind copies it.
+    auto recipeFor = [this](const CompiledOp &op, const CompiledFactor &f,
+                            bool first) {
         FactorRecipe r;
         r.sub = static_cast<std::int8_t>(f.sub);
         const Gate &g = f.gate;
@@ -391,9 +476,15 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         switch (op.kind) {
           case CompiledOpKind::Dense1:
           case CompiledOpKind::PermX:
+            if (first) {
+                Complex id[4] = {Complex(1.0, 0.0), Complex(0.0, 0.0),
+                                 Complex(0.0, 0.0), Complex(1.0, 0.0)};
+                mulLeft2x2(m, id);
+                std::copy(id, id + 4, m);
+            }
             recipeConsts_.insert(recipeConsts_.end(), m, m + 4);
             break;
-          case CompiledOpKind::Diag:
+          case CompiledOpKind::Diag: {
             if (gateArity(g.type) == 2) {
                 // CZ: phase -1 where both acted-on bits are set.
                 r.kind = FactorRecipe::Kind::CZ;
@@ -401,9 +492,14 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                     localBit(op.mask, g.qubits[1]));
                 break;
             }
-            recipeConsts_.push_back(m[0]);
-            recipeConsts_.push_back(m[3]);
+            Complex pair[2] = {m[0], m[3]};
+            if (first) {
+                pair[0] = Complex(1.0, 0.0) * pair[0];
+                pair[1] = Complex(1.0, 0.0) * pair[1];
+            }
+            recipeConsts_.insert(recipeConsts_.end(), pair, pair + 2);
             break;
+          }
           case CompiledOpKind::Dense2:
           case CompiledOpKind::PermCX:
           case CompiledOpKind::PermSwap: {
@@ -419,6 +515,12 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                         wide[p(row) * 4 + p(col)] = m[row * 4 + col];
             } else {
                 std::copy(m, m + 16, wide);
+            }
+            if (first) {
+                Complex id[16] = {};
+                id[0] = id[5] = id[10] = id[15] = Complex(1.0, 0.0);
+                mulLeft4x4(wide, id);
+                std::copy(id, id + 16, wide);
             }
             recipeConsts_.insert(recipeConsts_.end(), wide, wide + 16);
             break;
@@ -451,8 +553,9 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         op.firstFactor = static_cast<std::uint32_t>(factors_.size());
         op.numFactors = static_cast<std::uint32_t>(n.factors.size());
         for (const CompiledFactor &f : n.factors) {
+            recipes_.push_back(recipeFor(op, f, factors_.size() ==
+                                                    op.firstFactor));
             factors_.push_back(f);
-            recipes_.push_back(recipeFor(op, f));
         }
 
         if (parameterized) {
@@ -502,11 +605,18 @@ CompiledCircuit::evalOp(const CompiledOp &op, const double *params,
         return m;
     };
 
+    // The first factor is written as it stands after multiplying onto
+    // the identity: a constant one as the compiler stored it, a
+    // rotation in closed form. The others multiply in, in application
+    // order.
+    const FactorRecipe &first = *f++;
     switch (op.kind) {
       case CompiledOpKind::Dense1:
       case CompiledOpKind::PermX: {
-        out[0] = out[3] = Complex(1.0, 0.0);
-        out[1] = out[2] = Complex(0.0, 0.0);
+        if (first.kind == FactorRecipe::Kind::Const)
+            std::copy(consts + first.consts, consts + first.consts + 4, out);
+        else
+            firstRotationInto(first, params, out);
         for (; f != end; ++f)
             mulLeft2x2(factorMatrix(*f), out);
         return;
@@ -514,9 +624,22 @@ CompiledCircuit::evalOp(const CompiledOp &op, const double *params,
       case CompiledOpKind::Dense2:
       case CompiledOpKind::PermCX:
       case CompiledOpKind::PermSwap: {
-        for (int k = 0; k < 16; ++k)
-            out[k] = Complex(0.0, 0.0);
-        out[0] = out[5] = out[10] = out[15] = Complex(1.0, 0.0);
+        if (first.kind == FactorRecipe::Kind::Const) {
+            std::copy(consts + first.consts, consts + first.consts + 16,
+                      out);
+        } else {
+            // A row of the identity product is a sum from (0, 0) of one
+            // entry times (1, 0) and three times (0, 0): for finite
+            // entries the entry with any -0 turned into +0.
+            firstRotationInto(first, params, m);
+            if (std::isnan(m[0].real())) {
+                fillNaN(out, 16);
+            } else {
+                expand1qTo4x4(m, first.sub, out);
+                for (int k = 0; k < 16; ++k)
+                    out[k] = Complex(0.0, 0.0) + out[k];
+            }
+        }
         Complex wide[16];
         for (; f != end; ++f) {
             const Complex *fm = factorMatrix(*f);
@@ -530,8 +653,26 @@ CompiledCircuit::evalOp(const CompiledOp &op, const double *params,
       }
       case CompiledOpKind::Diag: {
         const std::size_t size = matrixSize(op.kind, op.mask);
-        for (std::size_t k = 0; k < size; ++k)
-            out[k] = Complex(1.0, 0.0);
+        if (first.kind == FactorRecipe::Kind::CZ) {
+            const std::size_t both = (std::size_t{1} << first.bit0) |
+                                     (std::size_t{1} << first.bit1);
+            for (std::size_t li = 0; li < size; ++li)
+                out[li] = (li & both) == both ? -Complex(1.0, 0.0)
+                                              : Complex(1.0, 0.0);
+        } else {
+            // A Diag factor's pair: (u00, u11) of its 2x2.
+            Complex d[2];
+            if (first.kind == FactorRecipe::Kind::Const) {
+                d[0] = consts[first.consts];
+                d[1] = consts[first.consts + 1];
+            } else {
+                firstRotationInto(first, params, m);
+                d[0] = m[0];
+                d[1] = m[3];
+            }
+            for (std::size_t li = 0; li < size; ++li)
+                out[li] = d[(li >> first.bit0) & 1];
+        }
         for (; f != end; ++f) {
             if (f->kind == FactorRecipe::Kind::CZ) {
                 const std::size_t both = (std::size_t{1} << f->bit0) |
@@ -541,7 +682,6 @@ CompiledCircuit::evalOp(const CompiledOp &op, const double *params,
                         out[li] = -out[li];
                 continue;
             }
-            // A Diag factor's pair: (u00, u11) of its 2x2.
             const Complex *fm = factorMatrix(*f);
             const Complex d[2] = {fm[0],
                                   f->kind == FactorRecipe::Kind::Const

@@ -167,9 +167,11 @@ class CompiledCircuit
      * Evaluate all parameter-dependent matrices for `params` into
      * `pool` (resized to bindPoolSize()). Each simulator thread owns
      * its own pool, keeping concurrent runs race-free. Each op's matrix
-     * is the product of its factors' matrices, multiplied one by one
-     * onto the identity in application order; every factor follows the
-     * recipe laid out at compile time (DESIGN.md §11).
+     * is the product of its factors' matrices in application order: the
+     * first factor is written as it stands after multiplying onto the
+     * identity (in closed form for a rotation), the others multiply in
+     * one by one; every factor follows the recipe laid out at compile
+     * time (DESIGN.md §11).
      * @throws std::invalid_argument on parameter-count mismatch.
      */
     void bind(const std::vector<double> &params,
@@ -215,6 +217,9 @@ class CompiledCircuit
         std::uint32_t consts = 0;
     };
 
+    /** A rotation factor's half-angle, as Gate::matrixInto resolves it. */
+    static double halfAngle(const FactorRecipe &r, const double *params);
+
     /**
      * A rotation factor's 2x2, by Gate::matrixInto's formulas. Kept out
      * of line, so evalOp's products see every factor through memory:
@@ -224,6 +229,15 @@ class CompiledCircuit
      */
     [[gnu::noinline]] static void
     rotationInto(const FactorRecipe &r, const double *params, Complex *m);
+
+    /**
+     * A rotation factor's 2x2 times the identity, bit for bit what the
+     * complex products give, in closed form: no identity matrix and no
+     * complex multiply. A non-finite angle gives NaN in every lane, as
+     * the product does.
+     */
+    static void firstRotationInto(const FactorRecipe &r,
+                                  const double *params, Complex *m);
 
     /** Evaluate `op`'s matrix from its recipes (params unused if constant). */
     void evalOp(const CompiledOp &op, const double *params,

@@ -195,6 +195,18 @@ void conjPhaseRow(Complex *row, const Complex *phases, Complex rowPhase,
  * @{
  */
 
+/**
+ * True when every entry of the 2x2 `m` has a zero imaginary part (H, RY,
+ * X-basis changes): dense1Units' `real` flag, which halves the
+ * multiplies.
+ */
+inline bool
+realMatrix2x2(const Complex *m)
+{
+    return m[0].imag() == 0.0 && m[1].imag() == 0.0 && m[2].imag() == 0.0 &&
+           m[3].imag() == 0.0;
+}
+
 /** Dense 2x2 over pair range; `real` selects the real-matrix fast path. */
 void dense1Units(Complex *a, int q, const Complex *m, bool real, bool simd,
                  std::size_t k0, std::size_t k1);
@@ -262,11 +274,12 @@ void pauliLaneSumsAvx2(const Complex *a, const PauliLanes &lanes,
 
 /**
  * AVX2 unit walks: one call covers a whole [k0, k1) range of the
- * matching unit core, two units per vector. k0 and k1 must be even,
- * so every contiguous run inside the range has even length; the
- * 2-qubit walks also need both qubits above bit 0, and diagUnitsAvx2
- * needs bit 0 outside `mask` (otherwise the runs are single units and
- * the cores stay scalar).
+ * matching unit core as a flat nested loop, two units per vector. k0
+ * and k1 must be even, so every contiguous run inside the range has
+ * even length. dense2UnitsAvx2 needs both qubits above bit 0 and
+ * diagUnitsAvx2 needs bit 0 outside `mask` (otherwise the runs are
+ * single units and those cores stay scalar); swapPairUnitsAvx2 takes
+ * bit 0 too, one unit per step.
  */
 void dense1UnitsAvx2(Complex *a, int q, const Complex *m, bool real,
                      std::size_t k0, std::size_t k1);

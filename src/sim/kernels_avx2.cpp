@@ -8,8 +8,9 @@
  * longest 2-complex-aligned prefix and returns the number of units it
  * completed; the wrappers in kernels_scalar.cpp run the scalar tail. A
  * unit walk covers a whole even-bounded range of its unit core in one
- * call, two units per vector, with the vector body inlined into the
- * run loop; the cores give it no odd unit.
+ * call as a flat nested loop, two units per vector (one unit per step
+ * for a CX or SWAP on bit 0), with the vector body inlined; the cores
+ * give it no odd unit.
  *
  * Bit-compatibility with the scalar code (see kernels.hpp):
  *
@@ -189,21 +190,109 @@ swapStep(double *da, double *db)
 }
 
 /*
- * The walks visit their range run by run. A run is a stretch of
- * consecutive unit addresses below the lowest acted-on bit, and a plain
- * contiguous loop covers it two units per vector. Where a run ends, the
- * index has just carried into the lowest acted-on bit; adding the
- * acted-on bits back as it reaches them lands on the start of the next
- * run, with no bit-deposit per run.
+ * The walks are flat nested loops. A 1-bit walk (dense1, X) covers its
+ * units in runs of s = 2^q consecutive amplitudes, one run every 2s. A
+ * 2-bit walk (dense2, CX, SWAP) covers them in runs of `lo` amplitudes,
+ * one run every 2·lo inside each stretch of `hi`, one stretch every
+ * 2·hi. Over whole runs (1-bit) or whole stretches (2-bit) every loop
+ * level advances by a constant stride and the innermost loop has a
+ * constant trip count, so a run costs no bookkeeping of its own and no
+ * loop carries more than an add from one step to the next. Where a
+ * range starts or ends inside a run or a stretch (only a blocked
+ * partition or a test cuts one there), the walk finishes that part run
+ * by run, one bit-deposit per run (per unit when bit 0 is among the
+ * bits, whose runs are one unit long). With bit 0 a step moves one
+ * unit, 16 bytes per amplitude: a 32-byte vector there would load and
+ * store the untouched neighbour too.
+ *
+ * A step is a functor whose call operator carries the AVX2 target, so
+ * the walk templates (also AVX2-targeted) inline it.
  */
 
-/** Start of the run after the one ending at `end` (bits lo < hi clear). */
-inline std::size_t
-nextRun2(std::size_t end, std::size_t lo, std::size_t hi)
+/** step(i) at every step of a 1-bit walk over even [k0, k1), s >= 2. */
+template <typename Step>
+QISMET_TARGET_AVX2 inline void
+walk1(std::size_t s, std::size_t k0, std::size_t k1, const Step &step)
 {
-    end += lo;
-    return end + (end & hi);
+    std::size_t k = k0;
+    if ((k & (s - 1)) != 0) {
+        // The rest of the run k0 starts inside.
+        const std::size_t end = std::min((k | (s - 1)) + 1, k1);
+        const std::size_t i = deposit1(k, s);
+        for (std::size_t j = 0; j < end - k; j += 2)
+            step(i + j);
+        k = end;
+    }
+    // Whole runs start at unit multiples k of s, at amplitude 2k; the
+    // last may stop at k1.
+    for (; k < k1; k += s) {
+        const std::size_t end = k + std::min(k + s, k1);
+        for (std::size_t i = 2 * k; i < end; i += 2)
+            step(i);
+    }
 }
+
+/**
+ * step(i) at every step of a 2-bit walk over [k0, k1), bits lo < hi
+ * clear in i: two units per step when lo >= 2 (k0, k1 even), one when
+ * lo == 1 (then any bounds).
+ */
+template <typename Step>
+QISMET_TARGET_AVX2 inline void
+walk2(std::size_t lo, std::size_t hi, std::size_t k0, std::size_t k1,
+      const Step &step)
+{
+    if (hi == 2) {
+        // Bits 0 and 1: every unit is a whole 4-tuple, at amplitude 4k.
+        for (std::size_t k = k0; k < k1; ++k)
+            step(4 * k);
+        return;
+    }
+    const std::size_t per = lo == 1 ? 1 : 2; // units per step
+    std::size_t k = k0;
+    // Up to `end`, inside the stretch holding unit k: its runs lie lo
+    // amplitudes apart, so one bit-deposit finds them all.
+    auto runsTo = [&](std::size_t end) QISMET_TARGET_AVX2 {
+        if (k >= end)
+            return;
+        std::size_t i = deposit2(k, lo, hi);
+        if (lo == 1) {
+            for (; k < end; ++k, i += 2)
+                step(i);
+            return;
+        }
+        while (k < end) {
+            const std::size_t stop = std::min((k | (lo - 1)) + 1, end);
+            for (std::size_t j = 0; j < stop - k; j += 2)
+                step(i + j);
+            i += stop - k + lo;
+            k = stop;
+        }
+    };
+    // A stretch holds hi/2 units; whole ones start at unit multiples k
+    // of hi/2, at amplitude 4k.
+    const std::size_t block = hi >> 1;
+    runsTo(std::min((k0 + block - 1) & ~(block - 1), k1));
+    for (; k + block <= k1; k += block)
+        for (std::size_t m = 4 * k; m < 4 * k + hi; m += 2 * lo)
+            for (std::size_t i = m; i < m + lo; i += per)
+                step(i);
+    runsTo(k1);
+}
+
+/** Dense 2x2 on the units at i and i + s, and their neighbours. */
+template <bool Real>
+struct Dense1Steps
+{
+    const Bcast2 &u;
+    double *d;
+    std::size_t s;
+
+    QISMET_TARGET_AVX2 void operator()(std::size_t i) const
+    {
+        dense1Step<Real>(u, d + 2 * i, d + 2 * (i + s));
+    }
+};
 
 /** The dense1 walk over even [k0, k1) for one matrix flavour. */
 template <bool Real>
@@ -218,17 +307,57 @@ dense1Walk(Complex *a, int q, const Bcast2 &u, std::size_t k0,
         return;
     }
     const std::size_t s = std::size_t{1} << q;
-    std::size_t i = deposit1(k0, s);
-    for (std::size_t left = k1 - k0; left > 0;) {
-        const std::size_t len = std::min(s - (i & (s - 1)), left);
-        double *d0 = d + 2 * i;
-        double *d1 = d0 + 2 * s;
-        for (std::size_t j = 0; j < 2 * len; j += 4)
-            dense1Step<Real>(u, d0 + j, d1 + j);
-        i += len + s; // past the run's partner half
-        left -= len;
-    }
+    walk1(s, k0, k1, Dense1Steps<Real>{u, d, s});
 }
+
+/**
+ * Dense 4x4 on the units at i, i|bl, i|bm, i|bm|bl and their
+ * neighbours: d0..d3 are the amplitudes at offsets 0, bl, bm, bm|bl.
+ */
+struct Dense2Steps
+{
+    const Bcast4 &u;
+    double *d0;
+    double *d1;
+    double *d2;
+    double *d3;
+
+    QISMET_TARGET_AVX2 void operator()(std::size_t i) const
+    {
+        dense2Step(u, d0 + 2 * i, d1 + 2 * i, d2 + 2 * i, d3 + 2 * i);
+    }
+};
+
+/** Exchange the units at da + 2i and db + 2i and their neighbours. */
+struct SwapSteps
+{
+    double *da;
+    double *db;
+
+    QISMET_TARGET_AVX2 void operator()(std::size_t i) const
+    {
+        swapStep(da + 2 * i, db + 2 * i);
+    }
+};
+
+/**
+ * Exchange the single units at da + 2i and db + 2i: CX and SWAP with
+ * bit 0 among their qubits, whose exchanged amplitudes are never
+ * neighbours of the next step's.
+ */
+struct SwapUnitSteps
+{
+    double *da;
+    double *db;
+
+    QISMET_TARGET_AVX2 void operator()(std::size_t i) const
+    {
+        const __m128d va = _mm_loadu_pd(da + 2 * i);
+        const __m128d vb = _mm_loadu_pd(db + 2 * i);
+        _mm_storeu_pd(da + 2 * i, vb);
+        _mm_storeu_pd(db + 2 * i, va);
+    }
+};
 
 } // namespace
 
@@ -305,21 +434,9 @@ dense2UnitsAvx2(Complex *a, int qm, int ql, const Complex *m,
     broadcast4(m, u);
     const std::size_t bm = std::size_t{1} << qm;
     const std::size_t bl = std::size_t{1} << ql;
-    const std::size_t lo = bm < bl ? bm : bl;
-    const std::size_t hi = bm < bl ? bl : bm;
     double *d = reinterpret_cast<double *>(a);
-    std::size_t i = deposit2(k0, bm, bl);
-    for (std::size_t left = k1 - k0; left > 0;) {
-        const std::size_t len = std::min(lo - (i & (lo - 1)), left);
-        double *d0 = d + 2 * i;
-        double *d1 = d + 2 * (i | bl);
-        double *d2 = d + 2 * (i | bm);
-        double *d3 = d + 2 * (i | bm | bl);
-        for (std::size_t j = 0; j < 2 * len; j += 4)
-            dense2Step(u, d0 + j, d1 + j, d2 + j, d3 + j);
-        i = nextRun2(i + len, lo, hi);
-        left -= len;
-    }
+    walk2(std::min(bm, bl), std::max(bm, bl), k0, k1,
+          Dense2Steps{u, d, d + 2 * bl, d + 2 * bm, d + 2 * (bm | bl)});
 }
 
 QISMET_TARGET_AVX2 void
@@ -373,16 +490,7 @@ permXUnitsAvx2(Complex *a, int q, std::size_t k0, std::size_t k1)
         return;
     }
     const std::size_t b = std::size_t{1} << q;
-    std::size_t i = deposit1(k0, b);
-    for (std::size_t left = k1 - k0; left > 0;) {
-        const std::size_t len = std::min(b - (i & (b - 1)), left);
-        double *d0 = d + 2 * i;
-        double *d1 = d0 + 2 * b;
-        for (std::size_t j = 0; j < 2 * len; j += 4)
-            swapStep(d0 + j, d1 + j);
-        i += len + b; // past the run's partner half
-        left -= len;
-    }
+    walk1(b, k0, k1, SwapSteps{d, d + 2 * b});
 }
 
 QISMET_TARGET_AVX2 void
@@ -390,19 +498,13 @@ swapPairUnitsAvx2(Complex *a, std::size_t bA, std::size_t bB,
                   std::size_t offA, std::size_t offB, std::size_t k0,
                   std::size_t k1)
 {
-    const std::size_t lo = bA < bB ? bA : bB;
-    const std::size_t hi = bA < bB ? bB : bA;
+    const std::size_t lo = std::min(bA, bB);
+    const std::size_t hi = std::max(bA, bB);
     double *d = reinterpret_cast<double *>(a);
-    std::size_t i = deposit2(k0, bA, bB);
-    for (std::size_t left = k1 - k0; left > 0;) {
-        const std::size_t len = std::min(lo - (i & (lo - 1)), left);
-        double *da = d + 2 * (i | offA);
-        double *db = d + 2 * (i | offB);
-        for (std::size_t j = 0; j < 2 * len; j += 4)
-            swapStep(da + j, db + j);
-        i = nextRun2(i + len, lo, hi);
-        left -= len;
-    }
+    if (lo == 1)
+        walk2(lo, hi, k0, k1, SwapUnitSteps{d + 2 * offA, d + 2 * offB});
+    else
+        walk2(lo, hi, k0, k1, SwapSteps{d + 2 * offA, d + 2 * offB});
 }
 
 namespace {

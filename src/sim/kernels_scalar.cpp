@@ -446,7 +446,7 @@ swapPairUnits(Complex *a, std::size_t bA, std::size_t bB, std::size_t offA,
               std::size_t offB, bool simd, std::size_t k0, std::size_t k1)
 {
 #if QISMET_SIMD_X86
-    if (simd && bA != 1 && bB != 1) {
+    if (simd) {
         const BlockRange mid = peelOddEnds(k0, k1, [&](std::size_t k) {
             swapPairUnitsScalar(a, bA, bB, offA, offB, k, k + 1);
         });
@@ -488,9 +488,7 @@ permSwapUnits(Complex *a, int qa, int qb, bool simd, std::size_t k0,
 void
 applyDense1(std::span<Complex> amps, int q, const Complex *m)
 {
-    // Real matrix (H, RY, X-basis changes): half the multiplies.
-    const bool real = m[0].imag() == 0.0 && m[1].imag() == 0.0 &&
-                      m[2].imag() == 0.0 && m[3].imag() == 0.0;
+    const bool real = realMatrix2x2(m);
     const bool simd = simdEnabled();
     forEachUnitBlocked(amps.size() >> 1, amps.size(),
                        [&](std::size_t k0, std::size_t k1) {

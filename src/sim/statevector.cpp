@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/block_partition.hpp"
+#include "common/simd.hpp"
 #include "sim/cdf_search.hpp"
 #include "sim/kernels.hpp"
 
@@ -161,6 +163,56 @@ Statevector::run(const Circuit &circuit, const std::vector<double> &params)
         applyGate(g, params);
 }
 
+namespace {
+
+/**
+ * Apply `op` to the dim amplitudes at `a` through `each(units, core)`,
+ * which runs core(k0, k1) over [0, units). `simd` is the run's dispatch
+ * decision.
+ */
+template <typename Each>
+void
+applyOp(Complex *a, std::size_t dim, const CompiledOp &op, const Complex *m,
+        bool simd, const Each &each)
+{
+    switch (op.kind) {
+      case CompiledOpKind::Dense1: {
+        const bool real = kern::realMatrix2x2(m);
+        each(dim >> 1, [&](std::size_t k0, std::size_t k1) {
+            kern::dense1Units(a, op.q0, m, real, simd, k0, k1);
+        });
+        return;
+      }
+      case CompiledOpKind::Dense2:
+        each(dim >> 2, [&](std::size_t k0, std::size_t k1) {
+            kern::dense2Units(a, op.q0, op.q1, m, simd, k0, k1);
+        });
+        return;
+      case CompiledOpKind::Diag:
+        each(dim, [&](std::size_t u0, std::size_t u1) {
+            kern::diagUnits(a, dim, op.mask, m, simd, u0, u1);
+        });
+        return;
+      case CompiledOpKind::PermX:
+        each(dim >> 1, [&](std::size_t k0, std::size_t k1) {
+            kern::permXUnits(a, op.q0, simd, k0, k1);
+        });
+        return;
+      case CompiledOpKind::PermCX:
+        each(dim >> 2, [&](std::size_t k0, std::size_t k1) {
+            kern::permCXUnits(a, op.q0, op.q1, simd, k0, k1);
+        });
+        return;
+      case CompiledOpKind::PermSwap:
+        each(dim >> 2, [&](std::size_t k0, std::size_t k1) {
+            kern::permSwapUnits(a, op.q0, op.q1, simd, k0, k1);
+        });
+        return;
+    }
+}
+
+} // namespace
+
 void
 Statevector::run(const CompiledCircuit &circuit,
                  const std::vector<double> &params)
@@ -170,32 +222,28 @@ Statevector::run(const CompiledCircuit &circuit,
     invalidateCache();
     if (circuit.parameterized())
         circuit.bind(params, bindPool_);
-    // Each op forwards to the shared kernel layer (sim/kernels.hpp),
-    // which adds the SIMD dispatch and the fixed-block parallel
-    // partition; results are bit-identical at every setting.
-    for (const CompiledOp &op : circuit.ops()) {
-        const Complex *m = circuit.matrixFor(op, bindPool_);
-        switch (op.kind) {
-          case CompiledOpKind::Dense1:
-            kern::applyDense1(amps_, op.q0, m);
-            break;
-          case CompiledOpKind::Dense2:
-            kern::applyDense2(amps_, op.q0, op.q1, m);
-            break;
-          case CompiledOpKind::Diag:
-            kern::applyDiag(amps_, op.mask, m);
-            break;
-          case CompiledOpKind::PermX:
-            kern::applyPermX(amps_, op.q0);
-            break;
-          case CompiledOpKind::PermCX:
-            kern::applyPermCX(amps_, op.q0, op.q1);
-            break;
-          case CompiledOpKind::PermSwap:
-            kern::applyPermSwap(amps_, op.q0, op.q1);
-            break;
-        }
+    // The SIMD switch and the block threshold are read once per run, not
+    // once per op. Below the threshold each op is one call of its unit
+    // core over the whole state; at or above it the op's units go
+    // through the fixed-block partition, as kern::apply* would send
+    // them. Both shapes give the same bits (sim/kernels.hpp).
+    const bool simd = simdEnabled();
+    Complex *a = amps_.data();
+    const std::size_t dim = amps_.size();
+    if (dim < intraStateParallelThreshold()) {
+        const auto whole = [](std::size_t units, const auto &core) {
+            core(std::size_t{0}, units);
+        };
+        for (const CompiledOp &op : circuit.ops())
+            applyOp(a, dim, op, circuit.matrixFor(op, bindPool_), simd,
+                    whole);
+        return;
     }
+    const auto blocked = [dim](std::size_t units, const auto &core) {
+        forEachUnitBlocked(units, dim, core);
+    };
+    for (const CompiledOp &op : circuit.ops())
+        applyOp(a, dim, op, circuit.matrixFor(op, bindPool_), simd, blocked);
 }
 
 double

@@ -106,8 +106,15 @@ VqeDriver::run(const std::vector<double> &initial_theta)
     if (ckpt != nullptr) {
         if (auto recovered = ckpt->recover()) {
             const RunSnapshot &snap = recovered->snapshot;
-            k = static_cast<int>(snap.iteration);
-            eval_index = static_cast<int>(snap.evalIndex);
+            try {
+                k = checkedInt<int>("iteration", snap.iteration);
+                eval_index = checkedInt<int>("evalIndex", snap.evalIndex, 0);
+            }
+            catch (const SerialError &err) {
+                throw CheckpointError(
+                    std::string("corrupt run counters in snapshot: ") +
+                    err.what());
+            }
             theta = snap.theta;
             prev_point = snap.prevPoint;
             e_prev = snap.ePrev;
@@ -154,9 +161,10 @@ VqeDriver::run(const std::vector<double> &initial_theta)
                         VqeJobRecord rec;
                         rec.jobIndex =
                             static_cast<std::size_t>(jr.jobIndex);
-                        rec.evalIndex = static_cast<int>(jr.evalIndex);
+                        rec.evalIndex =
+                            checkedInt<int>("evalIndex", jr.evalIndex, 0);
                         rec.retryIndex =
-                            static_cast<int>(jr.retryIndex);
+                            checkedInt<int>("retryIndex", jr.retryIndex, 0);
                         rec.transientIntensity = jr.transientIntensity;
                         rec.eMeasured = jr.eMeasured;
                         rec.accepted = jr.accepted;

@@ -207,6 +207,23 @@ TEST(Rng, PoissonZeroMean)
     EXPECT_THROW(rng.poisson(-1.0), std::invalid_argument);
 }
 
+TEST(Rng, PoissonWithSuppliedExpMatchesPoisson)
+{
+    // A caller drawing at one mean supplies exp(-mean) once; the draws,
+    // the values and the engine state after them are poisson(mean)'s.
+    for (const double mean : {0.0, 0.02, 0.5, 5.0, 29.9, 30.0, 80.0}) {
+        Rng a(77);
+        Rng b(77);
+        const double e = std::exp(-mean);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.poisson(mean), b.poisson(mean, e)) << mean;
+        const RngState sa = a.saveState();
+        const RngState sb = b.saveState();
+        EXPECT_EQ(sa.engine, sb.engine) << mean;
+        EXPECT_EQ(sa.hasSpareNormal, sb.hasSpareNormal) << mean;
+    }
+}
+
 TEST(Rng, BernoulliRate)
 {
     Rng rng(37);

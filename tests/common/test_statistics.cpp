@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -102,6 +105,41 @@ TEST(Quantile, Errors)
     EXPECT_THROW(quantile({1.0, 2.0},
                           std::numeric_limits<double>::quiet_NaN()),
                  std::invalid_argument);
+    // A NaN in the sample has no place in the order the selection
+    // relies on.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(quantile({1.0, nan, 2.0}, 0.5), std::invalid_argument);
+    EXPECT_THROW(quantile({nan}, 0.0), std::invalid_argument);
+}
+
+TEST(Quantile, SelectionMatchesTheSortedOrderBitForBit)
+{
+    // The two order statistics come from selection, not a full sort;
+    // the interpolated value must be the sorted sample's, bit for bit,
+    // duplicates and every p included.
+    Rng rng(0x9A17ull);
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t n = 1 + rng.uniformInt(60);
+        std::vector<double> xs(n);
+        for (double &x : xs)
+            x = rng.bernoulli(0.3)
+                    ? static_cast<double>(rng.uniformInt(4))
+                    : rng.normal();
+        std::vector<double> sorted = xs;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double p : {0.0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.999, 1.0,
+                               rng.uniform(0.0, 1.0)}) {
+            const double idx = p * static_cast<double>(n - 1);
+            const std::size_t lo = static_cast<std::size_t>(idx);
+            const std::size_t hi = std::min(lo + 1, n - 1);
+            const double frac = idx - static_cast<double>(lo);
+            const double want =
+                sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, p)),
+                      std::bit_cast<std::uint64_t>(want))
+                << "n " << n << " p " << p;
+        }
+    }
 }
 
 class QuantileMonotoneTest : public ::testing::TestWithParam<double>

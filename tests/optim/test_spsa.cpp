@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 
+#include "common/serial.hpp"
 #include "optim/spsa_variants.hpp"
 
 namespace qismet {
@@ -142,6 +146,47 @@ TEST(SecondOrderSpsa, ConvergesOnIllConditionedQuadratic)
     SecondOrderSpsa opt(SpsaGains::forHorizon(800, 0.05));
     const auto theta = optimize(opt, aniso, {1.0, 2.0}, 800, 13);
     EXPECT_LT(aniso(theta), 0.4);
+}
+
+TEST(SecondOrderSpsa, LoadStateRefusesAnOutOfRangeSampleCount)
+{
+    // hessianSamples is an int saved as i64, the second field from the
+    // end of a state with no Hessian rows yet (the row count follows).
+    SecondOrderSpsa opt;
+    Encoder enc;
+    opt.saveState(enc);
+    const std::string saved = enc.take();
+    const auto withSamples = [&](std::int64_t samples) {
+        std::string bytes = saved;
+        Encoder v;
+        v.writeI64(samples);
+        bytes.replace(bytes.size() - 16, 8, v.bytes());
+        return bytes;
+    };
+    for (const auto &[samples, want] :
+         {std::pair<std::int64_t, const char *>{
+              (std::int64_t{1} << 32) + 2, "hessianSamples 4294967298"},
+          {-1, "hessianSamples -1"}}) {
+        SecondOrderSpsa loaded;
+        const std::string bytes = withSamples(samples);
+        Decoder dec(bytes);
+        try {
+            loaded.loadState(dec);
+            ADD_FAILURE() << want << " was loaded";
+        }
+        catch (const SerialError &e) {
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+    }
+    // The unedited state loads and saves back to the same bytes.
+    SecondOrderSpsa loaded;
+    const std::string bytes = withSamples(0);
+    Decoder dec(bytes);
+    loaded.loadState(dec);
+    Encoder again;
+    loaded.saveState(again);
+    EXPECT_EQ(again.take(), saved);
 }
 
 TEST(SecondOrderSpsa, Validation)

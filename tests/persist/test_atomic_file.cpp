@@ -95,6 +95,46 @@ TEST_F(AtomicFileTest, ReadFileThrowsOnMissingPath)
     EXPECT_FALSE(fileExists(path("nope.bin")));
 }
 
+TEST_F(AtomicFileTest, ReadFileNamesTheMissingPath)
+{
+    const std::string p = path("nope.bin");
+    try {
+        (void)readFile(p);
+        FAIL() << "read a missing file";
+    }
+    catch (const FileError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "cannot open '" + p + "' for reading");
+    }
+}
+
+TEST_F(AtomicFileTest, ReadFileRoundTripsEverySizeAroundItsChunk)
+{
+    // One read into a buffer sized from fstat, then chunks of 4096 to
+    // the end: sizes on both sides of a chunk, and a large file.
+    for (const std::size_t size :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4095},
+          std::size_t{4096}, std::size_t{4097}, std::size_t{8192},
+          std::size_t{(1u << 20) + 17}}) {
+        std::string payload(size, '\0');
+        for (std::size_t i = 0; i < size; ++i)
+            payload[i] = static_cast<char>((i * 131u + 7u) & 0xff);
+        const std::string p = path("sized.bin");
+        atomicWriteFile(p, payload);
+        EXPECT_EQ(readFile(p), payload) << size;
+    }
+}
+
+TEST_F(AtomicFileTest, ReadFileReadsAFileFstatSizesAsEmpty)
+{
+    // procfs files report size 0 and still hold bytes: the chunked read
+    // past the fstat size must find them.
+    if (!fs::exists("/proc/self/status"))
+        GTEST_SKIP() << "no procfs here";
+    const std::string status = readFile("/proc/self/status");
+    EXPECT_NE(status.find("Name:"), std::string::npos);
+}
+
 TEST_F(AtomicFileTest, AtomicWriteThrowsOnBadDirectory)
 {
     EXPECT_THROW(atomicWriteFile(path("no/such/dir/x.bin"), "data"),

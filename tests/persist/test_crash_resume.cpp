@@ -544,6 +544,123 @@ TEST(CrashResume, OutOfRangeJobStatusIsRejected)
     fs::remove_all(cfg.checkpointDir);
 }
 
+TEST(CrashResume, OutOfRangeJournalIndicesAreRejected)
+{
+    // evalIndex and retryIndex are int fields journaled as i64: a value
+    // past int must not narrow into a replayed record.
+    struct Row
+    {
+        const char *want;
+        void (*edit)(JournalJobRecord &);
+    };
+    const Row rows[] = {
+        {"evalIndex 4294967296",
+         [](JournalJobRecord &r) { r.evalIndex = std::int64_t{1} << 32; }},
+        {"evalIndex -1", [](JournalJobRecord &r) { r.evalIndex = -1; }},
+        {"retryIndex 4294967297",
+         [](JournalJobRecord &r) {
+             r.retryIndex = (std::int64_t{1} << 32) + 1;
+         }},
+    };
+    GlobalThreadsGuard threadsGuard;
+    ParallelExecutor::setGlobalThreads(1);
+    const H2Scenario scenario;
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.want);
+        QismetVqeConfig cfg = scenario.config();
+        cfg.checkpointDir = freshDir("bad_index");
+        cfg.resume = true;
+        ASSERT_TRUE(runUntilCrash(scenario.runner, cfg,
+                                  {kCrashIterationBoundary, 4}));
+
+        // Re-encode the first journal frame with the edited record and
+        // a valid checksum.
+        const std::string journal = cfg.checkpointDir + "/journal.qjnl";
+        const JournalFrame first = scanJournal(journal).frames.front();
+        ASSERT_EQ(first.type, JournalFrameType::Job);
+        Decoder dec(first.payload);
+        JournalJobRecord rec = JournalJobRecord::decode(dec);
+        row.edit(rec);
+        Encoder payload;
+        rec.encode(payload);
+        const auto type = static_cast<std::uint8_t>(JournalFrameType::Job);
+        Encoder frame;
+        frame.writeU8(type);
+        frame.writeU32(static_cast<std::uint32_t>(payload.bytes().size()));
+        Encoder sum;
+        sum.writeU64(fnv1a64(payload.bytes(), fnv1a64(&type, 1)));
+        const std::string bytes =
+            frame.take() + payload.bytes() + sum.bytes();
+        std::string file = readFile(journal);
+        file.replace(kFramedLogHeaderSize, bytes.size(), bytes);
+        atomicWriteFile(journal, file);
+
+        try {
+            (void)scenario.runner.run(cfg);
+            ADD_FAILURE() << "the journaled record was replayed";
+        }
+        catch (const CheckpointError &e) {
+            EXPECT_NE(std::string(e.what()).find(row.want),
+                      std::string::npos)
+                << e.what();
+        }
+        fs::remove_all(cfg.checkpointDir);
+    }
+}
+
+TEST(CrashResume, OutOfRangeSnapshotCountersAreRejected)
+{
+    // The snapshot's iteration (u64) and evalIndex (i64) become the
+    // driver's int counters: a value past int must not narrow into a
+    // resumed run.
+    struct Row
+    {
+        const char *want;
+        void (*edit)(RunSnapshot &);
+    };
+    const Row rows[] = {
+        {"iteration 4294967300",
+         [](RunSnapshot &s) { s.iteration = (std::uint64_t{1} << 32) + 4; }},
+        {"evalIndex 2147483648",
+         [](RunSnapshot &s) { s.evalIndex = std::int64_t{1} << 31; }},
+        {"evalIndex -3", [](RunSnapshot &s) { s.evalIndex = -3; }},
+    };
+    GlobalThreadsGuard threadsGuard;
+    ParallelExecutor::setGlobalThreads(1);
+    const TfimScenario scenario;
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.want);
+        QismetVqeConfig cfg = scenario.config();
+        cfg.checkpointDir = freshDir("bad_counters");
+        cfg.resume = true;
+        ASSERT_TRUE(runUntilCrash(scenario.runner, cfg,
+                                  {kCrashIterationBoundary, 4}));
+        {
+            // Append the edited snapshot as the log's newest frame.
+            CheckpointManager mgr(
+                {cfg.checkpointDir, cfg.snapshotEveryIters, true},
+                runConfigDigest(cfg,
+                                scenario.app.ansatzCircuit.numParams()));
+            const auto recovered = mgr.recover();
+            ASSERT_TRUE(recovered.has_value());
+            mgr.beginResumed(*recovered);
+            RunSnapshot snap = recovered->snapshot;
+            row.edit(snap);
+            mgr.writeSnapshot(snap);
+        }
+        try {
+            (void)scenario.runner.run(cfg);
+            ADD_FAILURE() << "the snapshot's counters were resumed";
+        }
+        catch (const CheckpointError &e) {
+            EXPECT_NE(std::string(e.what()).find(row.want),
+                      std::string::npos)
+                << e.what();
+        }
+        fs::remove_all(cfg.checkpointDir);
+    }
+}
+
 TEST(CrashResume, ResumeUnderDifferentConfigIsRejected)
 {
     GlobalThreadsGuard threadsGuard;

@@ -287,6 +287,27 @@ TEST_F(ServeManifestTest, DecodeRejectsHostileSpecBytesNamingThem)
     count.writeU64(std::uint64_t{1} << 62);
     bytes.replace(bytes.size() - 32, 8, count.bytes());
     EXPECT_NE(decodeError(bytes), "decoded");
+    // priority (bytes 8..16) and appIndex (bytes 17..25) are int fields
+    // written as i64. 2^32 + 1 and 2^32 + 3 would narrow to priority 1
+    // and App 3, pass validate() and re-encode to a different digest.
+    const auto withI64 = [&](std::size_t offset, std::int64_t value) {
+        std::string b = encoded(spec(1));
+        Encoder v;
+        v.writeI64(value);
+        b.replace(offset, 8, v.bytes());
+        return b;
+    };
+    const std::int64_t big = std::int64_t{1} << 32;
+    EXPECT_NE(decodeError(withI64(8, big + 1)).find("priority 4294967297"),
+              std::string::npos);
+    EXPECT_NE(decodeError(withI64(8, -big)).find("priority -4294967296"),
+              std::string::npos);
+    EXPECT_NE(decodeError(withI64(17, big + 3)).find("appIndex 4294967299"),
+              std::string::npos);
+    // In range, the patched fields decode as written.
+    const std::string inRange = withI64(8, 2);
+    Decoder dec(inRange);
+    EXPECT_EQ(ServeJobSpec::decode(dec).priority, 2);
 }
 
 TEST_F(ServeManifestTest, BadHeaderThrows)

@@ -400,5 +400,186 @@ TEST(BindEquivalence, RzPhasesMatchTheGateMatrixAtEveryAngleClass)
     }
 }
 
+/** Every special and non-finite angle the random battery draws. */
+std::vector<double>
+angleClasses()
+{
+    std::vector<double> angles = {
+        0.0,
+        -0.0,
+        M_PI,
+        -M_PI,
+        M_PI / 2.0,
+        -M_PI / 2.0,
+        M_PI / 4.0,
+        2.0 * DBL_MIN,
+        -2.0 * DBL_MIN,
+        std::nextafter(2.0 * DBL_MIN, 0.0),
+        std::nextafter(2.0 * DBL_MIN, 1.0),
+        DBL_MIN,
+        -DBL_MIN,
+        1e-310,
+        -1e-310,
+        5e-324,
+        -5e-324,
+        1e300,
+        -1e300,
+        DBL_MAX,
+        -DBL_MAX,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
+    Rng rng(0xF1257ull);
+    for (int i = 0; i < 1000; ++i)
+        angles.push_back(randomAngle(rng));
+    return angles;
+}
+
+/** One parameterized op, its kind and its first factor's gate. */
+struct FirstFactorCase
+{
+    const char *name;
+    Circuit circuit;
+    CompileOptions::Absorb2q absorb;
+    CompiledOpKind kind;
+    GateType first;
+};
+
+TEST(BindEquivalence, EveryFirstFactorKindMatchesTheOracle)
+{
+    // Each circuit compiles to one parameterized op whose first factor
+    // is the named kind, so bind writes that factor in closed form (a
+    // rotation) or copies it as compiled (a constant) before anything
+    // multiplies in. Two parameters: the second drives a later factor.
+    using A = CompileOptions::Absorb2q;
+    const auto circuit = [] { return Circuit(2, 2); };
+    std::vector<FirstFactorCase> cases;
+    cases.push_back({"RX", circuit().rxParam(0, 0), A::Never,
+                     CompiledOpKind::Dense1, GateType::RX});
+    cases.push_back({"RY", circuit().ryParam(1, 0), A::Never,
+                     CompiledOpKind::Dense1, GateType::RY});
+    cases.push_back({"RX·RZ", circuit().rxParam(0, 0).rzParam(0, 1),
+                     A::Never, CompiledOpKind::Dense1, GateType::RX});
+    cases.push_back({"SU2 RY·RZ", circuit().ryParam(0, 0).rzParam(0, 1),
+                     A::Never, CompiledOpKind::Dense1, GateType::RY});
+    cases.push_back({"H·RY", circuit().h(0).ryParam(0, 0), A::Never,
+                     CompiledOpKind::Dense1, GateType::H});
+    cases.push_back({"X·RZ", circuit().x(1).rzParam(1, 0), A::Never,
+                     CompiledOpKind::Dense1, GateType::X});
+    cases.push_back({"RZ", circuit().rzParam(0, 0), A::Never,
+                     CompiledOpKind::Diag, GateType::RZ});
+    cases.push_back({"RZ·RZ", circuit().rzParam(0, 0).rzParam(1, 1),
+                     A::Never, CompiledOpKind::Diag, GateType::RZ});
+    cases.push_back({"S·RZ", circuit().s(1).rzParam(1, 0), A::Never,
+                     CompiledOpKind::Diag, GateType::S});
+    cases.push_back({"CZ·RZ", circuit().cz(0, 1).rzParam(0, 0), A::Never,
+                     CompiledOpKind::Diag, GateType::CZ});
+    cases.push_back({"RY(q0)·CX", circuit().ryParam(0, 0).cx(0, 1),
+                     A::Always, CompiledOpKind::Dense2, GateType::RY});
+    cases.push_back({"RX(q1)·CX", circuit().rxParam(1, 0).cx(0, 1),
+                     A::Always, CompiledOpKind::Dense2, GateType::RX});
+    cases.push_back({"RY·RZ(q0)·CX",
+                     circuit().ryParam(0, 0).rzParam(0, 1).cx(1, 0),
+                     A::Always, CompiledOpKind::Dense2, GateType::RY});
+    cases.push_back({"CX·RY", circuit().cx(0, 1).ryParam(1, 0), A::Always,
+                     CompiledOpKind::Dense2, GateType::CX});
+
+    const std::vector<double> angles = angleClasses();
+    Rng rng(0xF1258ull);
+    std::vector<Complex> pool;
+    for (const FirstFactorCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        CompileOptions options;
+        options.absorb2q = c.absorb;
+        const CompiledCircuit cc(c.circuit, options);
+        ASSERT_EQ(cc.ops().size(), 1u);
+        const CompiledOp &op = cc.ops().front();
+        ASSERT_TRUE(op.parameterized);
+        ASSERT_EQ(op.kind, c.kind);
+        ASSERT_EQ(cc.factors()[op.firstFactor].gate.type, c.first);
+        expectSamePool(cc.constPool(), oraclePool(cc, {}, true), "const");
+        for (const double angle : angles) {
+            // The first parameter at every class, the other at random
+            // and at the same class.
+            for (const double other : {angle, randomAngle(rng)}) {
+                const std::vector<double> theta = {angle, other};
+                cc.bind(theta, pool);
+                expectSamePool(pool, oraclePool(cc, theta, false),
+                               std::to_string(angle) + ", " +
+                                   std::to_string(other));
+            }
+        }
+    }
+}
+
+#if defined(__GLIBC__)
+
+/** sin a alone, out of line, so no sincos can pair it with a cos. */
+[[gnu::noinline]] double
+sinAlone(double a)
+{
+    return std::sin(a);
+}
+
+/** cos a alone, out of line, so no sincos can pair it with a sin. */
+[[gnu::noinline]] double
+cosAlone(double a)
+{
+    return std::cos(a);
+}
+
+TEST(RzPhases, GlibcSincosIsOddAndEven)
+{
+    // Bind takes both RZ phases from one sincos(a) call, as (cos a,
+    // -sin a) and (cos a, sin a), and writes RX and RY from sincos
+    // where Gate::matrixInto calls std::sin and std::cos. That is exact
+    // only while this glibc's sincos is odd in its sine and even in its
+    // cosine bit for bit, equals sin and cos, and returns (a, 1) at
+    // |a| <= DBL_MIN, where cexp(i·a) takes (1, a) without calling it.
+    std::vector<double> grid = {0.0,     5e-324,  1e-310, DBL_MIN,
+                                std::nextafter(DBL_MIN, 0.0),
+                                std::nextafter(DBL_MIN, 1.0),
+                                2.0 * DBL_MIN, 1e-300, 1e-20,  1e-8,
+                                0.5,     1.0,     2.0,    1e6,
+                                1e22,    1e300,   DBL_MAX};
+    for (int k = 1; k <= 4096; ++k) {
+        const double x = k * (M_PI / 4.0);
+        grid.push_back(x);
+        grid.push_back(std::nextafter(x, 0.0));
+        grid.push_back(std::nextafter(x, DBL_MAX));
+    }
+    Rng rng(0x51Cull);
+    for (int i = 0; i < 20000; ++i) {
+        grid.push_back(rng.uniform(0.0, 8.0));
+        // Every finite binade, subnormals included.
+        grid.push_back(std::ldexp(rng.uniform(1.0, 2.0),
+                                  static_cast<int>(rng.uniformInt(2098)) -
+                                      1074));
+    }
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (const double x : grid) {
+        for (const double a : {x, -x}) {
+            SCOPED_TRACE(a);
+            double s = 0.0;
+            double c = 0.0;
+            ::sincos(a, &s, &c);
+            double sn = 0.0;
+            double cn = 0.0;
+            ::sincos(-a, &sn, &cn);
+            ASSERT_EQ(bits(sn), bits(-s));
+            ASSERT_EQ(bits(cn), bits(c));
+            ASSERT_EQ(bits(s), bits(sinAlone(a)));
+            ASSERT_EQ(bits(c), bits(cosAlone(a)));
+            if (std::fabs(a) <= DBL_MIN) {
+                ASSERT_EQ(bits(s), bits(a));
+                ASSERT_EQ(bits(c), bits(1.0));
+            }
+        }
+    }
+}
+
+#endif
+
 } // namespace
 } // namespace qismet

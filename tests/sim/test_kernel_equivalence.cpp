@@ -28,6 +28,8 @@
  * grid drives every qubit and every ordered pair at 2-8 qubits, at the
  * default threshold and at 64 and 16, so the unit walks also see
  * one-unit blocks and ranges that start or end inside a run.
+ * A third calls the unit cores over every [k0, k1) sub-range at widths
+ * 1-8, SIMD against scalar.
  */
 
 #include <gtest/gtest.h>
@@ -560,6 +562,115 @@ TEST_P(KernelPositionSweepTest, PermutationsEveryPosition)
 INSTANTIATE_TEST_SUITE_P(Widths, KernelPositionSweepTest,
                          ::testing::Combine(::testing::Range(2, 9),
                                             ::testing::Range(0, 3)));
+
+// ---------------------------------------------------------------------
+// Every [k0, k1) sub-range of the unit cores, odd ends included, at
+// widths 1-8: the AVX2 walk (SIMD on) against the scalar walk (SIMD
+// off), at every qubit and every ordered pair, bit 0 included. The
+// cores are called directly, as Statevector::run, the blocked
+// partition and the density-matrix rows call them.
+// ---------------------------------------------------------------------
+
+/** Width in qubits. */
+class KernelSubRangeTest : public ::testing::TestWithParam<int>
+{
+  protected:
+    void SetUp() override
+    {
+        if (!simdAvailable())
+            GTEST_SKIP() << "no AVX2 on this host";
+    }
+
+    int numQubits() const { return GetParam(); }
+    std::size_t dim() const { return std::size_t{1} << numQubits(); }
+};
+
+/**
+ * core(a, simd, k0, k1) over every sub-range of [0, units) of one
+ * random state: the SIMD and scalar results are bit-identical, units
+ * outside the range included.
+ */
+template <typename Core>
+void
+expectEverySubRangeMatches(std::size_t dim, std::size_t units, Rng &rng,
+                           const Core &core)
+{
+    const std::vector<Complex> init = randomState(dim, rng);
+    std::vector<Complex> scalar(dim);
+    std::vector<Complex> simd(dim);
+    for (std::size_t k0 = 0; k0 <= units; ++k0) {
+        for (std::size_t k1 = k0; k1 <= units; ++k1) {
+            scalar = init;
+            simd = init;
+            core(scalar.data(), false, k0, k1);
+            core(simd.data(), true, k0, k1);
+            if (std::memcmp(scalar.data(), simd.data(),
+                            dim * sizeof(Complex)) != 0) {
+                ADD_FAILURE() << "range [" << k0 << ", " << k1
+                              << ") differs between SIMD and scalar";
+                return;
+            }
+        }
+    }
+}
+
+TEST_P(KernelSubRangeTest, Dense1AndXEveryQubit)
+{
+    Rng rng(static_cast<std::uint64_t>(0x5B0 + numQubits()));
+    for (int q = 0; q < numQubits(); ++q) {
+        SCOPED_TRACE("q=" + std::to_string(q));
+        Complex m[4];
+        randomComplexArray(m, 4, rng);
+        Complex mr[4];
+        for (Complex &e : mr)
+            e = Complex(rng.uniform(-1.0, 1.0), 0.0);
+        for (const bool real : {false, true}) {
+            const Complex *mat = real ? mr : m;
+            expectEverySubRangeMatches(
+                dim(), dim() >> 1, rng,
+                [&](Complex *a, bool simd, std::size_t k0, std::size_t k1) {
+                    kern::dense1Units(a, q, mat, real, simd, k0, k1);
+                });
+        }
+        expectEverySubRangeMatches(
+            dim(), dim() >> 1, rng,
+            [&](Complex *a, bool simd, std::size_t k0, std::size_t k1) {
+                kern::permXUnits(a, q, simd, k0, k1);
+            });
+    }
+}
+
+TEST_P(KernelSubRangeTest, Dense2CxAndSwapEveryOrderedPair)
+{
+    Rng rng(static_cast<std::uint64_t>(0x5B1 + numQubits()));
+    for (int qa = 0; qa < numQubits(); ++qa) {
+        for (int qb = 0; qb < numQubits(); ++qb) {
+            if (qa == qb)
+                continue;
+            SCOPED_TRACE("qa=" + std::to_string(qa) +
+                         " qb=" + std::to_string(qb));
+            Complex m[16];
+            randomComplexArray(m, 16, rng);
+            expectEverySubRangeMatches(
+                dim(), dim() >> 2, rng,
+                [&](Complex *a, bool simd, std::size_t k0, std::size_t k1) {
+                    kern::dense2Units(a, qa, qb, m, simd, k0, k1);
+                });
+            expectEverySubRangeMatches(
+                dim(), dim() >> 2, rng,
+                [&](Complex *a, bool simd, std::size_t k0, std::size_t k1) {
+                    kern::permCXUnits(a, qa, qb, simd, k0, k1);
+                });
+            expectEverySubRangeMatches(
+                dim(), dim() >> 2, rng,
+                [&](Complex *a, bool simd, std::size_t k0, std::size_t k1) {
+                    kern::permSwapUnits(a, qa, qb, simd, k0, k1);
+                });
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, KernelSubRangeTest, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------
 // Whole-circuit differential: compiled-kernel execution vs the legacy

@@ -65,13 +65,17 @@ stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # executor; the golden replays matched by 'Kernel' run Analytic only.
 # 'BatchedExpectation' includes the lane-layout cases of the expectation
 # battery (widths 1-14 at 1/2/4/8 threads among them), and both legs
-# rerun the warm-job allocation count (WarmJobAllocations), which must
-# read the same at either setting.
+# rerun the warm-job and warm-run allocation counts (WarmJobAllocations,
+# WarmRunAllocations), which must read the same at either setting.
+# 'Kernel' also matches the unit cores' every-sub-range battery
+# (KernelSubRangeTest); RzPhases pins the sincos symmetry bind relies
+# on. The rest are the selection quantile, the Poisson draw with a
+# supplied exp, readFile, and the decoders' range checks.
 QISMET_SIMD=off ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|WarmJobAllocations|GoldenTraces\.TfimVqeSampling' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|RzPhases|WarmJobAllocations|WarmRunAllocations|Quantile|PoissonWithSuppliedExp|ReadFile|OutOfRange|LoadStateRefuses|DecodeRejectsHostile|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
-    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|PreparedPointReuse|ParallelDeterminism|WarmJobAllocations|GoldenTraces\.TfimVqeSampling' \
+    -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan|ShotSamplerExact|Table1KnownAnswer|BindEquivalence|RzPhases|PreparedPointReuse|ParallelDeterminism|WarmJobAllocations|WarmRunAllocations|Quantile|PoissonWithSuppliedExp|ReadFile|OutOfRange|LoadStateRefuses|DecodeRejectsHostile|GoldenTraces\.TfimVqeSampling' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
