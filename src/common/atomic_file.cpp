@@ -192,9 +192,32 @@ DurableFile::~DurableFile()
 }
 
 void
+DurableFile::refuseIfBroken() const
+{
+    if (!broken_.empty())
+        throw FileError("'" + path_ +
+                        "' refuses further writes: a failed append could "
+                        "not be cut back (" +
+                        broken_ + ")");
+}
+
+void
 DurableFile::append(std::string_view bytes)
 {
-    writeAll(fd_, bytes, path_);
+    refuseIfBroken();
+    try {
+        writeAll(fd_, bytes, path_);
+    }
+    catch (const FileError &error) {
+        // The descriptor has moved past whatever part of `bytes` was
+        // written; cut that part off, or the next append would land
+        // behind a torn frame in the middle of the log.
+        const auto at = static_cast<off_t>(offset_);
+        if (::ftruncate(fd_, at) != 0 || ::lseek(fd_, at, SEEK_SET) < 0)
+            broken_ = error.what();
+        dirty_ = true;
+        throw;
+    }
     offset_ += bytes.size();
     dirty_ = true;
 }
@@ -202,6 +225,7 @@ DurableFile::append(std::string_view bytes)
 void
 DurableFile::sync()
 {
+    refuseIfBroken();
     if (!dirty_)
         return;
     if (::fsync(fd_) != 0)

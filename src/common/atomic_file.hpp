@@ -79,7 +79,8 @@ void atomicWriteFile(const std::string &path, std::string_view bytes);
  * Append-only file handle with explicit durability control — the
  * substrate of the run journal.
  *
- * Not thread-safe; the single driver thread owns it.
+ * Not thread-safe: one thread at a time may use it (CheckpointManager
+ * hands its two files to its committer thread and waits for them back).
  */
 class DurableFile
 {
@@ -97,7 +98,13 @@ class DurableFile
     DurableFile(const DurableFile &) = delete;
     DurableFile &operator=(const DurableFile &) = delete;
 
-    /** Append bytes at the current offset. @throws FileError. */
+    /**
+     * Append bytes at the current offset. @throws FileError. A failed
+     * append cuts the file back to offset() before it throws, so the
+     * next append lands where this one began, never after a partial
+     * write. When that cut fails too, every later append and sync()
+     * throws, naming the first error.
+     */
     void append(std::string_view bytes);
 
     /**
@@ -125,8 +132,14 @@ class DurableFile
     const std::string &path() const { return path_; }
 
   private:
+    /** @throws FileError when a failed append could not be cut back. */
+    void refuseIfBroken() const;
+
     std::string path_;
     int fd_ = -1;
+    /** The error of an append whose partial bytes could not be cut
+     *  back, or "": past it the file's tail is unknown. */
+    std::string broken_;
     std::uint64_t offset_ = 0;
     std::uint64_t syncedOffset_ = 0;
     /** Changed since the last sync(). A fresh handle starts dirty: the

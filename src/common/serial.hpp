@@ -39,6 +39,11 @@ class SerialError : public std::runtime_error
 class Encoder
 {
   public:
+    Encoder() = default;
+    /** Append after `buffer`'s bytes, in its storage: moving a buffer
+     *  in and take()-ing it back allocates nothing while it has room. */
+    explicit Encoder(std::string buffer) : out_(std::move(buffer)) {}
+
     void writeU8(std::uint8_t value);
     void writeU32(std::uint32_t value);
     void writeU64(std::uint64_t value);

@@ -42,22 +42,44 @@ std::string
 encodeFrame(const FramedLogSpec &spec, const std::string &path,
             std::uint8_t type, std::string_view payload)
 {
-    if (payload.size() > spec.maxPayload)
+    std::string frame;
+    beginFrame(type, frame);
+    frame += payload;
+    endFrame(spec, path, 0, frame);
+    return frame;
+}
+
+std::size_t
+beginFrame(std::uint8_t type, std::string &out)
+{
+    const std::size_t start = out.size();
+    out.push_back(static_cast<char>(type));
+    out.append(4, '\0');
+    return start;
+}
+
+void
+endFrame(const FramedLogSpec &spec, const std::string &path,
+         std::size_t start, std::string &out)
+{
+    const std::size_t len = out.size() - start - 5;
+    if (len > spec.maxPayload) {
         // The reader rejects such a frame even at the tail, so writing
         // it would leave a file that can never be recovered.
+        out.resize(start);
         fail(spec, path,
-             ": frame of " + std::to_string(payload.size()) +
-                 " bytes exceeds the " + std::to_string(spec.maxPayload) +
+             ": frame of " + std::to_string(len) + " bytes exceeds the " +
+                 std::to_string(spec.maxPayload) +
                  "-byte frame cap; nothing written");
-    Encoder enc;
-    enc.writeU8(type);
-    enc.writeU32(static_cast<std::uint32_t>(payload.size()));
-    std::string frame = enc.take();
-    frame += payload;
-    Encoder sum;
-    sum.writeU64(frameChecksum(type, payload));
-    frame += sum.bytes();
-    return frame;
+    }
+    for (std::size_t i = 0; i < 4; ++i)
+        out[start + 1 + i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
+    const auto type = static_cast<std::uint8_t>(out[start]);
+    const std::uint64_t sum =
+        frameChecksum(type, std::string_view(out).substr(start + 5, len));
+    Encoder enc(std::move(out));
+    enc.writeU64(sum);
+    out = enc.take();
 }
 
 FramedLogScan
@@ -150,17 +172,24 @@ FramedLogWriter::FramedLogWriter(const FramedLogSpec &spec,
 void
 FramedLogWriter::append(std::uint8_t type, std::string_view payload)
 {
-    const std::string frame =
-        encodeFrame(spec_, file_.path(), type, payload);
+    appendFrame(encodeFrame(spec_, file_.path(), type, payload));
+}
+
+void
+FramedLogWriter::appendFrame(std::string_view frame)
+{
     if (spec_.tornWritePoint != nullptr &&
-        CrashPoints::fires(spec_.tornWritePoint)) {
-        // Die mid-append: persist only a prefix of the frame, exactly
-        // what a crash between write() calls would leave behind.
-        file_.append(std::string_view(frame).substr(0, frame.size() / 2));
-        file_.sync();
-        CrashPoints::crash(spec_.tornWritePoint);
-    }
+        CrashPoints::fires(spec_.tornWritePoint))
+        tear(frame);
     file_.append(frame);
+}
+
+void
+FramedLogWriter::tear(std::string_view frame)
+{
+    file_.append(frame.substr(0, frame.size() / 2));
+    file_.sync();
+    CrashPoints::crash(spec_.tornWritePoint);
 }
 
 } // namespace qismet

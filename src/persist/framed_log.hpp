@@ -24,6 +24,7 @@
 #ifndef QISMET_PERSIST_FRAMED_LOG_HPP
 #define QISMET_PERSIST_FRAMED_LOG_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
+#include "common/serial.hpp"
 
 namespace qismet {
 
@@ -98,6 +100,37 @@ std::string encodeFramedLogHeader(const FramedLogSpec &spec,
 std::string encodeFrame(const FramedLogSpec &spec, const std::string &path,
                         std::uint8_t type, std::string_view payload);
 
+/** Start a frame at the end of `out`: its type byte and a length that
+ *  endFrame fills in. Returns the frame's offset in `out`. */
+std::size_t beginFrame(std::uint8_t type, std::string &out);
+
+/**
+ * Finish the frame begun at `start` once its payload follows it: fill in
+ * the length and append the checksum. @throws the spec's error, with
+ * `out` cut back to `start`, when the payload is over the cap.
+ */
+void endFrame(const FramedLogSpec &spec, const std::string &path,
+              std::size_t start, std::string &out);
+
+/**
+ * Encode one frame onto the end of `out`: the bytes encodeFrame returns
+ * for the payload `record.encode(Encoder &)` writes, built in `out`'s
+ * own storage, so a buffer with room allocates nothing. @throws the
+ * spec's error, leaving `out` as it was, when the payload is over the
+ * cap.
+ */
+template <typename Record>
+void
+encodeFrameInto(const FramedLogSpec &spec, const std::string &path,
+                std::uint8_t type, const Record &record, std::string &out)
+{
+    const std::size_t start = beginFrame(type, out);
+    Encoder enc(std::move(out));
+    record.encode(enc);
+    out = enc.take();
+    endFrame(spec, path, start, out);
+}
+
 /**
  * Read and validate a whole file: every frame is checksummed, and no
  * payload is copied. @throws FileError when it cannot be read, the
@@ -122,9 +155,24 @@ class FramedLogWriter
     /** Append one frame; see encodeFrame for the cap. */
     void append(std::uint8_t type, std::string_view payload);
 
+    /** Append one encoded frame, or tear it (see tear()) when the
+     *  spec's torn-write crash point fires. */
+    void appendFrame(std::string_view frame);
+
+    /** Write bytes that hold whole frames encoded for this log, in one
+     *  write. Evaluates no crash point: a caller that batches frames
+     *  evaluates its own as it encodes them. */
+    void appendEncoded(std::string_view frames) { file_.append(frames); }
+
+    /** Die mid-append at the spec's torn-write crash point: write the
+     *  first half of `frame` and fsync, which is what a crash between
+     *  two write() calls leaves behind. */
+    [[noreturn]] void tear(std::string_view frame);
+
     void sync() { file_.sync(); }
     std::uint64_t offset() const { return file_.offset(); }
     std::uint64_t syncedOffset() const { return file_.syncedOffset(); }
+    const std::string &path() const { return file_.path(); }
 
   private:
     const FramedLogSpec &spec_;

@@ -103,21 +103,44 @@ JournalWriter::JournalWriter(const std::string &path,
 void
 JournalWriter::appendJob(const JournalJobRecord &record)
 {
-    Encoder enc;
-    record.encode(enc);
-    log_.append(static_cast<std::uint8_t>(JournalFrameType::Job),
-                enc.bytes());
+    std::string frame;
+    encodeJob(record, frame);
+    log_.appendFrame(frame);
     ++frames_;
 }
 
 void
 JournalWriter::appendIteration(const JournalIterationRecord &record)
 {
-    Encoder enc;
-    record.encode(enc);
-    log_.append(static_cast<std::uint8_t>(JournalFrameType::Iteration),
-                enc.bytes());
+    std::string frame;
+    encodeIteration(record, frame);
+    log_.appendFrame(frame);
     ++frames_;
+}
+
+void
+JournalWriter::encodeJob(const JournalJobRecord &record,
+                         std::string &frames) const
+{
+    encodeFrameInto(kJournalLog, log_.path(),
+                    static_cast<std::uint8_t>(JournalFrameType::Job), record,
+                    frames);
+}
+
+void
+JournalWriter::encodeIteration(const JournalIterationRecord &record,
+                               std::string &frames) const
+{
+    encodeFrameInto(kJournalLog, log_.path(),
+                    static_cast<std::uint8_t>(JournalFrameType::Iteration),
+                    record, frames);
+}
+
+void
+JournalWriter::appendEncoded(std::string_view frames, std::uint64_t count)
+{
+    log_.appendEncoded(frames);
+    frames_ += count;
 }
 
 } // namespace qismet

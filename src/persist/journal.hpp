@@ -5,12 +5,14 @@
  *
  * The journal is a framed log (persist/framed_log.hpp) with magic
  * "QJNL" and the run's config digest in its header. It is
- * group-committed: appends carry no fsync, and sync(), which
- * CheckpointManager calls right before each snapshot, makes every frame
- * written so far durable. DESIGN.md §10 sets out what a process death
- * or an OS crash leaves: never more than the frames past the last
- * snapshot, which recovery discards and re-executes, and a reader that
- * drops a torn tail and throws JournalError on anything else.
+ * group-committed: appends carry no fsync, and sync() makes every frame
+ * written so far durable. CheckpointManager encodes a run's frames into
+ * memory and each snapshot's commit writes them in one appendEncoded()
+ * and syncs, right before the snapshot frame. DESIGN.md §10 sets out
+ * what a process death or an OS crash leaves: never more than the
+ * frames past the last snapshot, which recovery discards and
+ * re-executes, and a reader that drops a torn tail and throws
+ * JournalError on anything else.
  */
 
 #ifndef QISMET_PERSIST_JOURNAL_HPP
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/serial.hpp"
@@ -123,6 +126,29 @@ class JournalWriter
      */
     void appendJob(const JournalJobRecord &record);
     void appendIteration(const JournalIterationRecord &record);
+
+    /**
+     * Encode the frame appendJob / appendIteration would write onto the
+     * end of `frames`, without writing it (see encodeFrameInto).
+     * @throws JournalError, leaving `frames` as it was, when the frame
+     * is over the reader's frame cap.
+     */
+    void encodeJob(const JournalJobRecord &record,
+                   std::string &frames) const;
+    void encodeIteration(const JournalIterationRecord &record,
+                         std::string &frames) const;
+
+    /**
+     * Write `count` frames encoded by encodeJob / encodeIteration, in
+     * one write; like appendJob, they are in the file when it returns.
+     * Evaluates no crash point: a caller that batches frames evaluates
+     * kCrashJournalTornWrite as it encodes each one.
+     */
+    void appendEncoded(std::string_view frames, std::uint64_t count);
+
+    /** Die mid-append at kCrashJournalTornWrite, as appendJob does when
+     *  it fires: half of `frame` written and fsynced. */
+    [[noreturn]] void tear(std::string_view frame) { log_.tear(frame); }
 
     /** fsync the journal: every frame written so far becomes durable. */
     void sync() { log_.sync(); }

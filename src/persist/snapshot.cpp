@@ -44,6 +44,13 @@ std::string
 RunSnapshot::encode() const
 {
     Encoder enc;
+    encode(enc);
+    return enc.take();
+}
+
+void
+RunSnapshot::encode(Encoder &enc) const
+{
     enc.writeU64(configDigest);
     enc.writeU64(journalFrames);
     enc.writeU64(journalOffset);
@@ -68,7 +75,6 @@ RunSnapshot::encode() const
     enc.writeU64(executorCircuits);
     enc.writeString(policyState);
     enc.writeString(optimizerState);
-    return enc.take();
 }
 
 RunSnapshot
@@ -163,7 +169,16 @@ SnapshotWriter::SnapshotWriter(const std::string &path,
 void
 SnapshotWriter::append(const RunSnapshot &snapshot)
 {
-    log_.append(kSnapshotFrame, snapshot.encode());
+    std::string frame;
+    encode(snapshot, frame);
+    log_.appendFrame(frame);
+}
+
+void
+SnapshotWriter::encode(const RunSnapshot &snapshot, std::string &frame) const
+{
+    encodeFrameInto(kSnapshotLog, log_.path(), kSnapshotFrame, snapshot,
+                    frame);
 }
 
 } // namespace qismet

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "persist/framed_log.hpp"
 
 namespace qismet {
@@ -96,6 +97,7 @@ struct RunSnapshot
 
     /** Serialize to the on-disk payload. */
     std::string encode() const;
+    void encode(Encoder &enc) const;
 
     /** @throws SnapshotError on truncated or malformed payload. */
     static RunSnapshot decode(std::string_view payload);
@@ -143,6 +145,19 @@ class SnapshotWriter
     /** Append one snapshot. @throws SnapshotError, before writing a
      *  byte, when it is over the frame cap. */
     void append(const RunSnapshot &snapshot);
+
+    /** Encode the frame append() would write onto the end of `frame`,
+     *  without writing it. @throws SnapshotError, leaving `frame` as it
+     *  was, when it is over the frame cap. */
+    void encode(const RunSnapshot &snapshot, std::string &frame) const;
+
+    /** Write a frame encode() encoded; in the file when it returns.
+     *  Evaluates no crash point (see JournalWriter::appendEncoded). */
+    void appendEncoded(std::string_view frame) { log_.appendEncoded(frame); }
+
+    /** Die mid-append at kCrashSnapshotTornWrite, as append() does when
+     *  it fires: half of `frame` written and fsynced. */
+    [[noreturn]] void tear(std::string_view frame) { log_.tear(frame); }
 
     void sync() { log_.sync(); }
 

@@ -240,6 +240,8 @@ VqeDriver::run(const std::vector<double> &initial_theta)
     };
 
     // Write-ahead journal one executed job (no-op without durability).
+    // One record serves every job: its point keeps its capacity.
+    JournalJobRecord jr;
     auto journal_job = [&](const VqeJobRecord &rec,
                            const std::vector<double> &point,
                            double shot_fraction, bool has_reference,
@@ -247,7 +249,6 @@ VqeDriver::run(const std::vector<double> &initial_theta)
                            double transient_estimate) {
         if (ckpt == nullptr)
             return;
-        JournalJobRecord jr;
         jr.jobIndex = rec.jobIndex;
         jr.evalIndex = rec.evalIndex;
         jr.retryIndex = rec.retryIndex;
@@ -449,9 +450,12 @@ VqeDriver::run(const std::vector<double> &initial_theta)
 
     // Final snapshot: a completed (or budget-exhausted) run leaves its
     // checkpoint at the end, so resuming it is a deterministic no-op
-    // that just recomputes the final statistics.
-    if (ckpt != nullptr)
+    // that just recomputes the final statistics. The run returns once
+    // that snapshot is durable.
+    if (ckpt != nullptr) {
         snapshot_now();
+        ckpt->flush();
+    }
 
     result.finalTheta = theta;
     result.circuitsUsed = executor_.circuitsExecuted();

@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "common/file_size_limit.hpp"
 #include "common/scratch_dir.hpp"
 
 namespace qismet {
@@ -211,6 +212,34 @@ TEST_F(AtomicFileTest, DurableFileTruncateModeEmptiesExistingFile)
     file.append("new");
     file.sync();
     EXPECT_EQ(readFile(p), "new");
+}
+
+TEST_F(AtomicFileTest, DurableFileCutsAFailedAppendBack)
+{
+    // An append that fails part-way (a full disk; here a file-size
+    // limit that lets 6 of its 32 bytes through) leaves none of its
+    // bytes behind, so the next append lands where it began.
+    const std::string p = path("journal.bin");
+    DurableFile file(p, DurableFile::Mode::Truncate);
+    file.append("head");
+    file.sync();
+    std::string error;
+    {
+        const test::FileSizeLimit limit(10);
+        try {
+            file.append(std::string(32, 'x'));
+        }
+        catch (const FileError &e) {
+            error = e.what();
+        }
+    }
+    EXPECT_NE(error.find("write '" + p + "'"), std::string::npos) << error;
+    EXPECT_EQ(file.offset(), 4u);
+    EXPECT_EQ(fs::file_size(p), 4u);
+    file.append("tail");
+    file.sync();
+    EXPECT_EQ(file.syncedOffset(), 8u);
+    EXPECT_EQ(readFile(p), "headtail");
 }
 
 } // namespace

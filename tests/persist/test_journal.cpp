@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "common/rng.hpp"
 #include "fault/crash_point.hpp"
 
+#include "common/file_size_limit.hpp"
 #include "common/scratch_dir.hpp"
 
 namespace qismet {
@@ -624,6 +626,42 @@ TEST_F(JournalTest, OversizedFrameIsRejectedBeforeAnyByte)
     EXPECT_EQ(scan.cleanOffset, before);
 }
 
+TEST_F(JournalTest, ManifestAppendPastAFileSizeLimitLeavesNoTornFrame)
+{
+    // A submit fails part-way through its frame (a full disk; here a
+    // file-size limit) and the scheduler carries on. The next submit
+    // must land behind the last whole frame: behind the partial one,
+    // the reader would refuse the log as corrupt (a cut in the payload)
+    // or drop every later frame as a torn tail (a cut in the header).
+    for (const std::uint64_t cut : {3u, 40u}) {
+        SCOPED_TRACE("cut " + std::to_string(cut) + " bytes into the frame");
+        const std::string p = path("manifest.qsvm");
+        ServeManifest manifest(p, kDigest, DurableFile::Mode::Truncate);
+        manifest.appendSubmit(1, sampleSpec(0));
+        manifest.appendCancel(1);
+        bool failed = false;
+        {
+            const test::FileSizeLimit limit(fs::file_size(p) + cut);
+            try {
+                manifest.appendSubmit(2, sampleSpec(1));
+            }
+            catch (const FileError &) {
+                failed = true;
+            }
+        }
+        EXPECT_TRUE(failed);
+        manifest.appendSubmit(3, sampleSpec(2));
+
+        const ManifestScan scan = scanManifest(p);
+        EXPECT_FALSE(scan.tornTail) << scan.diagnostic;
+        ASSERT_EQ(scan.submitted.size(), 2u);
+        EXPECT_EQ(scan.submitted[0].first, 1u);
+        EXPECT_EQ(scan.submitted[1].first, 3u);
+        EXPECT_EQ(scan.cancelled, std::set<std::uint64_t>{1});
+        EXPECT_EQ(scan.cleanOffset, fs::file_size(p));
+    }
+}
+
 // ---- seeded fuzz, over all three formats ---------------------------------
 
 TEST_F(JournalTest, BitFlipFuzzNeverMisparses)
@@ -923,6 +961,168 @@ TEST_F(JournalTest, JournalIsSyncedOncePerSnapshot)
     mgr.appendJob(sampleJob(4));
     EXPECT_EQ(mgr.journal().syncedOffset(), snap.journalOffset);
     EXPECT_GT(mgr.journal().offset(), snap.journalOffset);
+}
+
+/** Run the same appends and three snapshots through a fresh manager in
+ *  `dir`, the second and third committed by its committer thread. */
+void writeThreeSnapshots(const std::string &dir, bool flush)
+{
+    CheckpointConfig cfg;
+    cfg.dir = dir;
+    CheckpointManager mgr(cfg, kDigest);
+    mgr.beginFresh();
+    for (std::uint64_t s = 0; s < 3; ++s) {
+        for (std::uint64_t i = 0; i < 4; ++i)
+            mgr.appendJob(sampleJob(4 * s + i));
+        JournalIterationRecord it;
+        it.iteration = s;
+        mgr.appendIteration(it);
+        RunSnapshot snap;
+        snap.iteration = s + 1;
+        mgr.writeSnapshot(snap);
+    }
+    if (flush)
+        mgr.flush();
+}
+
+TEST_F(JournalTest, ManagerDestroyedMidCommitLeavesWhatFlushLeaves)
+{
+    // The destructor waits for the commit in flight, so a manager
+    // dropped right after writeSnapshot leaves the same files as one
+    // that flushed first, and the snapshot is the one recovery finds.
+    writeThreeSnapshots(path("flushed"), true);
+    writeThreeSnapshots(path("dropped"), false);
+    for (const char *file : {"/journal.qjnl", "/snapshot.qsnp"})
+        EXPECT_EQ(readFile(path("dropped") + file),
+                  readFile(path("flushed") + file))
+            << file;
+
+    CheckpointConfig cfg;
+    cfg.dir = path("dropped");
+    cfg.resume = true;
+    CheckpointManager resumer(cfg, kDigest);
+    const auto recovered = resumer.recover();
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(recovered->snapshot.iteration, 3u);
+    EXPECT_EQ(recovered->frames.size(), 15u);
+    EXPECT_EQ(recovered->snapshot.journalOffset,
+              fs::file_size(cfg.dir + "/journal.qjnl"));
+    EXPECT_TRUE(resumer.diagnostics().empty()) << resumer.diagnostics();
+}
+
+TEST_F(JournalTest, BufferedFramesAreWrittenBehindTheLastCommit)
+{
+    // Frames past the last snapshot wait in memory: the journal's
+    // progress counts them, its synced offset does not move, and the
+    // destructor writes them (without an fsync) behind the last commit.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    std::uint64_t committed = 0;
+    {
+        CheckpointManager mgr(cfg, kDigest);
+        mgr.beginFresh();
+        mgr.appendJob(sampleJob(0));
+        mgr.writeSnapshot(RunSnapshot{});
+        mgr.appendJob(sampleJob(1));
+        mgr.writeSnapshot(RunSnapshot{});
+        mgr.flush();
+        committed = mgr.journal().offset();
+        EXPECT_EQ(mgr.journal().syncedOffset(), committed);
+        mgr.appendJob(sampleJob(2));
+        mgr.appendJob(sampleJob(3));
+        EXPECT_EQ(mgr.journal().frames(), 4u);
+        EXPECT_GT(mgr.journal().offset(), committed);
+        EXPECT_EQ(mgr.journal().syncedOffset(), committed);
+        EXPECT_EQ(fs::file_size(mgr.journalPath()), committed);
+    }
+    const JournalScanResult scan = scanJournal(cfg.dir + "/journal.qjnl");
+    EXPECT_FALSE(scan.tornTail);
+    ASSERT_EQ(scan.frames.size(), 4u);
+    EXPECT_EQ(scan.frames[1].endOffset, committed);
+    for (std::size_t i = 0; i < scan.frames.size(); ++i) {
+        Decoder dec(scan.frames[i].payload);
+        EXPECT_EQ(JournalJobRecord::decode(dec).jobIndex, i);
+    }
+}
+
+TEST_F(JournalTest, TornWriteBehindBufferedFramesWritesThemFirst)
+{
+    // The torn-write crash point fires on a buffered frame: every frame
+    // before it is written, then half of it, as when each frame was
+    // written at once, and no byte follows.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    {
+        CheckpointManager mgr(cfg, kDigest);
+        mgr.beginFresh();
+        mgr.appendJob(sampleJob(0));
+        mgr.writeSnapshot(RunSnapshot{});
+        mgr.appendJob(sampleJob(1));
+        mgr.writeSnapshot(RunSnapshot{});
+        CrashPointGuard guard(kCrashJournalTornWrite, 3);
+        try {
+            for (std::uint64_t i = 2; i < 8; ++i)
+                mgr.appendJob(sampleJob(i));
+            FAIL() << "the torn journal write never fired";
+        }
+        catch (const SimulatedCrash &crash) {
+            EXPECT_EQ(crash.point(), kCrashJournalTornWrite);
+        }
+    }
+    const JournalScanResult scan = scanJournal(cfg.dir + "/journal.qjnl");
+    EXPECT_TRUE(scan.tornTail);
+    ASSERT_EQ(scan.frames.size(), 4u); // two committed, two buffered
+    for (std::size_t i = 0; i < scan.frames.size(); ++i) {
+        Decoder dec(scan.frames[i].payload);
+        EXPECT_EQ(JournalJobRecord::decode(dec).jobIndex, i);
+    }
+    std::string frame;
+    JournalWriter(path("one.qjnl"), kDigest, DurableFile::Mode::Truncate)
+        .encodeJob(sampleJob(4), frame);
+    EXPECT_EQ(scan.droppedBytes, frame.size() / 2);
+
+    cfg.resume = true;
+    CheckpointManager resumer(cfg, kDigest);
+    const auto recovered = resumer.recover();
+    ASSERT_TRUE(recovered.has_value());
+    EXPECT_EQ(recovered->frames.size(), 2u);
+}
+
+TEST_F(JournalTest, FailedCommitThrowsFromFlushNamingTheJournal)
+{
+    // The committer's journal write hits a file-size limit: the journal
+    // is cut back to the last commit, flush() throws the FileError,
+    // which names the journal, and so does every later snapshot.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    const std::string journal = cfg.dir + "/journal.qjnl";
+    CheckpointManager mgr(cfg, kDigest);
+    mgr.beginFresh();
+    mgr.appendJob(sampleJob(0));
+    mgr.writeSnapshot(RunSnapshot{});
+    const std::string committed = readFile(journal);
+    const std::string snapshots = readFile(mgr.snapshotPath());
+    for (std::uint64_t i = 1; i < 6; ++i)
+        mgr.appendJob(sampleJob(i));
+    std::string error;
+    {
+        const test::FileSizeLimit limit(committed.size() + 100);
+        mgr.writeSnapshot(RunSnapshot{});
+        try {
+            mgr.flush();
+        }
+        catch (const FileError &e) {
+            error = e.what();
+        }
+    }
+    EXPECT_NE(error.find("write '" + journal + "'"), std::string::npos)
+        << error;
+    EXPECT_EQ(readFile(journal), committed);
+    EXPECT_EQ(readFile(mgr.snapshotPath()), snapshots);
+    EXPECT_THROW(mgr.flush(), FileError);
+    mgr.appendJob(sampleJob(6));
+    EXPECT_THROW(mgr.writeSnapshot(RunSnapshot{}), FileError);
+    EXPECT_EQ(readFile(mgr.snapshotPath()), snapshots);
 }
 
 TEST_F(JournalTest, FreshAndVirginDirectoriesRecoverToNothing)

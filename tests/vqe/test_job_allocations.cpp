@@ -10,9 +10,13 @@
  * or a QISMET run, with Spsa behind a decorator that reads the
  * allocation counter as each iteration's plan() begins; the second
  * half of the run must allocate exactly what Spsa::plan and propose
- * return. The count comes from replacing the global operator new below,
- * which is why this suite has a binary of its own and is left out of
- * the sanitizer builds: their runtimes bring allocators of their own.
+ * return. A checkpointed run must too, in every iteration that takes no
+ * snapshot: its journal frames are encoded into a reused commit buffer
+ * and the committer thread trades buffers with the driver. The count
+ * comes from replacing the global operator new below (every thread's
+ * allocations count), which is why this suite has a binary of its own
+ * and is left out of the sanitizer builds: their runtimes bring
+ * allocators of their own.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new> // qismet-lint: allow(naked-new) the header, not an expression
 #include <string>
@@ -31,9 +36,12 @@
 #include "core/qismet_vqe.hpp"
 #include "core/threshold_calibrator.hpp"
 #include "optim/spsa.hpp"
+#include "persist/checkpoint.hpp"
 #include "vqe/energy_estimator.hpp"
 #include "vqe/job.hpp"
 #include "vqe/vqe_driver.hpp"
+
+#include "common/scratch_dir.hpp"
 
 namespace {
 
@@ -121,11 +129,13 @@ class CountingSpsa final : public StochasticOptimizer
 };
 
 /**
- * Heap allocations per iteration over the second half of a 2000-job
- * Analytic run of `app`, built the way QismetVqe::run builds `scheme`.
+ * The allocation counter as each iteration's plan() begins, over a
+ * 2000-job Analytic run of `app` built the way QismetVqe::run builds
+ * `scheme`, journaled through `checkpoint` when it is not null.
  */
-double
-allocationsPerIteration(const Application &app, Scheme scheme)
+std::vector<std::size_t>
+countersAtPlan(const Application &app, Scheme scheme,
+               CheckpointManager *checkpoint = nullptr)
 {
     const QismetVqeConfig cfg; // the defaults QismetVqe::run reads
     EstimatorConfig est_cfg;
@@ -163,6 +173,7 @@ allocationsPerIteration(const Application &app, Scheme scheme)
     dcfg.totalJobs = kJobs;
     dcfg.seed = cfg.seed;
     dcfg.retry.maxRetries = cfg.retryBudget;
+    dcfg.checkpoint = checkpoint;
     VqeDriver driver(estimator, executor, optimizer, *policy, dcfg);
 
     Rng init_rng(cfg.seed ^ 0xA5A5A5A5ull);
@@ -172,10 +183,19 @@ allocationsPerIteration(const Application &app, Scheme scheme)
         t = init_rng.uniform(-M_PI, M_PI);
     const VqeRunResult run = driver.run(theta0);
     EXPECT_EQ(run.jobsUsed, kJobs);
+    EXPECT_GT(optimizer.atPlan().size(), 100u);
+    return optimizer.atPlan();
+}
 
+/**
+ * Heap allocations per iteration over the second half of a 2000-job
+ * Analytic run of `app`, built the way QismetVqe::run builds `scheme`.
+ */
+double
+allocationsPerIteration(const Application &app, Scheme scheme)
+{
     // From the plan() of the middle iteration to that of the last one.
-    const std::vector<std::size_t> &at = optimizer.atPlan();
-    EXPECT_GT(at.size(), 100u);
+    const std::vector<std::size_t> at = countersAtPlan(app, scheme);
     const std::size_t first = at.size() / 2;
     const std::size_t last = at.size() - 1;
     return static_cast<double>(at[last] - at[first]) /
@@ -192,6 +212,30 @@ TEST(WarmJobAllocations, OnlyTheOptimizerVectorsAllocate)
             EXPECT_EQ(allocationsPerIteration(app, scheme), expected)
                 << "App" << index << " " << schemeName(scheme);
     }
+}
+
+TEST(WarmJobAllocations, ACheckpointedRunAllocatesOnlyAtItsSnapshots)
+{
+    // App 1 as QISMET, journaled with a snapshot every 10 iterations.
+    // Iteration k runs from its plan() to the next one, and the snapshot
+    // due at boundary k + 1 is taken before that next plan(); every
+    // other iteration of the warm half makes the optimizer's vectors
+    // and nothing else, while the committer commits the last snapshot.
+    constexpr std::size_t kCadence = 10;
+    const std::filesystem::path dir = test::scratchDir("qismet_vqe_alloc");
+    CheckpointManager checkpoint({dir.string(), kCadence, false}, 1);
+    const std::vector<std::size_t> at =
+        countersAtPlan(application(1), Scheme::Qismet, &checkpoint);
+    const std::size_t expected = kPlanAllocations + kProposeAllocations;
+    std::size_t checked = 0;
+    for (std::size_t k = at.size() / 2; k + 1 < at.size(); ++k) {
+        if ((k + 1) % kCadence == 0)
+            continue;
+        EXPECT_EQ(at[k + 1] - at[k], expected) << "iteration " << k;
+        ++checked;
+    }
+    EXPECT_GT(checked, 50u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(WarmJobAllocations, TheCounterSeesAnAllocation)

@@ -91,9 +91,11 @@ smoke=./build/examples/checkpoint_resume
 smoke_args=(--app 1 --jobs 120 --faults --seed 23)
 want=$("$smoke" "${smoke_args[@]}" --threads 4 | head -1)
 # Two legs, both killed after 6 iterations. Cadence 1 dies right after
-# a snapshot synced the journal. Cadence 4 dies two iterations past the
-# last snapshot, inside the group-commit window: the frames behind the
-# crash were written but never fsynced, and recovery must discard them.
+# handing a snapshot to the committer thread, so the process ends at
+# some point of that commit: recovery resumes from the last snapshot
+# whose commit finished. Cadence 4 dies two iterations past the last
+# snapshot: the frames behind the crash were still in memory, never
+# written, and the resume re-executes them.
 for cadence in 1 4; do
     ckpt_dir="$ckpt_root/every-$cadence"
     # The kill leg must die with the crash exit code, not finish.
@@ -126,12 +128,14 @@ stage "fsync economy of a checkpointed run (LD_PRELOAD counter)"
 # snapshots, each one journal fsync and one snapshot-log fsync, plus
 # one fsync per log header, less the first snapshot's journal fsync,
 # which has nothing to flush: 37. Snapshots are appended, never
-# renamed into place: 0 renames.
+# renamed into place: 0 renames. Journal frames are written in one
+# batch per commit, not one write each: 2 headers, 17 batches (the
+# first snapshot has none) and 18 snapshot frames make 37 writes.
 counts=$(LD_PRELOAD=./build/tools/libfsync_count.so "$smoke" \
     --app 1 --jobs 400 --faults --seed 23 --snapshot-every 10 \
     --checkpoint-dir "$ckpt_root/fsync" 2>&1 >/dev/null |
     grep '^fsync_count:' || true)
-want_counts="fsync_count: fsync 37 fdatasync 0 rename 0"
+want_counts="fsync_count: fsync 37 fdatasync 0 rename 0 write 37 pwrite 0"
 if [[ "$counts" != "$want_counts" ]]; then
     echo "ci: checkpointed run counted '$counts', expected" \
         "'$want_counts'" >&2
