@@ -161,7 +161,7 @@ BENCHMARK(BM_PlanEvaluate)
 void
 BM_PlanCompile(benchmark::State &state)
 {
-    // The cache-miss cost the ExpectationPlanCache amortizes away.
+    // The compile every EnergyEstimator pays once, in its constructor.
     const int n = static_cast<int>(state.range(0));
     const PauliSum h = benchHamiltonian(n);
     for (auto _ : state) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/format_double.hpp"
+
 namespace qismet {
 
 namespace {
@@ -174,8 +176,12 @@ Rng::poisson(double mean)
 std::uint64_t
 Rng::poisson(double mean, double expNegMean)
 {
-    if (mean < 0.0)
-        throw std::invalid_argument("Rng::poisson: mean must be non-negative");
+    // Negated so that a NaN fails it; an infinite mean would reach the
+    // integer cast below.
+    if (!(mean >= 0.0) || std::isinf(mean))
+        throw std::invalid_argument("Rng::poisson: mean = " +
+                                    formatDouble(mean) +
+                                    " must be finite and >= 0");
     if (mean == 0.0)
         return 0;
     if (mean < 30.0) {

@@ -22,12 +22,8 @@ runConfigDigest(const QismetVqeConfig &config, int num_params)
     enc.writeU64(config.totalJobs);
     enc.writeU64(config.seed);
     enc.writeI64(config.traceVersion);
-    // estimator.planCache/planCacheTenant are deliberately not encoded:
-    // a plan is a pure function of its Hamiltonian, so a cache hit is
-    // bit-identical to a fresh compile and cannot change the trajectory
-    // the digest certifies. The runtime knobs (QISMET_SIMD,
-    // QISMET_THREADS) are bit-identical at every setting, so they stay
-    // out too.
+    // The runtime knobs (QISMET_SIMD, QISMET_THREADS) are bit-identical
+    // at every setting, so they are not encoded.
     enc.writeU32(static_cast<std::uint32_t>(config.estimator.mode));
     enc.writeU64(config.estimator.shots);
     enc.writeBool(config.estimator.mitigateMeasurement);

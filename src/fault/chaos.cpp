@@ -1,13 +1,30 @@
 #include "fault/chaos.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/atomic_file.hpp"
+#include "common/format_double.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 
 namespace qismet {
+
+namespace {
+
+/** An event rate is a Poisson mean: NaN or infinity would reach its
+ *  integer cast. The comparison is negated so that a NaN fails it. */
+void
+requireRate(double rate, const char *field)
+{
+    if (!(rate >= 0.0) || std::isinf(rate))
+        throw std::invalid_argument(std::string("ChaosConfig: ") + field +
+                                    " = " + formatDouble(rate) +
+                                    " must be finite and >= 0");
+}
+
+} // namespace
 
 std::string
 chaosKindName(ChaosKind kind)
@@ -31,10 +48,9 @@ ChaosConfig::validate() const
     if (horizonTicks < 16)
         throw std::invalid_argument(
             "ChaosConfig: horizonTicks must be at least 16");
-    if (outagesPerBackend < 0.0 || slowdownsPerBackend < 0.0 ||
-        stormsPerBackend < 0.0)
-        throw std::invalid_argument(
-            "ChaosConfig: negative event rate");
+    requireRate(outagesPerBackend, "outagesPerBackend");
+    requireRate(slowdownsPerBackend, "slowdownsPerBackend");
+    requireRate(stormsPerBackend, "stormsPerBackend");
 }
 
 ChaosSchedule::ChaosSchedule(std::vector<ChaosEvent> events)
@@ -45,9 +61,10 @@ ChaosSchedule::ChaosSchedule(std::vector<ChaosEvent> events)
             throw std::invalid_argument(
                 "ChaosSchedule: empty or inverted window for " +
                 chaosKindName(e.kind));
-        if (e.magnitude < 1.0)
+        if (!(e.magnitude >= 1.0) || std::isinf(e.magnitude))
             throw std::invalid_argument(
-                "ChaosSchedule: magnitude below 1 for " +
+                "ChaosSchedule: magnitude = " + formatDouble(e.magnitude) +
+                " must be finite and >= 1 for " +
                 chaosKindName(e.kind));
     }
     std::sort(events_.begin(), events_.end(),

@@ -83,9 +83,8 @@ expectation(const Statevector &state, const PauliSum &hamiltonian)
 {
     // Compile and evaluate through the batched single-sweep engine.
     // Callers that evaluate the same sum repeatedly should hold an
-    // ExpectationPlan (or lease one from an ExpectationPlanCache)
-    // instead of paying the compile step per call; EnergyEstimator
-    // does exactly that.
+    // ExpectationPlan instead of paying the compile step per call;
+    // EnergyEstimator does exactly that.
     return ExpectationPlan(hamiltonian).evaluate(state);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -37,8 +38,7 @@ threadScratch(std::size_t doubles)
 } // namespace
 
 ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
-    : numQubits_(hamiltonian.numQubits()),
-      fingerprint_(hamiltonian.fingerprint())
+    : numQubits_(hamiltonian.numQubits())
 {
     const auto &terms = hamiltonian.terms();
     coefficients_.reserve(terms.size());
@@ -218,62 +218,6 @@ std::shared_ptr<const ExpectationPlan>
 compileExpectationPlan(const PauliSum &hamiltonian)
 {
     return std::make_shared<const ExpectationPlan>(hamiltonian);
-}
-
-std::shared_ptr<const ExpectationPlan>
-ExpectationPlanCache::acquire(const PauliSum &hamiltonian,
-                              std::uint64_t tenant_id)
-{
-    const std::pair<std::uint64_t, std::uint64_t> key{
-        tenant_id, hamiltonian.fingerprint()};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-        ++hits_;
-        return it->second;
-    }
-    ++misses_;
-    auto plan = std::make_shared<const ExpectationPlan>(hamiltonian);
-    plans_.emplace(key, plan);
-    return plan;
-}
-
-void
-ExpectationPlanCache::clear()
-{
-    // Swap the map out under the lock and let it destruct unlocked:
-    // dropping the cache's references must not run arbitrary plan
-    // destructors while holding mutex_.
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             std::shared_ptr<const ExpectationPlan>>
-        dropped;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        dropped.swap(plans_);
-    }
-}
-
-std::size_t
-ExpectationPlanCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // The callee is std::map::size on a member container, not a
-    // project method; no second project mutex is reachable from here.
-    return plans_.size(); // qismet-lint: allow(lock-order)
-}
-
-std::uint64_t
-ExpectationPlanCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-ExpectationPlanCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
 }
 
 } // namespace qismet

@@ -1,7 +1,6 @@
 /**
  * @file
- * Compiled expectation plans: the lane-per-term Pauli-sum evaluator and
- * its cross-iteration cache.
+ * Compiled expectation plans: the lane-per-term Pauli-sum evaluator.
  *
  * The legacy path walks the full 2^n amplitude array once **per term**
  * of a PauliSum. A plan compiles the sum once into a lane layout and
@@ -11,8 +10,8 @@
  * group — the real and imaginary parts of conj(ψ[i^x])·ψ[i], formed
  * once per group — and each term owns one accumulator lane. The
  * Hamiltonian is loop-invariant across optimizer iterations, so
- * EnergyEstimator compiles (or leases from an ExpectationPlanCache) one
- * plan per run and reuses it for every estimate.
+ * EnergyEstimator compiles one plan per run and reuses it for every
+ * estimate.
  *
  * Determinism contract (DESIGN.md §16): plan evaluation is
  * bit-identical to the legacy term-by-term path. ±D and ±E equal the
@@ -20,10 +19,8 @@
  * and a per-term sum that starts at +0.0 absorbs that difference; each
  * lane adds in ascending i, over the same fixed 16-block partition and
  * serial block fold above the intra-state parallel threshold, and the
- * coefficient fold runs in original term order. A plan is a pure
- * function of its PauliSum, so cache hits and misses are
- * indistinguishable in every output bit. The term-by-term fold over
- * expectation(state, PauliString) is not a runtime path; the
+ * coefficient fold runs in original term order. The term-by-term fold
+ * over expectation(state, PauliString) is not a runtime path; the
  * differential battery (tests/pauli/test_expectation_batched.cpp) keeps
  * it as the reference the plan is compared against.
  */
@@ -33,10 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "pauli/grouping.hpp"
@@ -98,8 +92,6 @@ class ExpectationPlan
     {
         return coefficients_;
     }
-    /** PauliSum::fingerprint() of the compiled sum (the cache key). */
-    std::uint64_t fingerprint() const { return fingerprint_; }
 
     /**
      * Measurement-group sampling layout (qubit-wise-commuting groups,
@@ -148,44 +140,11 @@ class ExpectationPlan
     std::vector<MeasurementGroup> measurementGroups_;
     std::vector<std::vector<std::uint64_t>> samplingMasks_;
     std::vector<std::vector<double>> samplingCoefficients_;
-    std::uint64_t fingerprint_ = 0;
 };
 
-/** Compile a plan behind a shared_ptr (the cache's currency). */
+/** Compile a plan behind a shared_ptr. */
 std::shared_ptr<const ExpectationPlan>
 compileExpectationPlan(const PauliSum &hamiltonian);
-
-/**
- * Cross-iteration / cross-run plan cache, keyed by (tenant,
- * PauliSum::fingerprint()). A plan is a pure function of its sum, so
- * hit-vs-miss cannot change any result bit; the tenant key exists for
- * the serve layer, which lease-scopes one cache per backend and clears
- * it on tenant handoff so plans never cross tenants. Thread-safe: a
- * shared cache may be hit from concurrent ensemble trials.
- */
-class ExpectationPlanCache
-{
-  public:
-    /** Return the cached plan for (tenant_id, hamiltonian), compiling
-        and inserting it on a miss. */
-    std::shared_ptr<const ExpectationPlan>
-    acquire(const PauliSum &hamiltonian, std::uint64_t tenant_id = 0);
-
-    /** Drop every entry (serve-layer tenant handoff). */
-    void clear();
-
-    std::size_t size() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             std::shared_ptr<const ExpectationPlan>>
-        plans_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-};
 
 } // namespace qismet
 

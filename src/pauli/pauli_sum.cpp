@@ -5,9 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/atomic_file.hpp"
-#include "common/serial.hpp"
-
 namespace qismet {
 
 PauliSum::PauliSum(int num_qubits) : numQubits_(num_qubits)
@@ -67,20 +64,6 @@ PauliSum::identityCoefficient() const
         if (t.pauli.isIdentity())
             s += t.coefficient;
     return s;
-}
-
-std::uint64_t
-PauliSum::fingerprint() const
-{
-    Encoder enc;
-    enc.writeI64(numQubits_);
-    enc.writeU64(terms_.size());
-    for (const auto &t : terms_) {
-        enc.writeF64(t.coefficient);
-        for (int q = 0; q < t.pauli.numQubits(); ++q)
-            enc.writeU32(static_cast<std::uint32_t>(t.pauli.op(q)));
-    }
-    return fnv1a64(enc.bytes());
 }
 
 Matrix

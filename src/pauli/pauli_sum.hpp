@@ -7,7 +7,6 @@
 #ifndef QISMET_PAULI_PAULI_SUM_HPP
 #define QISMET_PAULI_PAULI_SUM_HPP
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,14 +58,6 @@ class PauliSum
 
     /** Coefficient of the all-identity term (energy offset). */
     double identityCoefficient() const;
-
-    /**
-     * FNV-1a digest of the operator: width, term order, coefficients
-     * (exact bit patterns) and per-qubit ops. Two sums share a
-     * fingerprint iff they are term-for-term identical, which is what
-     * the cross-iteration ExpectationPlan cache keys on.
-     */
-    std::uint64_t fingerprint() const;
 
     /** Dense 2^n x 2^n Hermitian matrix. */
     Matrix toMatrix() const;

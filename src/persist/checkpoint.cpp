@@ -3,7 +3,6 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
-#include <string_view>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -11,35 +10,16 @@
 
 namespace qismet {
 
-namespace {
-
 /**
- * One group commit, the same sequence on whichever thread runs it: the
- * buffered journal frames, the journal's fsync (which returns at once
- * when nothing is new), the snapshot frame, the snapshot log's fsync.
- * Evaluates no crash point.
- */
-void
-commit(JournalWriter &journal, SnapshotWriter &snapshots,
-       std::string_view frames, std::uint64_t count,
-       std::string_view snapshot_frame)
-{
-    if (!frames.empty())
-        journal.appendEncoded(frames, count);
-    journal.sync();
-    snapshots.appendEncoded(snapshot_frame);
-    snapshots.sync();
-}
-
-} // namespace
-
-/**
- * The thread that runs a manager's commits after its first, one at a
- * time. start() trades the driver's buffers for the ones the last
- * commit used, so a warm commit allocates nothing. Its thread is the one
- * worker of a ThreadPool, held by a single long task; it touches the
- * writers only between start() and the finish() after it, and never a
- * crash point (CrashPoints keeps unsynchronized state).
+ * The thread that runs a manager's group commits, one at a time. Each
+ * is the same four steps: the buffered journal frames, the journal's
+ * fsync (which returns at once when nothing is new), the snapshot
+ * frame, the snapshot log's fsync. start() trades the driver's buffers
+ * for the ones the last commit used, so a warm commit allocates
+ * nothing. Its thread is the one worker of a ThreadPool, held by a
+ * single long task; it touches the writers only between start() and
+ * the finish() after it, and never a crash point (CrashPoints keeps
+ * unsynchronized state).
  */
 class CheckpointManager::Committer
 {
@@ -99,8 +79,11 @@ class CheckpointManager::Committer
             lock.unlock();
             std::exception_ptr error;
             try {
-                commit(journal_, snapshots_, frames_, count_,
-                       snapshotFrame_);
+                if (!frames_.empty())
+                    journal_.append(frames_, count_);
+                journal_.sync();
+                snapshots_.append(snapshotFrame_);
+                snapshots_.sync();
             }
             catch (...) {
                 error = std::current_exception();
@@ -250,6 +233,7 @@ CheckpointManager::opened()
     frames_ = journal_->frames();
     journalEnd_ = journal_->offset();
     syncedOffset_ = journalEnd_;
+    committer_ = std::make_unique<Committer>(*journal_, *snapshots_);
 }
 
 void
@@ -279,21 +263,7 @@ CheckpointManager::appended(std::size_t start)
         drain();
         journal_->tear(frame);
     }
-    if (committer_ == nullptr) {
-        // Before the first snapshot, buffer_ holds just this frame.
-        try {
-            journal_->appendEncoded(buffer_, 1);
-        }
-        catch (...) {
-            buffer_.clear();
-            throw;
-        }
-        journalEnd_ += buffer_.size();
-        buffer_.clear();
-    }
-    else {
-        ++bufferedFrames_;
-    }
+    ++bufferedFrames_;
     ++frames_;
 }
 
@@ -315,22 +285,8 @@ CheckpointManager::writeSnapshot(RunSnapshot snapshot)
         snapshots_->tear(snapshotFrame_);
     }
     flush();
-    if (committer_ != nullptr) {
-        committer_->start(buffer_, bufferedFrames_, snapshotFrame_);
-        buffer_.clear();
-    }
-    else {
-        try {
-            commit(*journal_, *snapshots_, buffer_, bufferedFrames_,
-                   snapshotFrame_);
-        }
-        catch (...) {
-            failure_ = std::current_exception();
-            throw;
-        }
-        syncedOffset_ = snapshot.journalOffset;
-        committer_ = std::make_unique<Committer>(*journal_, *snapshots_);
-    }
+    committer_->start(buffer_, bufferedFrames_, snapshotFrame_);
+    buffer_.clear();
     journalEnd_ = snapshot.journalOffset;
     bufferedFrames_ = 0;
 }
@@ -357,7 +313,7 @@ CheckpointManager::drain() noexcept
     if (failure_ || buffer_.empty())
         return;
     try {
-        journal_->appendEncoded(buffer_, bufferedFrames_);
+        journal_->append(buffer_, bufferedFrames_);
         journalEnd_ += buffer_.size();
     }
     catch (...) {

@@ -20,28 +20,24 @@
  *   3. At iteration boundaries (cadence `snapshotEveryIters`) the
  *      driver captures a RunSnapshot. writeSnapshot() stamps it with the
  *      journal position the buffered frames end at and hands the buffer
- *      and the encoded snapshot to the manager's committer thread. That
- *      thread runs the group commit while the driver computes the next
- *      iterations: it writes the frames, fsyncs the journal, appends the
- *      snapshot to the snapshot log and fsyncs that. A snapshot
- *      therefore never lands before the journal bytes it points at are
- *      durable. One commit is in flight at a time: the next
- *      writeSnapshot() waits for it first, and flush(), which the driver
- *      calls after its final snapshot, waits for the last one.
+ *      and the encoded snapshot to the manager's committer thread, which
+ *      beginFresh() / beginResumed() started. That thread runs the group
+ *      commit while the driver computes the next iterations: it writes
+ *      the frames, fsyncs the journal, appends the snapshot to the
+ *      snapshot log and fsyncs that. A snapshot therefore never lands
+ *      before the journal bytes it points at are durable. Every
+ *      snapshot, the first one included, is committed this way. One
+ *      commit is in flight at a time: the next writeSnapshot() waits for
+ *      it first, and flush(), which the driver calls after its final
+ *      snapshot, waits for the last one.
  *
- * Until its first snapshot a manager writes through: each frame is
- * written when it is appended, and the first snapshot is committed
- * before writeSnapshot() returns; that commit starts the committer. A
- * run takes its first snapshot before its first job (at iteration 0, or
- * at the recovered boundary on resume), so a run batches every frame
- * and commits every later snapshot in the background, while a manager
- * that has not snapshotted yet leaves complete files after every call.
- *
- * Crash model: the frames appended since the last hand-off live only in
- * memory. A process death loses them, and possibly part of the commit
- * in flight (its journal bytes, its snapshot frame, or a torn tail of
- * either); every other written frame is still in its file (page
- * cache). After an OS crash or power loss only what the last finished
+ * Crash model: the frames appended since the last hand-off are always
+ * in memory only. A process death loses them, and possibly part of the
+ * commit in flight (its journal bytes, its snapshot frame, or a torn
+ * tail of either); every other written frame is still in its file
+ * (page cache). A death during a run's first commit can leave both
+ * logs holding only their headers, which recovery reads as a fresh
+ * start. After an OS crash or power loss only what the last finished
  * commit's two fsyncs covered is guaranteed. Either way recovery drops
  * a torn snapshot frame and resumes from the last snapshot whose commit
  * finished, and discards the journal frames past it; they are
@@ -185,9 +181,9 @@ class CheckpointManager
      * the buffered frames end at, wait for the commit before this one,
      * and hand both to the committer, which writes the frames, fsyncs
      * the journal, appends the snapshot to the snapshot log and fsyncs
-     * that (see the file comment for the first snapshot). @throws
-     * SnapshotError, before anything is handed over, when the snapshot
-     * is over the frame cap, and the FileError of a failed commit.
+     * that. @throws SnapshotError, before anything is handed over, when
+     * the snapshot is over the frame cap, and the FileError of a failed
+     * commit.
      */
     void writeSnapshot(RunSnapshot snapshot);
 
@@ -219,12 +215,12 @@ class CheckpointManager
   private:
     class Committer;
 
-    /** Start counting from the journal the writers just opened. */
+    /** Start counting from the journal the writers just opened, and
+     *  start the committer. */
     void opened();
 
     /** Take the frame encoded at buffer_[start..]: tear it when the
-     *  torn-write crash point fires, else keep it for the next commit
-     *  (or write it at once before the first snapshot). */
+     *  torn-write crash point fires, else keep it for the next commit. */
     void appended(std::size_t start);
 
     /** Wait for the commit in flight, then write the buffered frames
@@ -250,7 +246,7 @@ class CheckpointManager
     /** The first failed commit, thrown again by every later
      *  writeSnapshot() and flush(). */
     std::exception_ptr failure_;
-    /** Runs the commits after the first; null until that one. */
+    /** Runs every commit; null until the logs are opened. */
     std::unique_ptr<Committer> committer_;
 };
 

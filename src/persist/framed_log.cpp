@@ -160,36 +160,21 @@ FramedLogWriter::FramedLogWriter(const FramedLogSpec &spec,
                                  std::uint64_t digest,
                                  DurableFile::Mode mode,
                                  std::uint64_t offset)
-    : spec_(spec), file_(path, mode)
+    : file_(path, mode)
 {
     if (mode == DurableFile::Mode::Truncate)
-        file_.append(encodeFramedLogHeader(spec_, digest));
+        file_.append(encodeFramedLogHeader(spec, digest));
     else
         file_.truncateTo(offset);
     file_.sync();
 }
 
 void
-FramedLogWriter::append(std::uint8_t type, std::string_view payload)
-{
-    appendFrame(encodeFrame(spec_, file_.path(), type, payload));
-}
-
-void
-FramedLogWriter::appendFrame(std::string_view frame)
-{
-    if (spec_.tornWritePoint != nullptr &&
-        CrashPoints::fires(spec_.tornWritePoint))
-        tear(frame);
-    file_.append(frame);
-}
-
-void
-FramedLogWriter::tear(std::string_view frame)
+FramedLogWriter::tear(std::string_view frame, const char *point)
 {
     file_.append(frame.substr(0, frame.size() / 2));
     file_.sync();
-    CrashPoints::crash(spec_.tornWritePoint);
+    CrashPoints::crash(point);
 }
 
 } // namespace qismet

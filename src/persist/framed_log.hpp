@@ -17,8 +17,10 @@
  * checksum-bad frame that ends exactly at EOF is a torn tail, dropped
  * and reported; any other damage (bad header, unknown frame type, a
  * length over the spec's cap, a checksum mismatch with data after it)
- * throws the spec's error. The writer refuses a payload over that cap
- * before writing a byte, so it never leaves a file its reader rejects.
+ * throws the spec's error. Frames are encoded first (encodeFrame,
+ * encodeFrameInto) and reach the file only through
+ * FramedLogWriter::append(); the encoder refuses a payload over the cap,
+ * so no file ever holds a frame its reader rejects.
  */
 
 #ifndef QISMET_PERSIST_FRAMED_LOG_HPP
@@ -53,8 +55,6 @@ struct FramedLogSpec
     std::uint32_t maxPayload = kMaxFramePayload; ///< this kind's frame cap
     /** Wraps a message in the kind's own error type. */
     std::exception_ptr (*error)(const std::string &message) = nullptr;
-    /** Crash point that tears an append in half, or nullptr. */
-    const char *tornWritePoint = nullptr;
 };
 
 /** FramedLogSpec::error for an error type built from a message. */
@@ -139,7 +139,10 @@ encodeFrameInto(const FramedLogSpec &spec, const std::string &path,
 FramedLogScan scanFramedLog(const FramedLogSpec &spec,
                             const std::string &path);
 
-/** Append side: frames are written without an fsync until sync(). */
+/**
+ * Append side: append() is the one way bytes reach a framed log. It
+ * writes frames without an fsync; sync() makes them durable.
+ */
 class FramedLogWriter
 {
   public:
@@ -152,22 +155,15 @@ class FramedLogWriter
                     std::uint64_t digest, DurableFile::Mode mode,
                     std::uint64_t offset = 0);
 
-    /** Append one frame; see encodeFrame for the cap. */
-    void append(std::uint8_t type, std::string_view payload);
+    /** Write bytes that hold whole frames encoded for this log
+     *  (encodeFrame, encodeFrameInto), in one write. Evaluates no crash
+     *  point. */
+    void append(std::string_view frames) { file_.append(frames); }
 
-    /** Append one encoded frame, or tear it (see tear()) when the
-     *  spec's torn-write crash point fires. */
-    void appendFrame(std::string_view frame);
-
-    /** Write bytes that hold whole frames encoded for this log, in one
-     *  write. Evaluates no crash point: a caller that batches frames
-     *  evaluates its own as it encodes them. */
-    void appendEncoded(std::string_view frames) { file_.append(frames); }
-
-    /** Die mid-append at the spec's torn-write crash point: write the
-     *  first half of `frame` and fsync, which is what a crash between
-     *  two write() calls leaves behind. */
-    [[noreturn]] void tear(std::string_view frame);
+    /** Die mid-append at crash point `point`: write the first half of
+     *  `frame` and fsync, which is what a crash between two write()
+     *  calls leaves behind. */
+    [[noreturn]] void tear(std::string_view frame, const char *point);
 
     void sync() { file_.sync(); }
     std::uint64_t offset() const { return file_.offset(); }
@@ -175,7 +171,6 @@ class FramedLogWriter
     const std::string &path() const { return file_.path(); }
 
   private:
-    const FramedLogSpec &spec_;
     DurableFile file_;
 };
 

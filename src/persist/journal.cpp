@@ -12,7 +12,6 @@ constexpr FramedLogSpec kJournalLog{
     .version = kJournalVersion,
     .frameTypes = 2, // Job, Iteration
     .error = &framedLogError<JournalError>,
-    .tornWritePoint = kCrashJournalTornWrite,
 };
 
 } // namespace
@@ -101,24 +100,6 @@ JournalWriter::JournalWriter(const std::string &path,
 }
 
 void
-JournalWriter::appendJob(const JournalJobRecord &record)
-{
-    std::string frame;
-    encodeJob(record, frame);
-    log_.appendFrame(frame);
-    ++frames_;
-}
-
-void
-JournalWriter::appendIteration(const JournalIterationRecord &record)
-{
-    std::string frame;
-    encodeIteration(record, frame);
-    log_.appendFrame(frame);
-    ++frames_;
-}
-
-void
 JournalWriter::encodeJob(const JournalJobRecord &record,
                          std::string &frames) const
 {
@@ -137,10 +118,16 @@ JournalWriter::encodeIteration(const JournalIterationRecord &record,
 }
 
 void
-JournalWriter::appendEncoded(std::string_view frames, std::uint64_t count)
+JournalWriter::append(std::string_view frames, std::uint64_t count)
 {
-    log_.appendEncoded(frames);
+    log_.append(frames);
     frames_ += count;
+}
+
+void
+JournalWriter::tear(std::string_view frame)
+{
+    log_.tear(frame, kCrashJournalTornWrite);
 }
 
 } // namespace qismet

@@ -5,14 +5,15 @@
  *
  * The journal is a framed log (persist/framed_log.hpp) with magic
  * "QJNL" and the run's config digest in its header. It is
- * group-committed: appends carry no fsync, and sync() makes every frame
- * written so far durable. CheckpointManager encodes a run's frames into
- * memory and each snapshot's commit writes them in one appendEncoded()
- * and syncs, right before the snapshot frame. DESIGN.md §10 sets out
- * what a process death or an OS crash leaves: never more than the
- * frames past the last snapshot, which recovery discards and
- * re-executes, and a reader that drops a torn tail and throws
- * JournalError on anything else.
+ * group-committed: frames are encoded into memory (encodeJob,
+ * encodeIteration), append() writes a batch of them without an fsync,
+ * and sync() makes every frame written so far durable.
+ * CheckpointManager encodes a run's frames and each snapshot's commit
+ * writes them in one append() and syncs, right before the snapshot
+ * frame. DESIGN.md §10 sets out what a process death or an OS crash
+ * leaves: never more than the frames past the last snapshot, which
+ * recovery discards and re-executes, and a reader that drops a torn
+ * tail and throws JournalError on anything else.
  */
 
 #ifndef QISMET_PERSIST_JOURNAL_HPP
@@ -104,9 +105,9 @@ struct JournalScanResult
 JournalScanResult scanJournal(const std::string &path);
 
 /**
- * Append-side of the journal. Each append* call writes one frame
- * without an fsync; sync() makes every frame written so far durable
- * (group commit, one fsync per snapshot; see the file comment).
+ * Append side of the journal: append() writes encoded frames without an
+ * fsync; sync() makes every frame written so far durable (group commit,
+ * one fsync per snapshot; see the file comment).
  */
 class JournalWriter
 {
@@ -121,17 +122,9 @@ class JournalWriter
                   std::uint64_t frames = 0);
 
     /**
-     * Append one frame. @throws JournalError, before writing any byte,
-     * when the encoded record is larger than the reader's frame cap.
-     */
-    void appendJob(const JournalJobRecord &record);
-    void appendIteration(const JournalIterationRecord &record);
-
-    /**
-     * Encode the frame appendJob / appendIteration would write onto the
-     * end of `frames`, without writing it (see encodeFrameInto).
-     * @throws JournalError, leaving `frames` as it was, when the frame
-     * is over the reader's frame cap.
+     * Encode one frame onto the end of `frames`, without writing it
+     * (see encodeFrameInto). @throws JournalError, leaving `frames` as
+     * it was, when the frame is over the reader's frame cap.
      */
     void encodeJob(const JournalJobRecord &record,
                    std::string &frames) const;
@@ -140,15 +133,15 @@ class JournalWriter
 
     /**
      * Write `count` frames encoded by encodeJob / encodeIteration, in
-     * one write; like appendJob, they are in the file when it returns.
-     * Evaluates no crash point: a caller that batches frames evaluates
-     * kCrashJournalTornWrite as it encodes each one.
+     * one write; they are in the file when it returns. Evaluates no
+     * crash point: CheckpointManager evaluates kCrashJournalTornWrite
+     * as it encodes each frame.
      */
-    void appendEncoded(std::string_view frames, std::uint64_t count);
+    void append(std::string_view frames, std::uint64_t count);
 
-    /** Die mid-append at kCrashJournalTornWrite, as appendJob does when
-     *  it fires: half of `frame` written and fsynced. */
-    [[noreturn]] void tear(std::string_view frame) { log_.tear(frame); }
+    /** Die mid-append at kCrashJournalTornWrite: half of `frame`
+     *  written and fsynced. */
+    [[noreturn]] void tear(std::string_view frame);
 
     /** fsync the journal: every frame written so far becomes durable. */
     void sync() { log_.sync(); }

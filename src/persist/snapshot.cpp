@@ -13,7 +13,6 @@ constexpr FramedLogSpec kSnapshotLog{
     .version = kSnapshotVersion,
     .frameTypes = 1, // one RunSnapshot per frame
     .error = &framedLogError<SnapshotError>,
-    .tornWritePoint = kCrashSnapshotTornWrite,
 };
 
 constexpr std::uint8_t kSnapshotFrame = 1;
@@ -167,18 +166,16 @@ SnapshotWriter::SnapshotWriter(const std::string &path,
 }
 
 void
-SnapshotWriter::append(const RunSnapshot &snapshot)
-{
-    std::string frame;
-    encode(snapshot, frame);
-    log_.appendFrame(frame);
-}
-
-void
 SnapshotWriter::encode(const RunSnapshot &snapshot, std::string &frame) const
 {
     encodeFrameInto(kSnapshotLog, log_.path(), kSnapshotFrame, snapshot,
                     frame);
+}
+
+void
+SnapshotWriter::tear(std::string_view frame)
+{
+    log_.tear(frame, kCrashSnapshotTornWrite);
 }
 
 } // namespace qismet

@@ -129,8 +129,8 @@ SnapshotLogScan scanSnapshotLog(const std::string &path);
 RunSnapshot loadSnapshotFile(const std::string &path);
 
 /**
- * Append side of the snapshot log: append() writes one frame without an
- * fsync, sync() makes it durable.
+ * Append side of the snapshot log: encode() encodes a snapshot's frame,
+ * append() writes it without an fsync, sync() makes it durable.
  */
 class SnapshotWriter
 {
@@ -142,22 +142,18 @@ class SnapshotWriter
     SnapshotWriter(const std::string &path, std::uint64_t config_digest,
                    DurableFile::Mode mode, std::uint64_t offset = 0);
 
-    /** Append one snapshot. @throws SnapshotError, before writing a
-     *  byte, when it is over the frame cap. */
-    void append(const RunSnapshot &snapshot);
-
-    /** Encode the frame append() would write onto the end of `frame`,
-     *  without writing it. @throws SnapshotError, leaving `frame` as it
-     *  was, when it is over the frame cap. */
+    /** Encode the snapshot's frame onto the end of `frame`, without
+     *  writing it. @throws SnapshotError, leaving `frame` as it was,
+     *  when it is over the frame cap. */
     void encode(const RunSnapshot &snapshot, std::string &frame) const;
 
     /** Write a frame encode() encoded; in the file when it returns.
-     *  Evaluates no crash point (see JournalWriter::appendEncoded). */
-    void appendEncoded(std::string_view frame) { log_.appendEncoded(frame); }
+     *  Evaluates no crash point (see JournalWriter::append). */
+    void append(std::string_view frame) { log_.append(frame); }
 
-    /** Die mid-append at kCrashSnapshotTornWrite, as append() does when
-     *  it fires: half of `frame` written and fsynced. */
-    [[noreturn]] void tear(std::string_view frame) { log_.tear(frame); }
+    /** Die mid-append at kCrashSnapshotTornWrite: half of `frame`
+     *  written and fsynced. */
+    [[noreturn]] void tear(std::string_view frame);
 
     void sync() { log_.sync(); }
 

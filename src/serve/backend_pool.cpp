@@ -1,8 +1,10 @@
 #include "serve/backend_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
+#include "common/format_double.hpp"
 #include "common/rng.hpp"
 
 namespace qismet {
@@ -46,12 +48,17 @@ HealthPolicy::validate() const
     if (breakerCooldownTicks > breakerMaxCooldownTicks)
         throw std::invalid_argument(
             "HealthPolicy: base cooldown exceeds the ceiling");
-    if (breakerCooldownGrowth < 1.0)
+    // Negated so that a NaN fails them. The growth reaches an integer
+    // cast, so it must be finite too.
+    if (!(breakerCooldownGrowth >= 1.0) || std::isinf(breakerCooldownGrowth))
         throw std::invalid_argument(
-            "HealthPolicy: cooldown growth below 1");
-    if (latencyDegradeFactor < 1.0)
+            "HealthPolicy: breakerCooldownGrowth = " +
+            formatDouble(breakerCooldownGrowth) +
+            " must be finite and >= 1");
+    if (!(latencyDegradeFactor >= 1.0))
         throw std::invalid_argument(
-            "HealthPolicy: latency degrade factor below 1");
+            "HealthPolicy: latencyDegradeFactor = " +
+            formatDouble(latencyDegradeFactor) + " must be >= 1");
     if (!(latencyEwmaAlpha > 0.0) || latencyEwmaAlpha > 1.0)
         throw std::invalid_argument(
             "HealthPolicy: EWMA alpha must be in (0, 1]");
@@ -201,9 +208,12 @@ std::vector<HealthTransition>
 BackendPool::releaseSuccess(const BackendLease &lease,
                             double latency_factor, std::uint64_t now)
 {
-    if (latency_factor < 0.0)
+    // Negated so that a NaN fails it: it would stay in the EWMA.
+    if (!(latency_factor >= 0.0) || std::isinf(latency_factor))
         throw std::invalid_argument(
-            "BackendPool::releaseSuccess: negative latency");
+            "BackendPool::releaseSuccess: latency_factor = " +
+            formatDouble(latency_factor) +
+            " must be finite and >= 0");
     std::vector<HealthTransition> transitions;
     Backend &b = validateRelease(lease);
     const Backend before = b;

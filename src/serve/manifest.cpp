@@ -105,7 +105,7 @@ ServeManifest::ServeManifest(const std::string &path,
 void
 ServeManifest::appendFrame(std::uint8_t type, const std::string &payload)
 {
-    log_.append(type, payload);
+    log_.append(encodeFrame(kManifestLog, log_.path(), type, payload));
     log_.sync();
 }
 

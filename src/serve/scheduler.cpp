@@ -61,10 +61,6 @@ ServeScheduler::ServeScheduler(ServeSchedulerConfig config)
         throw std::invalid_argument(
             "ServeScheduler: resume without a stateDir");
 
-    planCacheSlots_.reserve(backendPool_.size());
-    for (std::size_t b = 0; b < backendPool_.size(); ++b)
-        planCacheSlots_.push_back(std::make_unique<PlanCacheSlot>());
-
     if (!config_.stateDir.empty()) {
         std::filesystem::create_directories(config_.stateDir);
         const std::string path = config_.stateDir + "/manifest.qsvm";
@@ -258,27 +254,6 @@ ServeScheduler::fleetStats() const
     return core_.fleetStats();
 }
 
-// The plan-cache counter reads don't take the scheduler mutex: the
-// cache has its own lock, and these are telemetry snapshots (tests
-// call them only after drain(), when no leg is running).
-std::uint64_t
-ServeScheduler::backendPlanCacheHits(std::size_t backend_id) const
-{
-    return planCacheSlots_.at(backend_id)->cache.hits();
-}
-
-std::uint64_t
-ServeScheduler::backendPlanCacheMisses(std::size_t backend_id) const
-{
-    return planCacheSlots_.at(backend_id)->cache.misses();
-}
-
-std::size_t
-ServeScheduler::backendPlanCacheSize(std::size_t backend_id) const
-{
-    return planCacheSlots_.at(backend_id)->cache.size();
-}
-
 std::uint64_t
 ServeScheduler::clockNow() const
 {
@@ -378,24 +353,6 @@ ServeScheduler::runLeg(const ServeDispatch &dispatch)
     bool crashed = false;
     ServeRunOutcome outcome;
     QismetVqeConfig cfg = buildRunConfig(dispatch.spec);
-
-    // Lease-scoped ExpectationPlan cache: the lease grants this leg
-    // the backend exclusively, so its slot is touched without the
-    // scheduler lock (handoff between legs synchronizes through the
-    // mutex that granted the lease). Clearing on tenant change keeps
-    // compiled plans from ever crossing tenants; within a tenant the
-    // cache persists across legs and jobs, so resubmissions of one
-    // Hamiltonian skip the compile step. Cache state is excluded from
-    // the run-config digest — a plan is bit-pure, hit or miss.
-    {
-        PlanCacheSlot &slot = *planCacheSlots_[dispatch.lease.backendId];
-        if (slot.used && slot.lastTenant != dispatch.spec.tenantId)
-            slot.cache.clear();
-        slot.lastTenant = dispatch.spec.tenantId;
-        slot.used = true;
-        cfg.estimator.planCache = &slot.cache;
-        cfg.estimator.planCacheTenant = dispatch.spec.tenantId;
-    }
     if (!config_.stateDir.empty()) {
         cfg.checkpointDir = runDir(dispatch.jobId);
         cfg.resume = dispatch.resume;

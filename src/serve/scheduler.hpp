@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "pauli/expectation_plan.hpp"
 #include "serve/manifest.hpp"
 #include "serve/serve_core.hpp"
 
@@ -165,15 +164,6 @@ class ServeScheduler
     /** Fleet resilience counters (sheds, migrations, breaker trips…). */
     ServeFleetStats fleetStats() const;
 
-    /**
-     * ExpectationPlan-cache counters of one backend's lease-scoped
-     * slot (telemetry; the isolation tests assert that a tenant
-     * handoff empties the slot).
-     */
-    std::uint64_t backendPlanCacheHits(std::size_t backend_id) const;
-    std::uint64_t backendPlanCacheMisses(std::size_t backend_id) const;
-    std::size_t backendPlanCacheSize(std::size_t backend_id) const;
-
     /** Fleet clock, in ticks. */
     std::uint64_t clockNow() const;
 
@@ -205,27 +195,8 @@ class ServeScheduler
         const ServeDispatch &dispatch);
     std::string runDir(std::uint64_t job_id) const;
 
-    /**
-     * Lease-scoped ExpectationPlan cache, one slot per backend. A
-     * backend is leased to exactly one running leg at a time, so only
-     * the worker holding the lease touches its slot; handoff between
-     * legs synchronizes through the scheduler mutex that grants
-     * leases. Whenever the tenant changes hands the slot is cleared
-     * before use, so compiled plans — though bit-pure — never survive
-     * across tenants (multi-tenant isolation rule: no shared state,
-     * not even caches, between tenants on one backend).
-     */
-    struct PlanCacheSlot
-    {
-        ExpectationPlanCache cache;
-        std::uint64_t lastTenant = 0;
-        bool used = false;
-    };
-
     ServeSchedulerConfig config_;
     BackendPool backendPool_;
-    /** unique_ptr per slot: the mutex inside the cache pins it. */
-    std::vector<std::unique_ptr<PlanCacheSlot>> planCacheSlots_;
     mutable std::mutex mutex_;
     std::condition_variable idle_;
     ServeCore core_;

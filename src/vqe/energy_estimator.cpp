@@ -36,14 +36,7 @@ EnergyEstimator::EnergyEstimator(PauliSum hamiltonian,
         if (!hamiltonian_.terms()[k].pauli.isIdentity())
             nonIdentityTerms_.push_back(k);
 
-    // Lease the compiled plan from the caller's cross-run cache when
-    // one is wired in (the serve layer scopes one cache per backend
-    // lease), else compile privately. Either way the grouping, phase
-    // tables and sampling layout are derived once, not per iteration.
-    plan_ = config_.planCache
-                ? config_.planCache->acquire(hamiltonian_,
-                                             config_.planCacheTenant)
-                : compileExpectationPlan(hamiltonian_);
+    plan_ = compileExpectationPlan(hamiltonian_);
 
     // Compile the per-iteration circuits once; thousands of prepare()
     // calls then skip both per-gate matrix derivation and the fusion

@@ -88,19 +88,6 @@ struct EstimatorConfig
     std::size_t shots = 4096;
     /** Apply tensored measurement-error mitigation (Sampling mode). */
     bool mitigateMeasurement = true;
-    /**
-     * Optional cross-run ExpectationPlan cache. When set, the
-     * constructor leases the compiled plan from here (keyed by
-     * planCacheTenant + the simplified Hamiltonian's fingerprint)
-     * instead of compiling its own; the serve layer points this at a
-     * per-backend, lease-scoped cache. A plan is a pure function of
-     * its sum, so neither field can change any result bit — both are
-     * deliberately excluded from runConfigDigest. Not owned; must
-     * outlive the estimator.
-     */
-    ExpectationPlanCache *planCache = nullptr;
-    /** Tenant half of the plan-cache key (serve-layer isolation). */
-    std::uint64_t planCacheTenant = 0;
 };
 
 /**
@@ -196,12 +183,8 @@ class EnergyEstimator
         return plan_->measurementGroups().size();
     }
 
-    /**
-     * The compiled expectation plan (leased from config.planCache when
-     * set, else compiled privately). Exposed so tests can assert cache
-     * identity: two estimators sharing a cache and a Hamiltonian hold
-     * the same plan object.
-     */
+    /** The expectation plan the constructor compiled (tests read its
+     *  sampling layout). */
     std::shared_ptr<const ExpectationPlan> plan() const { return plan_; }
 
     const PauliSum &hamiltonian() const { return hamiltonian_; }
@@ -229,9 +212,9 @@ class EnergyEstimator
      */
     CompiledCircuit compiledAnsatz_;
     /**
-     * Compiled once per (tenant, Hamiltonian) — every estimate reuses
-     * the xmask grouping, phase tables and sampling layout instead of
-     * re-deriving them per iteration.
+     * Compiled once per estimator — every estimate reuses the xmask
+     * grouping, phase tables and sampling layout instead of re-deriving
+     * them per iteration.
      */
     std::shared_ptr<const ExpectationPlan> plan_;
     /** One per measurement group, in plan_->measurementGroups() order. */

@@ -230,23 +230,6 @@ TEST(BatchedExpectation, PlanTermExpectationsMatchPerStringLegacy)
     }
 }
 
-TEST(BatchedExpectation, CacheHitBitIdenticalToMiss)
-{
-    Rng rng(808);
-    const Statevector st = randomState(7, rng);
-    const PauliSum h = collidingSum(7, 22, rng);
-
-    ExpectationPlanCache cache;
-    const auto miss = cache.acquire(h);
-    const double from_miss = miss->evaluate(st);
-    const auto hit = cache.acquire(h);
-    const double from_hit = hit->evaluate(st);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(bits(from_miss), bits(from_hit));
-    // A freshly compiled plan agrees too (plans are pure functions).
-    EXPECT_EQ(bits(from_miss), bits(ExpectationPlan(h).evaluate(st)));
-}
-
 TEST(BatchedExpectation, WidthMismatchStillThrows)
 {
     PauliSum h(3);
@@ -600,28 +583,6 @@ TEST(BatchedExpectation, EstimatorSamplingBitIdentical)
     const double first = est.estimate(theta, 0.2, rng_a);
     Rng rng_b(7);
     EXPECT_EQ(bits(first), bits(est.estimate(theta, 0.2, rng_b)));
-}
-
-TEST(BatchedExpectation, EstimatorsSharingACacheShareThePlan)
-{
-    EstimatorFixture f;
-    ExpectationPlanCache cache;
-    EstimatorConfig cfg;
-    cfg.mode = EstimatorMode::Analytic;
-    cfg.planCache = &cache;
-    cfg.planCacheTenant = 11;
-
-    const EnergyEstimator a(f.hamiltonian, f.ansatz, f.noise, cfg);
-    const EnergyEstimator b(f.hamiltonian, f.ansatz, f.noise, cfg);
-    EXPECT_EQ(a.plan().get(), b.plan().get());
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // A different tenant on the same cache compiles its own plan.
-    cfg.planCacheTenant = 12;
-    const EnergyEstimator c(f.hamiltonian, f.ansatz, f.noise, cfg);
-    EXPECT_NE(a.plan().get(), c.plan().get());
-    EXPECT_EQ(cache.misses(), 2u);
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Structural tests of ExpectationPlan compilation: xmask grouping,
- * the lane each term is read through, fingerprints, and the cross-iteration
- * plan cache (hits, misses, tenant isolation, clear).
+ * Structural tests of ExpectationPlan compilation: xmask grouping and
+ * the lane each term is read through.
  */
 
 #include <gtest/gtest.h>
@@ -163,86 +162,6 @@ TEST(ExpectationPlan, SamplingLayoutMatchesMeasurementGroups)
             EXPECT_EQ(coeffs[k], term.coefficient);
         }
     }
-}
-
-TEST(ExpectationPlan, FingerprintSeparatesDistinctSums)
-{
-    PauliSum a(3);
-    a.add(0.5, "ZZI");
-    PauliSum b(3);
-    b.add(0.5, "ZIZ");
-    PauliSum c(3);
-    c.add(0.25, "ZZI");
-    PauliSum a2(3);
-    a2.add(0.5, "ZZI");
-
-    EXPECT_EQ(a.fingerprint(), a2.fingerprint());
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    EXPECT_NE(a.fingerprint(), c.fingerprint());
-    EXPECT_EQ(ExpectationPlan(a).fingerprint(), a.fingerprint());
-}
-
-TEST(ExpectationPlanCache, HitsAndMisses)
-{
-    ExpectationPlanCache cache;
-    const PauliSum h = sharedXmaskSum();
-
-    const auto p1 = cache.acquire(h);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.size(), 1u);
-
-    const auto p2 = cache.acquire(h);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(p1.get(), p2.get()) << "hit must return the same plan";
-
-    PauliSum other(3);
-    other.add(1.0, "XYZ");
-    const auto p3 = cache.acquire(other);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_NE(p1.get(), p3.get());
-}
-
-TEST(ExpectationPlanCache, TenantsNeverShareEntries)
-{
-    ExpectationPlanCache cache;
-    const PauliSum h = sharedXmaskSum();
-
-    const auto a = cache.acquire(h, /*tenant_id=*/1);
-    const auto b = cache.acquire(h, /*tenant_id=*/2);
-    EXPECT_NE(a.get(), b.get())
-        << "same Hamiltonian, different tenants: entries must be "
-           "distinct";
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Re-acquire per tenant: each hits its own entry.
-    EXPECT_EQ(cache.acquire(h, 1).get(), a.get());
-    EXPECT_EQ(cache.acquire(h, 2).get(), b.get());
-    EXPECT_EQ(cache.hits(), 2u);
-}
-
-TEST(ExpectationPlanCache, ClearDropsEverythingButKeepsLeasedPlans)
-{
-    ExpectationPlanCache cache;
-    const PauliSum h = sharedXmaskSum();
-    const auto held = cache.acquire(h);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    // The shared_ptr keeps an already-leased plan alive and usable.
-    Rng rng(7);
-    std::vector<Complex> amps(8);
-    for (auto &x : amps)
-        x = Complex(rng.normal(), rng.normal());
-    Statevector st(std::move(amps));
-    st.normalize();
-    EXPECT_NO_THROW(held->evaluate(st));
-    // And the next acquire recompiles.
-    const auto fresh = cache.acquire(h);
-    EXPECT_NE(fresh.get(), held.get());
-    EXPECT_EQ(cache.misses(), 2u);
 }
 
 } // namespace

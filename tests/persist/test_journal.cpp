@@ -97,16 +97,21 @@ std::string writeSampleJournal(const std::string &path,
                                std::size_t jobs = 6)
 {
     JournalWriter writer(path, kDigest, DurableFile::Mode::Truncate);
+    std::string frames;
+    std::uint64_t count = 0;
     for (std::size_t i = 0; i < jobs; ++i) {
-        writer.appendJob(sampleJob(i));
+        writer.encodeJob(sampleJob(i), frames);
+        ++count;
         if (i % 2 == 1) {
             JournalIterationRecord it;
             it.iteration = i / 2;
             it.eReported = -1.5 - static_cast<double>(i);
             it.moveAccepted = i % 4 == 1;
-            writer.appendIteration(it);
+            writer.encodeIteration(it, frames);
+            ++count;
         }
     }
+    writer.append(frames, count);
     return readFile(path);
 }
 
@@ -160,8 +165,11 @@ std::string writeSnapshotLog(const std::string &path,
                              const std::vector<RunSnapshot> &snapshots)
 {
     SnapshotWriter writer(path, kDigest, DurableFile::Mode::Truncate);
-    for (const RunSnapshot &snapshot : snapshots)
-        writer.append(snapshot);
+    for (const RunSnapshot &snapshot : snapshots) {
+        std::string frame;
+        writer.encode(snapshot, frame);
+        writer.append(frame);
+    }
     return readFile(path);
 }
 
@@ -408,7 +416,9 @@ TEST_F(JournalTest, AppendModeResumesAtRecoveredOffset)
     JournalWriter writer(p, kDigest, DurableFile::Mode::Append,
                          before.frames[1].endOffset, 2);
     EXPECT_EQ(writer.frames(), 2u);
-    writer.appendJob(sampleJob(99));
+    std::string frame;
+    writer.encodeJob(sampleJob(99), frame);
+    writer.append(frame, 1);
 
     const JournalScanResult after = scanJournal(p);
     ASSERT_EQ(after.frames.size(), 3u);
@@ -570,13 +580,17 @@ TEST_F(JournalTest, EveryTruncationYieldsCleanPrefixOrHeaderError)
 
 TEST_F(JournalTest, TornWriteCrashPointLeavesRecoverableJournal)
 {
-    const std::string p = path("journal.qjnl");
+    // CheckpointManager is the one place that evaluates the torn-write
+    // crash point: the frames before the torn one are written whole.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
     bool crashed = false;
     try {
-        JournalWriter writer(p, kDigest, DurableFile::Mode::Truncate);
+        CheckpointManager mgr(cfg, kDigest);
+        mgr.beginFresh();
         CrashPointGuard guard(kCrashJournalTornWrite, 3);
         for (std::uint64_t i = 0; i < 10; ++i)
-            writer.appendJob(sampleJob(i));
+            mgr.appendJob(sampleJob(i));
     }
     catch (const SimulatedCrash &crash) {
         crashed = true;
@@ -584,7 +598,7 @@ TEST_F(JournalTest, TornWriteCrashPointLeavesRecoverableJournal)
     }
     ASSERT_TRUE(crashed);
 
-    const JournalScanResult scan = scanJournal(p);
+    const JournalScanResult scan = scanJournal(cfg.dir + "/journal.qjnl");
     EXPECT_TRUE(scan.tornTail);
     EXPECT_FALSE(scan.diagnostic.empty());
     ASSERT_EQ(scan.frames.size(), 2u); // two durable, third torn mid-write
@@ -598,17 +612,20 @@ TEST_F(JournalTest, OversizedFrameIsRejectedBeforeAnyByte)
 {
     // 140000 parameters encode to ~1.1 MB, past the reader's 1 MiB
     // frame cap: writing that frame would leave a journal that can
-    // never be resumed, so the writer refuses it.
+    // never be resumed, so the encoder refuses it.
     const std::string p = path("journal.qjnl");
     JournalWriter writer(p, kDigest, DurableFile::Mode::Truncate);
-    writer.appendJob(sampleJob(0));
-    writer.appendJob(sampleJob(1));
+    std::string frames;
+    writer.encodeJob(sampleJob(0), frames);
+    writer.encodeJob(sampleJob(1), frames);
+    writer.append(frames, 2);
     const std::uint64_t before = writer.offset();
 
     JournalJobRecord huge = sampleJob(2);
     huge.point.assign(140000, 0.5);
+    std::string frame;
     try {
-        writer.appendJob(huge);
+        writer.encodeJob(huge, frame);
         FAIL() << "oversized frame was accepted";
     }
     catch (const JournalError &e) {
@@ -616,6 +633,7 @@ TEST_F(JournalTest, OversizedFrameIsRejectedBeforeAnyByte)
         const std::string what = e.what();
         EXPECT_NE(what.find("1048576"), std::string::npos) << what;
     }
+    EXPECT_TRUE(frame.empty());
     EXPECT_EQ(writer.offset(), before);
     EXPECT_EQ(writer.frames(), 2u);
     EXPECT_EQ(fs::file_size(p), before);
@@ -891,6 +909,7 @@ TEST_F(JournalTest, SnapshotOverTheFrameCapIsRefusedBeforeAnyByte)
         writer.beginFresh();
         writer.appendJob(sampleJob(0));
         writer.writeSnapshot(sampleSnapshot());
+        writer.flush();
         const std::string before = readFile(writer.snapshotPath());
         writer.appendJob(sampleJob(1));
         try {
@@ -952,6 +971,7 @@ TEST_F(JournalTest, JournalIsSyncedOncePerSnapshot)
     EXPECT_GT(mgr.journal().offset(), kFramedLogHeaderSize);
 
     mgr.writeSnapshot(RunSnapshot{});
+    mgr.flush();
     const RunSnapshot snap = loadSnapshotFile(mgr.snapshotPath());
     EXPECT_EQ(snap.journalOffset, mgr.journal().syncedOffset());
     EXPECT_EQ(snap.journalOffset, mgr.journal().offset());
@@ -961,6 +981,37 @@ TEST_F(JournalTest, JournalIsSyncedOncePerSnapshot)
     mgr.appendJob(sampleJob(4));
     EXPECT_EQ(mgr.journal().syncedOffset(), snap.journalOffset);
     EXPECT_GT(mgr.journal().offset(), snap.journalOffset);
+}
+
+TEST_F(JournalTest, FramesBeforeTheFirstSnapshotWaitForItsCommit)
+{
+    // Every frame waits in memory for the next snapshot's commit, the
+    // first snapshot's included: until then a fresh journal holds only
+    // its header.
+    CheckpointConfig cfg;
+    cfg.dir = path("ckpt");
+    CheckpointManager mgr(cfg, kDigest);
+    mgr.beginFresh();
+    for (std::uint64_t i = 0; i < 3; ++i)
+        mgr.appendJob(sampleJob(i));
+    EXPECT_EQ(mgr.journal().frames(), 3u);
+    EXPECT_EQ(fs::file_size(mgr.journalPath()), kFramedLogHeaderSize);
+
+    RunSnapshot snap;
+    snap.iteration = 4;
+    mgr.writeSnapshot(snap);
+    mgr.flush();
+    const JournalScanResult scan = scanJournal(mgr.journalPath());
+    EXPECT_FALSE(scan.tornTail);
+    ASSERT_EQ(scan.frames.size(), 3u);
+    for (std::size_t i = 0; i < scan.frames.size(); ++i) {
+        Decoder dec(scan.frames[i].payload);
+        EXPECT_EQ(JournalJobRecord::decode(dec).jobIndex, i);
+    }
+    const RunSnapshot loaded = loadSnapshotFile(mgr.snapshotPath());
+    EXPECT_EQ(loaded.iteration, 4u);
+    EXPECT_EQ(loaded.journalFrames, 3u);
+    EXPECT_EQ(loaded.journalOffset, scan.cleanOffset);
 }
 
 /** Run the same appends and three snapshots through a fresh manager in
@@ -1100,6 +1151,7 @@ TEST_F(JournalTest, FailedCommitThrowsFromFlushNamingTheJournal)
     mgr.beginFresh();
     mgr.appendJob(sampleJob(0));
     mgr.writeSnapshot(RunSnapshot{});
+    mgr.flush();
     const std::string committed = readFile(journal);
     const std::string snapshots = readFile(mgr.snapshotPath());
     for (std::uint64_t i = 1; i < 6; ++i)
@@ -1269,23 +1321,25 @@ TEST_F(JournalTest, RecoveryReplaysPrefixAndTruncatesTail)
     }
 
     cfg.resume = true;
-    CheckpointManager resumer(cfg, kDigest);
-    const auto recovered = resumer.recover();
-    ASSERT_TRUE(recovered.has_value());
-    EXPECT_EQ(recovered->snapshot.iteration, 1u);
-    EXPECT_EQ(recovered->snapshot.theta,
-              (std::vector<double>{1.0, 2.0}));
-    EXPECT_EQ(recovered->snapshot.journalFrames, snapFrames);
-    EXPECT_EQ(recovered->frames.size(), snapFrames);
-    EXPECT_NE(resumer.diagnostics().find("discarding 2"),
-              std::string::npos);
+    {
+        CheckpointManager resumer(cfg, kDigest);
+        const auto recovered = resumer.recover();
+        ASSERT_TRUE(recovered.has_value());
+        EXPECT_EQ(recovered->snapshot.iteration, 1u);
+        EXPECT_EQ(recovered->snapshot.theta,
+                  (std::vector<double>{1.0, 2.0}));
+        EXPECT_EQ(recovered->snapshot.journalFrames, snapFrames);
+        EXPECT_EQ(recovered->frames.size(), snapFrames);
+        EXPECT_NE(resumer.diagnostics().find("discarding 2"),
+                  std::string::npos);
 
-    resumer.beginResumed(*recovered);
-    resumer.appendJob(sampleJob(77));
+        resumer.beginResumed(*recovered);
+        resumer.appendJob(sampleJob(77));
+    }
 
     // The truncated journal now holds exactly the snapshot prefix plus
-    // the new frame.
-    const JournalScanResult scan = scanJournal(resumer.journalPath());
+    // the new frame, which the resumer wrote when it was destroyed.
+    const JournalScanResult scan = scanJournal(cfg.dir + "/journal.qjnl");
     ASSERT_EQ(scan.frames.size(), snapFrames + 1);
     EXPECT_FALSE(scan.tornTail);
     Decoder dec(scan.frames.back().payload);
@@ -1371,6 +1425,7 @@ TEST_F(JournalTest, RecoveryFallsBackPastATornSnapshotFrame)
     RunSnapshot next;
     next.iteration = 2;
     resumer.writeSnapshot(next);
+    resumer.flush();
     const SnapshotLogScan scan = scanSnapshotLog(resumer.snapshotPath());
     EXPECT_FALSE(scan.tornTail);
     EXPECT_EQ(scan.frames, 3u);

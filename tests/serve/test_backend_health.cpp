@@ -8,9 +8,16 @@
 
 #include "serve/backend_pool.hpp"
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
+#include "fault/chaos.hpp"
 
 namespace qismet {
 namespace {
@@ -50,6 +57,87 @@ TEST(HealthPolicy, RejectsMalformedFields)
     p = HealthPolicy{};
     p.latencyEwmaAlpha = 1.5;
     EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(ServeFleetInputs, NonFiniteValuesAreRefusedNamingFieldAndValue)
+{
+    // Each value would reach an integer cast or the latency EWMA: a NaN
+    // Poisson mean casts to 2^63 events, a NaN cooldown growth is cast
+    // to a tick count, and a NaN latency stays in the EWMA for good.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto chaos = [](double ChaosConfig::*field, double value) {
+        return [field, value] {
+            ChaosConfig config;
+            config.*field = value;
+            config.validate();
+        };
+    };
+    auto health = [](double HealthPolicy::*field, double value) {
+        return [field, value] {
+            HealthPolicy policy;
+            policy.*field = value;
+            policy.validate();
+        };
+    };
+    auto slowdown = [](double magnitude) {
+        return [magnitude] {
+            ChaosEvent event;
+            event.kind = ChaosKind::BackendSlowdown;
+            event.endTick = 4;
+            event.magnitude = magnitude;
+            const ChaosSchedule schedule({event});
+        };
+    };
+    auto release = [](double latency) {
+        return [latency] {
+            BackendPool pool = fleet(1);
+            pool.releaseSuccess(pool.acquire(), latency, 1);
+        };
+    };
+    struct Row
+    {
+        std::string want; ///< the field and value the message names
+        std::function<void()> call;
+    };
+    const std::vector<Row> rows = {
+        {"mean = nan", [nan] { (void)Rng(1).poisson(nan); }},
+        {"mean = inf", [inf] { (void)Rng(1).poisson(inf); }},
+        {"outagesPerBackend = nan",
+         chaos(&ChaosConfig::outagesPerBackend, nan)},
+        {"outagesPerBackend = inf",
+         chaos(&ChaosConfig::outagesPerBackend, inf)},
+        {"slowdownsPerBackend = nan",
+         chaos(&ChaosConfig::slowdownsPerBackend, nan)},
+        {"slowdownsPerBackend = inf",
+         chaos(&ChaosConfig::slowdownsPerBackend, inf)},
+        {"stormsPerBackend = nan",
+         chaos(&ChaosConfig::stormsPerBackend, nan)},
+        {"stormsPerBackend = inf",
+         chaos(&ChaosConfig::stormsPerBackend, inf)},
+        {"breakerCooldownGrowth = nan",
+         health(&HealthPolicy::breakerCooldownGrowth, nan)},
+        {"breakerCooldownGrowth = inf",
+         health(&HealthPolicy::breakerCooldownGrowth, inf)},
+        {"latencyDegradeFactor = nan",
+         health(&HealthPolicy::latencyDegradeFactor, nan)},
+        {"magnitude = nan", slowdown(nan)},
+        {"magnitude = inf", slowdown(inf)},
+        {"latency_factor = nan", release(nan)},
+        {"latency_factor = inf", release(inf)},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.want);
+        try {
+            row.call();
+            ADD_FAILURE() << "accepted";
+        }
+        catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(row.want),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(BackendHealthModel, ConsecutiveFaultsDegradeThenQuarantine)

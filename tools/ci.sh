@@ -90,23 +90,27 @@ trap 'rm -rf "$ckpt_root"' EXIT
 smoke=./build/examples/checkpoint_resume
 smoke_args=(--app 1 --jobs 120 --faults --seed 23)
 want=$("$smoke" "${smoke_args[@]}" --threads 4 | head -1)
-# Two legs, both killed after 6 iterations. Cadence 1 dies right after
-# handing a snapshot to the committer thread, so the process ends at
-# some point of that commit: recovery resumes from the last snapshot
-# whose commit finished. Cadence 4 dies two iterations past the last
-# snapshot: the frames behind the crash were still in memory, never
-# written, and the resume re-executes them.
-for cadence in 1 4; do
-    ckpt_dir="$ckpt_root/every-$cadence"
+# Three legs, each "cadence iterations-before-the-kill". Cadence 1
+# killed after 6 iterations dies right after handing a snapshot to the
+# committer thread, so the process ends at some point of that commit:
+# recovery resumes from the last snapshot whose commit finished.
+# Cadence 4 killed after 6 dies two iterations past the last snapshot:
+# the frames behind the crash were still in memory, never written, and
+# the resume re-executes them. Cadence 4 killed after 1 dies while the
+# run's first commit may still be in flight: the logs may hold only
+# their headers, and the resume then restarts from scratch.
+for leg in "1 6" "4 6" "4 1"; do
+    read -r cadence after <<< "$leg"
+    ckpt_dir="$ckpt_root/every-$cadence-after-$after"
     # The kill leg must die with the crash exit code, not finish.
     set +e
     "$smoke" "${smoke_args[@]}" --threads 4 --snapshot-every "$cadence" \
-        --checkpoint-dir "$ckpt_dir" --crash-after-iters 6
+        --checkpoint-dir "$ckpt_dir" --crash-after-iters "$after"
     kill_status=$?
     set -e
     if [[ $kill_status -ne 43 ]]; then
-        echo "ci: kill leg (cadence $cadence) exited $kill_status," \
-            "expected 43" >&2
+        echo "ci: kill leg (cadence $cadence, after $after) exited" \
+            "$kill_status, expected 43" >&2
         exit 1
     fi
     # Resume on a different thread count; the trajectory digest must
@@ -115,11 +119,12 @@ for cadence in 1 4; do
         --snapshot-every "$cadence" --checkpoint-dir "$ckpt_dir" \
         --resume | head -1)
     if [[ "$got" != "$want" ]]; then
-        echo "ci: resumed digest '$got' (cadence $cadence) !=" \
-            "straight-run digest '$want'" >&2
+        echo "ci: resumed digest '$got' (cadence $cadence, after" \
+            "$after) != straight-run digest '$want'" >&2
         exit 1
     fi
-    echo "resume digest (snapshot every $cadence) matches straight run: $got"
+    echo "resume digest (snapshot every $cadence, killed after $after)" \
+        "matches straight run: $got"
 done
 
 stage "fsync economy of a checkpointed run (LD_PRELOAD counter)"
