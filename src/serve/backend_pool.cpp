@@ -272,11 +272,15 @@ BackendPool::releaseFaulted(const BackendLease &lease,
         // Failed probe: reopen with a multiplied, bounded cooldown.
         b.breaker = BreakerState::Open;
         b.breakerOpenedTick = now;
+        // A finite growth can carry the product past 2^64, where the
+        // cast is undefined; every product it can carry is clamped.
         const double grown = static_cast<double>(b.cooldownTicks) *
                              policy_.breakerCooldownGrowth;
-        b.cooldownTicks = std::min(
-            policy_.breakerMaxCooldownTicks,
-            static_cast<std::uint64_t>(grown));
+        b.cooldownTicks =
+            grown < 0x1.0p64
+                ? std::min(policy_.breakerMaxCooldownTicks,
+                           static_cast<std::uint64_t>(grown))
+                : policy_.breakerMaxCooldownTicks;
         b.health = BackendHealth::Quarantined;
         ++stats_.breakerReopens;
     }

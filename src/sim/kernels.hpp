@@ -55,6 +55,11 @@
 #include "common/simd.hpp"
 
 namespace qismet {
+
+namespace detail {
+class CdfSearch;
+} // namespace detail
+
 namespace kern {
 
 /** @name Whole-state kernels (blocked/parallel + SIMD dispatch) @{ */
@@ -152,6 +157,35 @@ pauliRowScratch(const PauliLanes &lanes)
 void pauliLaneSums(std::span<const Complex> amps, const PauliLanes &lanes,
                    bool simd, std::size_t u0, std::size_t u1, double *acc,
                    double *rows);
+
+/** @} */
+
+/**
+ * @name Shot tally
+ *
+ * The vector half of ShotSampler's draw-ahead loop (DESIGN.md §17).
+ * The sampler draws a block of shots' numbers ahead, in stream order,
+ * one row of `lanes` integers per shot: qubit q's readout-trial draw at
+ * lane q (0 where q does not draw), the shot's search draw at lane
+ * `searchLane`, 0 in the rest. A drawing qubit's two trial thresholds
+ * (detail::trialThreshold of p10 and p01) sit at its lane of `below0`
+ * and `below1`; every other lane's are 0, and no draw is below 0.
+ * @{
+ */
+
+/** A block of pre-drawn shots and its readout thresholds. */
+struct ShotRows
+{
+    /** The rows, `lanes` apart. */
+    const std::uint64_t *draws = nullptr;
+    /** A multiple of 4 when any qubit draws; 1 (the search) when none. */
+    std::size_t lanes = 0;
+    /** The lane of the search draw: the highest drawing qubit + 1. */
+    std::size_t searchLane = 0;
+    /** `lanes` thresholds each, for ideal bit 0 and ideal bit 1. */
+    const std::uint64_t *below0 = nullptr;
+    const std::uint64_t *below1 = nullptr;
+};
 
 /** @} */
 
@@ -295,6 +329,17 @@ void permXUnitsAvx2(Complex *a, int q, std::size_t k0, std::size_t k1);
 void swapPairUnitsAvx2(Complex *a, std::size_t bA, std::size_t bB,
                        std::size_t offA, std::size_t offB, std::size_t k0,
                        std::size_t k1);
+
+/**
+ * Tally the first `shots` rows of `rows`: per row, the flip masks from 64-bit compares of every lane against both
+ * thresholds (bit q where lane q's draw is below below0[q] and
+ * below1[q]), the ideal outcome from `search` at the search lane, and
+ * one count at the ideal outcome with the flips its bits select, in
+ * counts[]. Integer only.
+ */
+void tallyShotsAvx2(const ShotRows &rows, std::size_t shots,
+                    const qismet::detail::CdfSearch &search,
+                    std::uint64_t *counts);
 
 } // namespace detail
 

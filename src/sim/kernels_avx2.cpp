@@ -31,9 +31,12 @@
 #if QISMET_SIMD_X86
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <immintrin.h>
+#include <utility>
 
+#include "sim/cdf_search.hpp"
 #include "sim/compiled_circuit.hpp"
 
 #define QISMET_TARGET_AVX2 __attribute__((target("avx2,fma")))
@@ -653,6 +656,77 @@ pauliLaneSumsAvx2(const Complex *a, const PauliLanes &lanes, std::size_t u0,
         }
         t0 = t1;
     }
+}
+
+namespace {
+
+/** Bit j set where lane j of `v` is below lane j of `t`. */
+QISMET_TARGET_AVX2 inline std::uint64_t
+belowMask(__m256i t, __m256i v)
+{
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, v))));
+}
+
+/**
+ * The tally for rows of R vectors (R = 0: the search draw alone). R is
+ * a template parameter: with a run-time vector count the loop ran
+ * slower than the per-shot loop. Draws and thresholds are below 2^63,
+ * so the signed compare is the unsigned one.
+ */
+template <std::size_t R>
+QISMET_TARGET_AVX2 void
+tallyRows(const ShotRows &rows, std::size_t shots,
+          const qismet::detail::CdfSearch &search, std::uint64_t *counts)
+{
+    // Locals: a count store could alias the fields of `rows`.
+    const std::uint64_t *draws = rows.draws;
+    const std::size_t lanes = rows.lanes;
+    const std::size_t searchLane = rows.searchLane;
+    __m256i t0[R + 1];
+    __m256i t1[R + 1];
+    for (std::size_t r = 0; r < R; ++r) {
+        t0[r] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(rows.below0 + 4 * r));
+        t1[r] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(rows.below1 + 4 * r));
+    }
+    for (std::size_t s = 0; s < shots; ++s) {
+        const std::uint64_t *row = draws + s * lanes;
+        std::uint64_t flip0 = 0;
+        std::uint64_t flip1 = 0;
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256i v = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(row + 4 * r));
+            flip0 |= belowMask(t0[r], v) << (4 * r);
+            flip1 |= belowMask(t1[r], v) << (4 * r);
+        }
+        const auto ideal =
+            static_cast<std::uint64_t>(search.find(row[searchLane]));
+        ++counts[ideal ^ ((flip1 & ideal) | (flip0 & ~ideal))];
+    }
+}
+
+using TallyFn = void (*)(const ShotRows &, std::size_t,
+                         const qismet::detail::CdfSearch &, std::uint64_t *);
+
+/** tallyRows<R> at index R, for rows of up to 64 lanes (63 qubits). */
+template <std::size_t... R>
+constexpr std::array<TallyFn, sizeof...(R)>
+tallyTable(std::index_sequence<R...>)
+{
+    return {&tallyRows<R>...};
+}
+
+constexpr auto kTallyRows = tallyTable(std::make_index_sequence<17>{});
+
+} // namespace
+
+void
+tallyShotsAvx2(const ShotRows &rows, std::size_t shots,
+               const qismet::detail::CdfSearch &search, std::uint64_t *counts)
+{
+    kTallyRows[rows.lanes / 4](rows, shots, search, counts);
 }
 
 } // namespace detail

@@ -11,6 +11,7 @@
 #ifndef QISMET_SIM_SHOT_SAMPLER_HPP
 #define QISMET_SIM_SHOT_SAMPLER_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -80,6 +81,13 @@ class ShotSampler
                 int num_qubits, std::size_t shots, Rng &rng) const;
 
     const std::vector<ReadoutError> &readout() const { return readout_; }
+
+    /**
+     * How many shots' draws the AVX2 loop takes ahead of their searches
+     * (DESIGN.md §17). It never draws past a call's last shot, so the
+     * depth moves no draw.
+     */
+    static constexpr std::size_t kDrawAheadShots = 32;
 
   private:
     Counts sampleFromCdf(const std::vector<double> &cdf, int num_qubits,

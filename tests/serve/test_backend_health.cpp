@@ -252,6 +252,34 @@ TEST(BackendHealthModel, FailedProbeReopensWithGrownBoundedCooldown)
     EXPECT_EQ(pool.stats().breakerReopens, 8u);
 }
 
+TEST(BackendHealthModel, HugeFiniteGrowthClampsToTheMaxCooldown)
+{
+    // 8 · 1e300 is far past 2^64: the reopen must clamp it, not cast it
+    // (UBSan's float-cast-overflow reports the cast).
+    HealthPolicy policy;
+    policy.breakerCooldownGrowth = 1e300;
+    BackendPool pool = fleet(1, policy);
+    std::uint64_t tick = 0;
+    for (int i = 0; i < 4; ++i)
+        faultOnce(pool, tick);
+    ASSERT_EQ(pool.breaker(0), BreakerState::Open);
+
+    for (int round = 0; round < 2; ++round) {
+        const std::uint64_t probeTick = *pool.earliestProbeTick();
+        std::vector<HealthTransition> t;
+        auto lease = pool.acquireHealthAware(probeTick, t);
+        ASSERT_TRUE(lease.has_value());
+        const auto reopen = pool.releaseFaulted(*lease, probeTick + 1);
+        ASSERT_EQ(pool.breaker(0), BreakerState::Open);
+        ASSERT_FALSE(reopen.empty());
+        EXPECT_EQ(reopen.back().cooldownTicks,
+                  policy.breakerMaxCooldownTicks);
+        EXPECT_EQ(*pool.earliestProbeTick(),
+                  probeTick + 1 + policy.breakerMaxCooldownTicks);
+    }
+    EXPECT_EQ(pool.stats().breakerReopens, 2u);
+}
+
 TEST(BackendHealthModel, SlowSuccessesDegradeViaLatencyEwma)
 {
     BackendPool pool = fleet(1);

@@ -10,11 +10,14 @@
  * then `++counts[outcome]` on the `std::map`. After every call the
  * battery asserts equal Counts and an equal `Rng::saveState()`, on a
  * pinned grid, on the Table-1 apps' own group distributions, and on
- * geometric tails and extreme totals. The guided search and the
- * integer readout trial are also checked on their own: the search
- * against `std::lower_bound` at every guide-bucket edge and wherever a
- * draw lands exactly on a CDF entry, the trial against `uniform() < p`
- * at its threshold. It lives in the `simkern` binary, so the
+ * geometric tails and extreme totals, and at the edges of the AVX2
+ * loop's draw-ahead block (shot counts around its depth, schedules that
+ * skip qubits, rows wider than two vectors) with SIMD on and off. The
+ * guided search and the integer readout trial are also checked on their
+ * own: each integer CDF threshold at its boundary, the search against
+ * `std::lower_bound` at every guide-bucket edge and wherever a draw
+ * lands exactly on a CDF entry, the trial against `uniform() < p` at
+ * its threshold. It lives in the `simkern` binary, so the
  * ASan/UBSan sweeps also check the search's indexing.
  */
 
@@ -33,6 +36,7 @@
 
 #include "apps/applications.hpp"
 #include "circuit/circuit.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/cdf_search.hpp"
 #include "sim/shot_sampler.hpp"
@@ -125,6 +129,7 @@ enum class ReadoutKind
     AllPositive,
     SomeZero,
     Certain,
+    Gapped,
 };
 
 constexpr ReadoutKind kReadoutKinds[] = {
@@ -150,6 +155,13 @@ makeReadout(ReadoutKind kind, int n)
         case ReadoutKind::Certain:
             out.push_back(q % 2 == 0 ? ReadoutError{1.0, 1.0}
                                      : ReadoutError{1.0, 0.3});
+            break;
+        case ReadoutKind::Gapped:
+            // Every shot draws for the same qubits, but not for a
+            // prefix of them: both probabilities 0 on qubits 1, 4, 7...
+            out.push_back(q % 3 == 1
+                              ? ReadoutError{0.0, 0.0}
+                              : ReadoutError{0.02 + 0.003 * dq, 0.04});
             break;
         case ReadoutKind::None:
             break;
@@ -554,6 +566,95 @@ TEST(ShotSamplerExact, TinyAndHugeTotalsMatchReference)
 }
 
 // ---------------------------------------------------------------------------
+// The draw-ahead loop's edges: block depths, gapped schedules, wide rows.
+// ---------------------------------------------------------------------------
+
+constexpr ReadoutKind kAllReadoutKinds[] = {
+    ReadoutKind::None, ReadoutKind::AllPositive, ReadoutKind::SomeZero,
+    ReadoutKind::Certain, ReadoutKind::Gapped};
+
+/** Sets the SIMD switch for a scope, then puts the old value back. */
+class SimdGuard
+{
+  public:
+    explicit SimdGuard(bool on) : saved_(simdEnabled())
+    {
+        setSimdEnabled(on);
+    }
+    ~SimdGuard() { setSimdEnabled(saved_); }
+
+  private:
+    bool saved_;
+};
+
+/**
+ * Every readout shape and distribution kind at width n and each shot
+ * count, against the reference, on one stream: with the AVX2 loop (where
+ * the host has it) and with the per-shot loop.
+ */
+void
+expectShapesMatchReference(int n, const std::vector<std::size_t> &shot_counts,
+                           Rng &rng)
+{
+    for (bool simd : {true, false}) {
+        const SimdGuard guard(simd);
+        for (ReadoutKind rk : kAllReadoutKinds) {
+            const std::vector<ReadoutError> readout = makeReadout(rk, n);
+            const ShotSampler sampler(readout);
+            for (DistKind dk : kDistKinds) {
+                const std::vector<double> probs = makeDistribution(dk, n);
+                for (std::size_t shots : shot_counts) {
+                    SCOPED_TRACE(
+                        "simd=" + std::to_string(simd) +
+                        " n=" + std::to_string(n) + " readout=" +
+                        std::to_string(static_cast<int>(rk)) + " dist=" +
+                        std::to_string(static_cast<int>(dk)) +
+                        " shots=" + std::to_string(shots));
+                    Rng want_rng = rng;
+                    const Counts want =
+                        referenceSample(readout, probs, n, shots, want_rng);
+                    EXPECT_EQ(sampler.sample(probs, n, shots, rng), want);
+                    expectSameState(rng, want_rng);
+                }
+            }
+        }
+    }
+}
+
+TEST(ShotSamplerExact, DrawAheadBlockEdgesMatchReference)
+{
+    // One shot short of a block, a block, one past it and one past two:
+    // the last block holds only the shots that remain.
+    const std::size_t depth = ShotSampler::kDrawAheadShots;
+    const std::vector<std::size_t> shot_counts = {depth - 1, depth,
+                                                  depth + 1, 2 * depth + 1};
+    Rng rng(2030);
+    for (int n = 1; n <= 12; ++n)
+        expectShapesMatchReference(n, shot_counts, rng);
+}
+
+TEST(ShotSamplerExact, RowsWiderThanTwoVectorsMatchReference)
+{
+    // At 9 to 12 qubits a shot's row (the trials, then the search draw)
+    // spans three or four AVX2 vectors.
+    Rng rng(2031);
+    for (int n = 9; n <= 12; ++n)
+        expectShapesMatchReference(n, {7, 300, 4096}, rng);
+}
+
+TEST(ShotSamplerExact, SubnormalTotalsMatchReference)
+{
+    Rng rng(2032);
+    for (double unit : {0x1.0p-1060, 0x1.0p-1074}) {
+        SCOPED_TRACE("unit 2^" + std::to_string(std::ilogb(unit)));
+        std::vector<double> p = makeDistribution(DistKind::Sparse, 6);
+        for (double &w : p)
+            w = std::max(0.0, w) * unit;
+        expectMatchesReference(p, 6, rng);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The search and the trial on their own.
 // ---------------------------------------------------------------------------
 
@@ -637,7 +738,44 @@ searchCases()
         cases.emplace_back(total < 1.0 ? "tiny total" : "huge total",
                            prefixSums(scaled));
     }
+    // Subnormal totals: u(k) rounds to a multiple of 2^-1074, so it is
+    // flat over runs of consecutive draws, about 2^45 long at the
+    // smaller unit.
+    for (double unit : {0x1.0p-1060, 0x1.0p-1074}) {
+        std::vector<double> scaled = makeDistribution(DistKind::Sparse, 6);
+        for (double &w : scaled)
+            w = std::max(0.0, w) * unit;
+        cases.emplace_back("subnormal total, unit 2^" +
+                               std::to_string(std::ilogb(unit)),
+                           prefixSums(scaled));
+    }
     return cases;
+}
+
+TEST(ShotSamplerExact, CdfThresholdsAreTheLeastPassingDraws)
+{
+    // K_i is the least draw k with cdf[i] < u(k): the predicate fails at
+    // K_i − 1 and holds at K_i, and u(k) never decreases in k, so that
+    // pins K_i. 2^53 stands for "no draw passes".
+    for (const auto &[name, cdf] : searchCases()) {
+        SCOPED_TRACE(name);
+        const detail::CdfSearch search(cdf, "test");
+        const double total = cdf.back();
+        const auto passes = [total](double c, std::uint64_t k) {
+            return c < static_cast<double>(k) * 0x1.0p-53 * total;
+        };
+        for (std::size_t i = 0; i < cdf.size(); ++i) {
+            const std::uint64_t t = search.threshold(i);
+            ASSERT_LE(t, kDrawLimit) << "i=" << i;
+            if (t < kDrawLimit) {
+                ASSERT_TRUE(passes(cdf[i], t)) << "i=" << i;
+            }
+            if (t > 0) {
+                ASSERT_FALSE(passes(cdf[i], t - 1)) << "i=" << i;
+            }
+        }
+        EXPECT_EQ(search.threshold(cdf.size() - 1), kDrawLimit);
+    }
 }
 
 TEST(ShotSamplerExact, GuidedSearchMatchesLowerBoundAtBucketEdges)

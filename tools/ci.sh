@@ -338,7 +338,7 @@ cmake --build build-tsan --target test_serve test_persist test_fault \
     test_serve_chaos_replay test_vqe -j "$jobs"
 ctest --preset tsan-subsys
 
-stage "kernel, expectation, persist and recovery suites under ASan+UBSan and standalone UBSan"
+stage "kernel, expectation, persist, recovery and serve suites under ASan+UBSan and standalone UBSan"
 # The SIMD kernels and the batched-expectation sweep walk amplitude
 # arrays with hand-rolled bit arithmetic and intrinsic loads (each
 # kernel's AVX2 unit walk covers a whole range in pointer arithmetic,
@@ -349,7 +349,9 @@ stage "kernel, expectation, persist and recovery suites under ASan+UBSan and sta
 # (test_persist, persist label, which links qismet_serve for the
 # manifest) plus the kill-and-resume suite (recovery label) feed them
 # hostile input. ASan/UBSan rerun those batteries against exactly that
-# surface.
+# surface. Standalone UBSan also runs the serve suite (test_serve, the
+# backend pool's health and breaker arithmetic and the scheduler), so a
+# float-to-integer cast past its range there aborts the stage.
 cmake --preset asan >/dev/null
 cmake --build build-asan --target test_sim_kernels test_pauli_expect \
     test_persist test_recovery -j "$jobs"
@@ -358,10 +360,11 @@ ctest --preset expect-asan
 ctest --preset persist-asan
 cmake --preset ubsan >/dev/null
 cmake --build build-ubsan --target test_sim_kernels test_pauli_expect \
-    test_persist test_recovery -j "$jobs"
+    test_persist test_recovery test_serve -j "$jobs"
 ctest --preset simkern-ubsan
 ctest --preset expect-ubsan
 ctest --preset persist-ubsan
+ctest --preset serve-ubsan
 
 if [[ $with_coverage -eq 1 ]]; then
     stage "coverage build"
